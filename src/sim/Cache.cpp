@@ -2,6 +2,7 @@
 
 #include "sim/Cache.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace ddm;
@@ -14,6 +15,13 @@ unsigned log2Exact(uint64_t Value) {
 }
 
 } // namespace
+
+// Way state. A way is empty exactly when its LastUse is 0 (its tag is
+// then InvalidTag, which no lookup matches). The clock starts at 1 and
+// advances once per accessLine/installLine; a demand access stamps the new
+// clock value and a prefetch fill stamps one less, so live stamps are
+// always >= 1. Stamps are the reference model's (clock from 0, fill at
+// clock - 1) plus one, which keeps their order, and their ties, intact.
 
 Cache::Cache(const CacheGeometry &Geometry) {
   assert(Geometry.LineBytes >= 16 && "line too small");
@@ -29,102 +37,91 @@ Cache::Cache(const CacheGeometry &Geometry) {
     Sets &= Sets - 1;
   if (Sets == 0)
     Sets = 1;
-  Ways.assign(Sets * Assoc, Way());
+  SetShift = log2Exact(Sets);
+  Tags.assign(Sets * Assoc, InvalidTag);
+  LastUse.assign(Sets * Assoc, 0);
+  Flags.assign(Sets * Assoc, 0);
 }
 
-Cache::Way *Cache::findWay(uint64_t Set, uint64_t Tag) {
-  Way *Base = &Ways[Set * Assoc];
-  for (unsigned I = 0; I < Assoc; ++I)
-    if (Base[I].Valid && Base[I].Tag == Tag)
-      return &Base[I];
-  return nullptr;
-}
-
-const Cache::Way *Cache::findWay(uint64_t Set, uint64_t Tag) const {
-  return const_cast<Cache *>(this)->findWay(Set, Tag);
-}
-
-Cache::Way *Cache::victimWay(uint64_t Set) {
-  Way *Base = &Ways[Set * Assoc];
-  Way *Victim = &Base[0];
-  for (unsigned I = 0; I < Assoc; ++I) {
-    if (!Base[I].Valid)
-      return &Base[I];
-    if (Base[I].LastUse < Victim->LastUse)
-      Victim = &Base[I];
+unsigned Cache::victimWay(size_t Base) const {
+  // The first way with the strictly smallest stamp: the first empty way if
+  // there is one (stamp 0), otherwise the first least recently used way.
+  // A fill shares its stamp with the access just before it, so ties are
+  // real and the first-wins order matters.
+  const uint64_t *L = LastUse.data() + Base;
+  unsigned Victim = 0;
+  uint64_t Oldest = L[0];
+  for (unsigned I = 1; I < Assoc; ++I) {
+    bool Older = L[I] < Oldest;
+    Victim = Older ? I : Victim;
+    Oldest = Older ? L[I] : Oldest;
   }
   return Victim;
 }
 
-Cache::Outcome Cache::accessLine(uint64_t Line, bool IsWrite) {
-  uint64_t Set = Line & (Sets - 1);
-  uint64_t Tag = Line / Sets;
-  ++Clock;
-  Outcome Result;
-  if (Way *W = findWay(Set, Tag)) {
-    ++Hits;
-    Result.Hit = true;
-    if (W->Prefetched) {
-      Result.HitWasPrefetched = true;
-      W->Prefetched = false;
-    }
-    W->LastUse = Clock;
-    W->Dirty |= IsWrite;
-    return Result;
-  }
-  ++Misses;
-  Way *Victim = victimWay(Set);
-  if (Victim->Valid) {
+void Cache::refill(size_t Slot, uint64_t Set, uint64_t Tag, uint64_t Stamp,
+                   uint8_t NewFlags, Outcome &Result) {
+  if (LastUse[Slot] != 0) {
     Result.Evicted = true;
-    Result.EvictedLine = Victim->Tag * Sets + Set;
-    Result.EvictedDirty = Victim->Dirty;
+    Result.EvictedLine = (Tags[Slot] << SetShift) | Set;
+    Result.EvictedDirty = Flags[Slot] & DirtyBit;
   }
-  Victim->Valid = true;
-  Victim->Tag = Tag;
-  Victim->LastUse = Clock;
-  Victim->Dirty = IsWrite;
-  Victim->Prefetched = false;
+  Tags[Slot] = Tag;
+  LastUse[Slot] = Stamp;
+  Flags[Slot] = NewFlags;
+}
+
+Cache::Outcome Cache::missLine(uint64_t Line, size_t Base, bool IsWrite) {
+  assert(tagOf(Line) != InvalidTag && "line number out of range");
+  ++Misses;
+  Outcome Result;
+  size_t Slot = Base + victimWay(Base);
+  LastSlot = Slot;
+  refill(Slot, Line & (Sets - 1), tagOf(Line), Clock, IsWrite ? DirtyBit : 0,
+         Result);
   return Result;
 }
 
 Cache::Outcome Cache::installLine(uint64_t Line, bool MarkPrefetched) {
   uint64_t Set = Line & (Sets - 1);
-  uint64_t Tag = Line / Sets;
+  size_t Base = static_cast<size_t>(Set) * Assoc;
+  uint64_t Tag = tagOf(Line);
+  assert(Tag != InvalidTag && "line number out of range");
   ++Clock;
   Outcome Result;
-  if (findWay(Set, Tag)) {
+  if (findWay(Base, Tag) != Assoc) {
     Result.Hit = true;
     return Result; // already resident; do not disturb LRU on a prefetch
   }
-  Way *Victim = victimWay(Set);
-  if (Victim->Valid) {
-    Result.Evicted = true;
-    Result.EvictedLine = Victim->Tag * Sets + Set;
-    Result.EvictedDirty = Victim->Dirty;
-  }
-  Victim->Valid = true;
-  Victim->Tag = Tag;
-  // Install near the LRU end so useless prefetches die quickly.
-  Victim->LastUse = Clock > 0 ? Clock - 1 : 0;
-  Victim->Dirty = false;
-  Victim->Prefetched = MarkPrefetched;
+  // The fill is stamped one tick below the current clock: just under MRU,
+  // not near the LRU end. It ties with the access just before it (the
+  // earlier way wins a tie) and is younger than every line of its set used
+  // before that, so it outlives them; only lines demanded after the fill
+  // are younger. An unused prefetch therefore takes a set's worth of newer
+  // misses to age out.
+  refill(Base + victimWay(Base), Set, Tag, Clock - 1,
+         MarkPrefetched ? PrefetchedBit : 0, Result);
   return Result;
 }
 
 bool Cache::probeLine(uint64_t Line) const {
-  return findWay(Line & (Sets - 1), Line / Sets);
+  return findWay(setBase(Line), tagOf(Line)) != Assoc;
 }
 
 bool Cache::markDirtyLineIfPresent(uint64_t Line) {
-  if (Way *W = findWay(Line & (Sets - 1), Line / Sets)) {
-    W->Dirty = true;
-    return true;
-  }
-  return false;
+  size_t Base = setBase(Line);
+  unsigned W = findWay(Base, tagOf(Line));
+  if (W == Assoc)
+    return false;
+  Flags[Base + W] |= DirtyBit;
+  return true;
 }
 
 void Cache::reset() {
-  for (Way &W : Ways)
-    W = Way();
-  Clock = Hits = Misses = 0;
+  std::fill(Tags.begin(), Tags.end(), InvalidTag);
+  std::fill(LastUse.begin(), LastUse.end(), 0);
+  std::fill(Flags.begin(), Flags.end(), 0);
+  LastSlot = 0;
+  Clock = 1;
+  Hits = Misses = 0;
 }

@@ -8,13 +8,21 @@
 /// transactions).
 ///
 /// Lines installed by the prefetcher carry a "prefetched" mark so the
-/// simulator can count useful prefetches.
+/// simulator can count useful prefetches. A fill enters its set just below
+/// the MRU position, so it outlives the lines of the set that were last
+/// used before it.
+///
+/// Way state is stored as parallel arrays (tags, last-use stamps, a flag
+/// byte), and lookups scan a set's ways without early exit; see Cache.cpp
+/// for the stamp scheme that makes the victim choice match plain LRU with
+/// a first-way tie-break.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef DDM_SIM_CACHE_H
 #define DDM_SIM_CACHE_H
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -45,11 +53,37 @@ public:
   /// The caller splits an access into line numbers once; set index and tag
   /// are computed a single time per call here instead of once per probe.
   /// @{
-  Outcome accessLine(uint64_t Line, bool IsWrite);
+  Outcome accessLine(uint64_t Line, bool IsWrite) {
+    size_t Base = setBase(Line);
+    ++Clock;
+    unsigned W = findWay(Base, tagOf(Line));
+    if (W == Assoc)
+      return missLine(Line, Base, IsWrite);
+    size_t Slot = Base + W;
+    LastSlot = Slot;
+    ++Hits;
+    Outcome Result;
+    Result.Hit = true;
+    Result.HitWasPrefetched = Flags[Slot] & PrefetchedBit;
+    Flags[Slot] = (Flags[Slot] & DirtyBit) | (IsWrite ? DirtyBit : 0);
+    LastUse[Slot] = Clock;
+    return Result;
+  }
   Outcome installLine(uint64_t Line, bool MarkPrefetched);
   bool probeLine(uint64_t Line) const;
   bool markDirtyLineIfPresent(uint64_t Line);
   /// @}
+
+  /// Repeats the latest accessLine() on the same line. Valid only while no
+  /// installLine() or reset() has run since: the line is then still
+  /// resident and not marked prefetched, so this is exactly the hit that
+  /// accessLine() would record, without the lookup.
+  void repeatLastAccess(bool IsWrite) {
+    ++Clock;
+    ++Hits;
+    LastUse[LastSlot] = Clock;
+    Flags[LastSlot] |= IsWrite ? DirtyBit : 0;
+  }
 
   /// A demand access to byte address \p Addr. Allocates on miss.
   Outcome access(uintptr_t Addr, bool IsWrite) {
@@ -84,23 +118,46 @@ public:
   void reset();
 
 private:
-  struct Way {
-    uint64_t Tag = 0;
-    uint64_t LastUse = 0;
-    bool Valid = false;
-    bool Dirty = false;
-    bool Prefetched = false;
-  };
+  /// Tag of an empty way; never a real tag (line numbers are below 2^60).
+  static constexpr uint64_t InvalidTag = ~0ull;
+  static constexpr uint8_t DirtyBit = 1;
+  static constexpr uint8_t PrefetchedBit = 2;
 
-  Way *findWay(uint64_t Set, uint64_t Tag);
-  const Way *findWay(uint64_t Set, uint64_t Tag) const;
-  Way *victimWay(uint64_t Set);
+  /// First way of \p Line's set in the way arrays.
+  size_t setBase(uint64_t Line) const {
+    return static_cast<size_t>(Line & (Sets - 1)) * Assoc;
+  }
+  uint64_t tagOf(uint64_t Line) const { return Line >> SetShift; }
+  /// Way of set \p Base holding \p Tag, or Assoc if none. Tags are unique
+  /// within a set, so a full scan with no early exit finds the same way as
+  /// a first-match search, without a data-dependent branch.
+  unsigned findWay(size_t Base, uint64_t Tag) const {
+    const uint64_t *T = Tags.data() + Base;
+    unsigned Found = Assoc;
+    for (unsigned I = 0; I < Assoc; ++I)
+      Found = T[I] == Tag ? I : Found;
+    return Found;
+  }
+  /// The demand-miss half of accessLine (\p Base is the line's set).
+  Outcome missLine(uint64_t Line, size_t Base, bool IsWrite);
+  /// The way of set \p Base to refill.
+  unsigned victimWay(size_t Base) const;
+  /// Reports way \p Slot's occupant (of set \p Set) as evicted in
+  /// \p Result and installs \p Tag there.
+  void refill(size_t Slot, uint64_t Set, uint64_t Tag, uint64_t Stamp,
+              uint8_t NewFlags, Outcome &Result);
 
   unsigned LineShift;
+  unsigned SetShift; ///< log2(Sets).
   uint64_t Sets;
   unsigned Assoc;
-  std::vector<Way> Ways; ///< Sets * Assoc, set-major.
-  uint64_t Clock = 0;
+  /// Way state as parallel arrays of Sets * Assoc entries, set-major.
+  /// LastUse is 0 exactly for empty ways; see Cache.cpp for the stamps.
+  std::vector<uint64_t> Tags;
+  std::vector<uint64_t> LastUse;
+  std::vector<uint8_t> Flags;
+  size_t LastSlot = 0; ///< Way that served the latest accessLine.
+  uint64_t Clock = 1;
   uint64_t Hits = 0;
   uint64_t Misses = 0;
 };

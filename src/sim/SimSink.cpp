@@ -93,12 +93,27 @@ void SimSink::touchLine(uint64_t Line, bool IsWrite) {
   DomainEvents &E = Events[DomainIndex];
   ++E.LineAccesses;
 
+  if (Line == LastLine) {
+    // The previous access left this line's page at the head of the D-TLB
+    // and the line itself resident in L1D (the L1D only ever changes
+    // through accessLine here), so the repeat is a TLB hit plus an L1D hit
+    // with nothing deeper.
+    Dtlb.access(static_cast<uintptr_t>(Line << 6));
+    L1D.repeatLastAccess(IsWrite);
+    return;
+  }
+  LastLine = Line;
+
   if (!Dtlb.access(static_cast<uintptr_t>(Line << 6)))
     ++E.TlbMisses;
 
   Cache::Outcome L1Result = L1D.accessLine(Line, IsWrite);
-  if (L1Result.Hit)
-    return;
+  if (!L1Result.Hit)
+    missL1D(Line, IsWrite, L1Result, E);
+}
+
+void SimSink::missL1D(uint64_t Line, bool IsWrite,
+                      const Cache::Outcome &L1Result, DomainEvents &E) {
   ++E.L1DMisses;
   if (L1Result.Evicted && L1Result.EvictedDirty) {
     // Dirty L1 victim: lands in the L2 if resident there (the common,

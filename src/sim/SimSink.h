@@ -100,6 +100,9 @@ public:
 private:
   void touchRange(uint64_t CanonAddr, uint32_t Bytes, bool IsWrite);
   void touchLine(uint64_t Line, bool IsWrite);
+  /// The L2 and prefetcher half of touchLine, after an L1D miss.
+  void missL1D(uint64_t Line, bool IsWrite, const Cache::Outcome &L1Result,
+               DomainEvents &E);
   void installPrefetches(const PrefetchList &List, DomainEvents &E);
 
   Platform Plat;
@@ -115,6 +118,10 @@ private:
   std::optional<StreamPrefetcher> Prefetcher;
 
   CanonicalAddressMap Canon;
+
+  /// Line of the previous touchLine (~0 before the first: no line number
+  /// reaches it).
+  uint64_t LastLine = ~0ull;
 
   DomainEvents Events[2];
   unsigned DomainIndex = 0; ///< Index into Events for the current domain.

@@ -2,6 +2,7 @@
 
 #include "sim/Tlb.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace ddm;
@@ -11,34 +12,82 @@ Tlb::Tlb(unsigned NumEntries, uint64_t PageBytes) : MaxEntries(NumEntries) {
   assert(PageBytes != 0 && (PageBytes & (PageBytes - 1)) == 0 &&
          "page size must be a power of two");
   PageShift = static_cast<unsigned>(__builtin_ctzll(PageBytes));
-  Entries.reserve(2 * NumEntries);
+  Pages.assign(NumEntries, 0);
+  Prev.assign(NumEntries, Nil);
+  Next.assign(NumEntries, Nil);
+  // Keep the index at most a quarter full so probe chains stay short.
+  size_t Buckets = 4;
+  while (Buckets < 4ull * NumEntries)
+    Buckets *= 2;
+  Index.assign(Buckets, Nil);
+  IndexMask = Buckets - 1;
+  IndexShift = 64 - static_cast<unsigned>(__builtin_ctzll(Buckets));
 }
 
-bool Tlb::access(uintptr_t Addr) {
-  uint64_t Page = Addr >> PageShift;
-  ++Clock;
-  // Hits are the common case and must be O(1); the LRU eviction scan on a
-  // miss is O(entries), which amortizes fine at realistic miss rates.
-  auto It = Entries.find(Page);
-  if (It != Entries.end()) {
-    It->second = Clock;
+size_t Tlb::findBucket(uint64_t Page) const {
+  size_t B = homeOf(Page);
+  while (Index[B] != Nil && Pages[Index[B]] != Page)
+    B = (B + 1) & IndexMask;
+  return B;
+}
+
+void Tlb::indexErase(size_t Hole) {
+  // Backward-shift deletion: walk the probe chain after the hole and move
+  // back every entry whose home bucket does not lie cyclically in
+  // (Hole, B], so no lookup ever meets an empty bucket before its key.
+  for (size_t B = (Hole + 1) & IndexMask; Index[B] != Nil;
+       B = (B + 1) & IndexMask) {
+    size_t Home = homeOf(Pages[Index[B]]);
+    if (((B - Home) & IndexMask) >= ((B - Hole) & IndexMask)) {
+      Index[Hole] = Index[B];
+      Hole = B;
+    }
+  }
+  Index[Hole] = Nil;
+}
+
+void Tlb::unlink(uint32_t Slot) {
+  uint32_t P = Prev[Slot], N = Next[Slot];
+  (P == Nil ? Head : Next[P]) = N;
+  (N == Nil ? Tail : Prev[N]) = P;
+}
+
+void Tlb::pushFront(uint32_t Slot) {
+  Prev[Slot] = Nil;
+  Next[Slot] = Head;
+  (Head == Nil ? Tail : Prev[Head]) = Slot;
+  Head = Slot;
+}
+
+bool Tlb::accessSlow(uint64_t Page) {
+  size_t B = findBucket(Page);
+  if (uint32_t Slot = Index[B]; Slot != Nil) {
     ++Hits;
+    unlink(Slot);
+    pushFront(Slot);
     return true;
   }
   ++Misses;
-  if (Entries.size() >= MaxEntries) {
-    auto Victim = Entries.begin();
-    for (auto Candidate = Entries.begin(), End = Entries.end();
-         Candidate != End; ++Candidate)
-      if (Candidate->second < Victim->second)
-        Victim = Candidate;
-    Entries.erase(Victim);
+  uint32_t Slot;
+  if (Used < MaxEntries) {
+    Slot = Used++;
+  } else {
+    // Full: recycle the least recently used entry (the list tail).
+    Slot = Tail;
+    unlink(Slot);
+    indexErase(findBucket(Pages[Slot]));
+    // The erase may have shifted the chain through Page's bucket.
+    B = findBucket(Page);
   }
-  Entries.emplace(Page, Clock);
+  Pages[Slot] = Page;
+  Index[B] = Slot;
+  pushFront(Slot);
   return false;
 }
 
 void Tlb::reset() {
-  Entries.clear();
-  Clock = Hits = Misses = 0;
+  std::fill(Index.begin(), Index.end(), Nil);
+  Used = 0;
+  Head = Tail = Nil;
+  Hits = Misses = 0;
 }

@@ -91,16 +91,19 @@ public:
   /// nonzero. Uses Lemire's multiply-shift rejection method.
   uint64_t nextBelow(uint64_t Bound) {
     assert(Bound > 0 && "nextBelow requires a nonzero bound");
-    // Unbiased for all bounds that matter here; the slight bias of a plain
-    // multiply-shift is acceptable for bounds far below 2^64, but rejection
-    // keeps the generator exact for tests.
-    uint64_t Threshold = (0 - Bound) % Bound;
-    for (;;) {
-      uint64_t R = next();
-      __uint128_t M = static_cast<__uint128_t>(R) * Bound;
-      if (static_cast<uint64_t>(M) >= Threshold)
-        return static_cast<uint64_t>(M >> 64);
+    // A draw is rejected iff the low product word is below
+    // Threshold = 2^64 mod Bound, which keeps the result exactly uniform.
+    // Threshold < Bound, so a low word >= Bound is accepted without
+    // computing it: the division runs only on the rare low-word-below-Bound
+    // path (nearly divisionless), and the accept/reject decision of every
+    // draw is the same as always computing the threshold.
+    __uint128_t M = static_cast<__uint128_t>(next()) * Bound;
+    if (static_cast<uint64_t>(M) < Bound) {
+      uint64_t Threshold = (0 - Bound) % Bound;
+      while (static_cast<uint64_t>(M) < Threshold)
+        M = static_cast<__uint128_t>(next()) * Bound;
     }
+    return static_cast<uint64_t>(M >> 64);
   }
 
   /// Returns a uniformly distributed integer in [Lo, Hi] inclusive.

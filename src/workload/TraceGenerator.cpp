@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <unordered_map>
 #include <vector>
 
 using namespace ddm;
@@ -14,51 +13,74 @@ TxExecutor::~TxExecutor() = default;
 
 namespace {
 
+/// Ids are handed out densely (NextId++) within a transaction, one per
+/// step, so every per-object table below is a flat array indexed by id.
+constexpr uint32_t NoId = ~0u;
+
 /// Ring-buffer calendar of pending per-object frees, bucketed by step.
+/// Each bucket is a FIFO list threaded through a per-id link array (an id
+/// is scheduled at most once), so scheduling never allocates.
 class FreeCalendar {
 public:
-  explicit FreeCalendar(size_t Window) : Buckets(Window) {}
+  /// \p Window steps of look-ahead (a power of two), ids below \p MaxIds.
+  FreeCalendar(size_t Window, size_t MaxIds)
+      : Head(Window, NoId), Tail(Window, NoId), Link(MaxIds, NoId),
+        Mask(Window - 1) {
+    assert(Window != 0 && (Window & Mask) == 0 && "window: power of two");
+  }
 
   void schedule(uint64_t Step, uint64_t DeathStep, uint32_t Id) {
     uint64_t Delay = DeathStep - Step;
-    if (Delay >= Buckets.size())
-      Delay = Buckets.size() - 1;
-    Buckets[(Cursor + Delay) % Buckets.size()].push_back(Id);
+    if (Delay > Mask)
+      Delay = Mask;
+    size_t Bucket = (Cursor + Delay) & Mask;
+    (Head[Bucket] == NoId ? Head[Bucket] : Link[Tail[Bucket]]) = Id;
+    Tail[Bucket] = Id;
   }
 
-  /// Returns (and clears) the ids dying at the current step, then advances.
-  std::vector<uint32_t> &popCurrent() {
-    Scratch.swap(Buckets[Cursor]);
-    Buckets[Cursor].clear();
-    Cursor = (Cursor + 1) % Buckets.size();
-    return Scratch;
+  /// Detaches the ids dying at the current step and advances. Returns the
+  /// first of them (NoId if none); next() walks the rest in scheduling
+  /// order.
+  uint32_t popCurrent() {
+    uint32_t First = Head[Cursor];
+    Head[Cursor] = NoId;
+    Cursor = (Cursor + 1) & Mask;
+    return First;
   }
+
+  uint32_t next(uint32_t Id) const { return Link[Id]; }
 
 private:
-  std::vector<std::vector<uint32_t>> Buckets;
-  std::vector<uint32_t> Scratch;
+  std::vector<uint32_t> Head; ///< First id of each bucket, or NoId.
+  std::vector<uint32_t> Tail; ///< Last id of each non-empty bucket.
+  std::vector<uint32_t> Link; ///< Id -> next id of its bucket, or NoId.
+  size_t Mask;
   size_t Cursor = 0;
 };
 
 /// Live-object table with O(1) insert/remove and recency-biased sampling.
 class LiveTable {
 public:
+  /// A table for ids below \p MaxIds.
+  explicit LiveTable(size_t MaxIds) : Position(MaxIds, NoId) {}
+
   void insert(uint32_t Id, uint32_t Size) {
-    Position[Id] = Objects.size();
+    assert(Id < Position.size() && "id out of range");
+    Position[Id] = static_cast<uint32_t>(Objects.size());
     Objects.push_back({Id, Size});
   }
 
-  bool contains(uint32_t Id) const { return Position.count(Id) != 0; }
+  bool contains(uint32_t Id) const { return Position[Id] != NoId; }
 
-  uint32_t sizeOf(uint32_t Id) const { return Objects[Position.at(Id)].Size; }
+  uint32_t sizeOf(uint32_t Id) const { return Objects[slotOf(Id)].Size; }
 
   void resize(uint32_t Id, uint32_t NewSize) {
-    Objects[Position.at(Id)].Size = NewSize;
+    Objects[slotOf(Id)].Size = NewSize;
   }
 
   void remove(uint32_t Id) {
-    size_t Pos = Position.at(Id);
-    Position.erase(Id);
+    uint32_t Pos = slotOf(Id);
+    Position[Id] = NoId;
     if (Pos + 1 != Objects.size()) {
       Objects[Pos] = Objects.back();
       Position[Objects[Pos].Id] = Pos;
@@ -80,12 +102,17 @@ public:
   }
 
 private:
+  uint32_t slotOf(uint32_t Id) const {
+    assert(contains(Id) && "id is not live");
+    return Position[Id];
+  }
+
   struct Entry {
     uint32_t Id;
     uint32_t Size;
   };
   std::vector<Entry> Objects;
-  std::unordered_map<uint32_t, size_t> Position;
+  std::vector<uint32_t> Position; ///< Id -> index into Objects, or NoId.
 };
 
 } // namespace
@@ -126,8 +153,9 @@ TraceStats ddm::runTransaction(const WorkloadSpec &Spec, double Scale, Rng &R,
       std::log(TailMeanTarget) - Spec.SizeSigma * Spec.SizeSigma / 2.0;
 
   TraceStats Stats;
-  FreeCalendar Calendar(4096);
-  LiveTable Live;
+  // One allocation per step, so ids stay below Steps.
+  FreeCalendar Calendar(4096, Steps);
+  LiveTable Live(Steps);
   uint32_t NextId = 0;
   double TouchAccumulator = 0.0;
   double StateAccumulator = 0.0;
@@ -162,7 +190,8 @@ TraceStats ddm::runTransaction(const WorkloadSpec &Spec, double Scale, Rng &R,
     }
 
     // 4. Per-object frees due this step.
-    for (uint32_t Id : Calendar.popCurrent()) {
+    for (uint32_t Id = Calendar.popCurrent(); Id != NoId;
+         Id = Calendar.next(Id)) {
       if (!Live.contains(Id))
         continue; // already gone (shrunk away by realloc bookkeeping)
       Live.remove(Id);

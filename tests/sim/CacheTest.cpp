@@ -93,6 +93,35 @@ TEST(CacheTest, InstallOnResidentLineIsNoOp) {
   EXPECT_FALSE(C.access(0x3000, false).HitWasPrefetched);
 }
 
+TEST(CacheTest, PrefetchedLineOutlivesOlderLinesOfItsSet) {
+  // A fill enters just below MRU, not at the LRU end: it is stamped one
+  // tick before its own clock tick, so it is younger than every line of
+  // its set used before the latest access, and ties with that access. One
+  // set of four ways; lines fill ways 0..3 in order while empty.
+  Cache C(CacheGeometry{4 * 64, 4, 64});
+  ASSERT_EQ(C.numSets(), 1u);
+  auto Line = [](uint64_t N) { return static_cast<uintptr_t>(N * 64); };
+  auto EvictedBy = [&](uint64_t N) {
+    Cache::Outcome Out = C.access(Line(N), false);
+    EXPECT_FALSE(Out.Hit);
+    EXPECT_TRUE(Out.Evicted);
+    return Out.EvictedLine;
+  };
+  for (uint64_t N = 0; N < 4; ++N)
+    C.access(Line(N), false); // ways 0..3 hold lines 0..3
+  EXPECT_EQ(EvictedBy(4), 0u); // line 4 takes way 0
+  EXPECT_TRUE(C.access(Line(2), false).Hit);
+  C.install(Line(9), /*MarkPrefetched=*/true); // evicts line 1, way 1
+  EXPECT_FALSE(C.probe(Line(1)));
+  // Lines 3 and 4 were used before the fill and leave first.
+  EXPECT_EQ(EvictedBy(5), 3u);
+  EXPECT_EQ(EvictedBy(6), 4u);
+  // The fill (way 1) shares its stamp with the line 2 access (way 2) just
+  // before it; the tie goes to the earlier way, so the fill leaves first.
+  EXPECT_EQ(EvictedBy(7), 9u);
+  EXPECT_EQ(EvictedBy(8), 2u);
+}
+
 TEST(CacheTest, MarkDirtyIfPresent) {
   Cache C(tiny(32, 8));
   EXPECT_FALSE(C.markDirtyIfPresent(0x4000));

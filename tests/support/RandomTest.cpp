@@ -47,6 +47,45 @@ TEST(RandomTest, NextBelowOneIsAlwaysZero) {
     EXPECT_EQ(R.nextBelow(1), 0u);
 }
 
+namespace {
+
+/// The threshold-rejection loop nextBelow used before it skipped the
+/// division: compute 2^64 mod Bound up front, then draw until the low
+/// product word reaches it. Counts rejected draws in \p Rejections.
+uint64_t thresholdNextBelow(Rng &R, uint64_t Bound, uint64_t &Rejections) {
+  uint64_t Threshold = (0 - Bound) % Bound;
+  for (;;) {
+    __uint128_t M = static_cast<__uint128_t>(R.next()) * Bound;
+    if (static_cast<uint64_t>(M) >= Threshold)
+      return static_cast<uint64_t>(M >> 64);
+    ++Rejections;
+  }
+}
+
+} // namespace
+
+TEST(RandomTest, NextBelowMatchesThresholdRejection) {
+  // Same values and the same stream position after every call, including
+  // on bounds near 2^63 where a large share of draws is rejected.
+  const uint64_t Bounds[] = {1, 3, (1ull << 32) + 1, (1ull << 63) + 1,
+                             3ull << 62};
+  for (uint64_t Bound : Bounds) {
+    Rng Fast(0xb0d5 + Bound), Reference(0xb0d5 + Bound);
+    uint64_t Rejections = 0;
+    for (int I = 0; I < 4000; ++I) {
+      ASSERT_EQ(Fast.nextBelow(Bound),
+                thresholdNextBelow(Reference, Bound, Rejections))
+          << "bound " << Bound << ", call " << I;
+      Rng FastNext = Fast, ReferenceNext = Reference;
+      ASSERT_EQ(FastNext.next(), ReferenceNext.next())
+          << "stream position diverged: bound " << Bound << ", call " << I;
+    }
+    if (Bound > (1ull << 62)) {
+      EXPECT_GT(Rejections, 500u) << "bound " << Bound;
+    }
+  }
+}
+
 TEST(RandomTest, NextInRangeInclusive) {
   Rng R(5);
   std::set<uint64_t> Seen;

@@ -48,7 +48,12 @@ protected:
 
   /// Records two clean transactions and returns the trace path.
   void record() {
-    Path = testing::TempDir() + "ddm_replay_oom" + TraceFileSuffix;
+    // One file per test: ctest runs the tests of this fixture as separate
+    // concurrent processes, and a shared path would let one truncate the
+    // file while another has it mapped.
+    Path = testing::TempDir() + "ddm_replay_oom_" +
+           testing::UnitTest::GetInstance()->current_test_info()->name() +
+           TraceFileSuffix;
     const WorkloadSpec W = phpBb();
     TraceRecorder Recorder;
     ASSERT_TRUE(Recorder.open(Path, TraceMeta{W.Name, 0.05, 77}).ok());
