@@ -10,7 +10,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "experiments/Measure.h"
+#include "experiments/BenchCli.h"
 #include "support/ArgParse.h"
 #include "support/Table.h"
 
@@ -19,18 +19,12 @@
 using namespace ddm;
 
 int main(int Argc, char **Argv) {
-  double Scale = 1.0;
-  uint64_t WarmupTx = 1;
-  uint64_t MeasureTx = 2;
-  uint64_t Seed = 1;
+  BenchCli Cli;
   std::string WorkloadName = "mediawiki-read";
   bool Csv = false;
   ArgParser Parser("Ablation: the effect of backing the heap with large "
                    "pages (paper Section 3.3, optimization 2).");
-  Parser.addFlag("scale", &Scale, "workload scale");
-  Parser.addFlag("warmup", &WarmupTx, "warm-up transactions");
-  Parser.addFlag("transactions", &MeasureTx, "measured transactions");
-  Parser.addFlag("seed", &Seed, "random seed");
+  Cli.addSimFlags(Parser);
   Parser.addFlag("workload", &WorkloadName, "workload name");
   Parser.addFlag("csv", &Csv, "emit CSV instead of ASCII");
   if (!Parser.parse(Argc, Argv))
@@ -46,11 +40,7 @@ int main(int Argc, char **Argv) {
               W->Name.c_str());
   for (const Platform &P : {xeonLike(), niagaraLike()}) {
     Table Out({"allocator", "pages", "tx/s", "vs default 4K", "D-TLB miss/tx"});
-    SimulationOptions Options;
-    Options.Scale = Scale;
-    Options.WarmupTx = static_cast<unsigned>(WarmupTx);
-    Options.MeasureTx = static_cast<unsigned>(MeasureTx);
-    Options.Seed = Seed;
+    SimulationOptions Options = Cli.simOptions();
 
     Options.LargePages = false;
     SimPoint DefaultSmall =
@@ -64,7 +54,7 @@ int main(int Argc, char **Argv) {
       Out.row()
           .cell(Name)
           .cell(Pages)
-          .cell(Pt.Perf.TxPerSec * Scale, 1)
+          .cell(Pt.Perf.TxPerSec * Cli.Scale, 1)
           .percentCell(percentOver(Pt.Perf.TxPerSec, Base))
           .cell(static_cast<uint64_t>(Pt.Events.total().TlbMisses));
     };

@@ -10,7 +10,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "experiments/Measure.h"
+#include "experiments/BenchCli.h"
 #include "support/ArgParse.h"
 #include "support/Format.h"
 #include "support/Table.h"
@@ -20,18 +20,12 @@
 using namespace ddm;
 
 int main(int Argc, char **Argv) {
-  double Scale = 1.0;
-  uint64_t WarmupTx = 1;
-  uint64_t MeasureTx = 2;
-  uint64_t Seed = 1;
+  BenchCli Cli;
   std::string WorkloadName = "mediawiki-read";
   bool Csv = false;
   ArgParser Parser("Ablation: DDmalloc segment-size sweep (paper Section "
                    "3.2 tunable).");
-  Parser.addFlag("scale", &Scale, "workload scale");
-  Parser.addFlag("warmup", &WarmupTx, "warm-up transactions");
-  Parser.addFlag("transactions", &MeasureTx, "measured transactions");
-  Parser.addFlag("seed", &Seed, "random seed");
+  Cli.addSimFlags(Parser);
   Parser.addFlag("workload", &WorkloadName, "workload name");
   Parser.addFlag("csv", &Csv, "emit CSV instead of ASCII");
   if (!Parser.parse(Argc, Argv))
@@ -43,11 +37,7 @@ int main(int Argc, char **Argv) {
     return 1;
   }
 
-  SimulationOptions Options;
-  Options.Scale = Scale;
-  Options.WarmupTx = static_cast<unsigned>(WarmupTx);
-  Options.MeasureTx = static_cast<unsigned>(MeasureTx);
-  Options.Seed = Seed;
+  SimulationOptions Options = Cli.simOptions();
 
   Platform P = xeonLike();
   Table Out({"segment", "tx/s (8 cores)", "mm instr/tx (M)", "L2 miss/tx",
@@ -59,11 +49,11 @@ int main(int Argc, char **Argv) {
     SimPoint Point = simulateRuntime(*W, Config, P, P.Cores, Options);
     Out.row()
         .cell(formatBytes(SegmentKb * 1024))
-        .cell(Point.Perf.TxPerSec * Scale, 1)
+        .cell(Point.Perf.TxPerSec * Cli.Scale, 1)
         .cell(static_cast<double>(Point.Events.Mm.Instructions) / 1e6, 2)
         .cell(static_cast<uint64_t>(Point.Events.total().L2Misses))
         .cell(formatBytes(
-            static_cast<uint64_t>(Point.MeanConsumptionBytes / Scale)));
+            static_cast<uint64_t>(Point.MeanConsumptionBytes / Cli.Scale)));
   }
 
   std::printf("Ablation: DDmalloc segment size (%s, 8 Xeon-like cores)\n\n",

@@ -221,7 +221,7 @@ int main(int Argc, char **Argv) {
     std::printf("Adaptive placement on a phase-shifting workload "
                 "(%s -> %s, %u tx per phase)\n\n",
                 Phases[0].Name.c_str(), Phases[1].Name.c_str(),
-                static_cast<unsigned>(Cli.MeasureTx));
+                Cli.MeasureTx);
     std::fputs((Cli.Csv ? Out.renderCsv() : Out.renderAscii()).c_str(), stdout);
     std::printf("\nbest static: %s; sampling overhead %.2f%%; give-back "
                 "dropped %s of %s modeled RSS\n",

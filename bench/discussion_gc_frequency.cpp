@@ -17,29 +17,26 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "experiments/Measure.h"
+#include "experiments/BenchCli.h"
 #include "support/ArgParse.h"
 #include "support/Format.h"
 #include "support/Table.h"
 
+#include <algorithm>
 #include <cstdio>
 
 using namespace ddm;
 
 int main(int Argc, char **Argv) {
-  double Scale = 1.0;
-  uint64_t WarmupTx = 4;
-  uint64_t MeasureTx = 24;
-  uint64_t Seed = 1;
+  BenchCli Cli;
+  Cli.WarmupTx = 4;
+  Cli.MeasureTx = 24;
   std::string WorkloadName = "specweb";
   bool Csv = false;
   ArgParser Parser(
       "Section 5 discussion: throughput of a region-style (copying-GC-like) "
       "heap as a function of how often it is collected.");
-  Parser.addFlag("scale", &Scale, "workload scale");
-  Parser.addFlag("warmup", &WarmupTx, "warm-up transactions");
-  Parser.addFlag("transactions", &MeasureTx, "measured transactions");
-  Parser.addFlag("seed", &Seed, "random seed");
+  Cli.addSimFlags(Parser);
   Parser.addFlag("workload", &WorkloadName, "workload name");
   Parser.addFlag("csv", &Csv, "emit CSV instead of ASCII");
   if (!Parser.parse(Argc, Argv))
@@ -61,16 +58,11 @@ int main(int Argc, char **Argv) {
     Config.UseBulkFree = true;
     Config.BulkFreePeriodTx = Period;
 
-    SimulationOptions Options;
-    Options.Scale = Scale;
-    Options.WarmupTx = static_cast<unsigned>(WarmupTx * Period > 64
-                                                 ? 64
-                                                 : WarmupTx * Period);
-    Options.MeasureTx = static_cast<unsigned>(MeasureTx);
-    Options.Seed = Seed;
+    SimulationOptions Options = Cli.simOptions();
+    Options.WarmupTx = std::min<uint64_t>(Cli.WarmupTx * Period, 64);
 
     SimPoint Point = simulateRuntime(*W, Config, P, P.Cores, Options);
-    double Tps = Point.Perf.TxPerSec * Scale;
+    double Tps = Point.Perf.TxPerSec * Cli.Scale;
     if (Period == 1)
       Baseline = Tps;
     Out.row()

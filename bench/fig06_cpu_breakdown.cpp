@@ -12,7 +12,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "experiments/Measure.h"
+#include "experiments/BenchCli.h"
 #include "support/ArgParse.h"
 #include "support/Stats.h"
 #include "support/Table.h"
@@ -22,26 +22,16 @@
 using namespace ddm;
 
 int main(int Argc, char **Argv) {
-  double Scale = 1.0;
-  uint64_t WarmupTx = 1;
-  uint64_t MeasureTx = 2;
-  uint64_t Seed = 1;
+  BenchCli Cli;
   bool Csv = false;
   ArgParser Parser("Reproduces Figure 6: CPU time breakdown per transaction "
                    "(memory management vs others) on 8 Xeon-like cores.");
-  Parser.addFlag("scale", &Scale, "workload scale");
-  Parser.addFlag("warmup", &WarmupTx, "warm-up transactions");
-  Parser.addFlag("transactions", &MeasureTx, "measured transactions");
-  Parser.addFlag("seed", &Seed, "random seed");
+  Cli.addSimFlags(Parser);
   Parser.addFlag("csv", &Csv, "emit CSV instead of ASCII");
   if (!Parser.parse(Argc, Argv))
     return 1;
 
-  SimulationOptions Options;
-  Options.Scale = Scale;
-  Options.WarmupTx = static_cast<unsigned>(WarmupTx);
-  Options.MeasureTx = static_cast<unsigned>(MeasureTx);
-  Options.Seed = Seed;
+  SimulationOptions Options = Cli.simOptions();
 
   Platform P = xeonLike();
   Table Out({"workload", "allocator", "total %", "memory mgmt %", "others %"});

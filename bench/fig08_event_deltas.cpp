@@ -14,7 +14,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "experiments/Measure.h"
+#include "experiments/BenchCli.h"
 #include "support/ArgParse.h"
 #include "support/Table.h"
 
@@ -33,27 +33,17 @@ double busTransactions(const SimPoint &Point) {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  double Scale = 1.0;
-  uint64_t WarmupTx = 1;
-  uint64_t MeasureTx = 2;
-  uint64_t Seed = 1;
+  BenchCli Cli;
   bool Csv = false;
   ArgParser Parser(
       "Reproduces Figure 8: % change vs the default allocator in per-"
       "transaction instructions, cache/TLB misses, and bus transactions.");
-  Parser.addFlag("scale", &Scale, "workload scale");
-  Parser.addFlag("warmup", &WarmupTx, "warm-up transactions");
-  Parser.addFlag("transactions", &MeasureTx, "measured transactions");
-  Parser.addFlag("seed", &Seed, "random seed");
+  Cli.addSimFlags(Parser);
   Parser.addFlag("csv", &Csv, "emit CSV instead of ASCII");
   if (!Parser.parse(Argc, Argv))
     return 1;
 
-  SimulationOptions Options;
-  Options.Scale = Scale;
-  Options.WarmupTx = static_cast<unsigned>(WarmupTx);
-  Options.MeasureTx = static_cast<unsigned>(MeasureTx);
-  Options.Seed = Seed;
+  SimulationOptions Options = Cli.simOptions();
 
   std::printf("Figure 8: changes in event counts per transaction vs the "
               "default allocator (8 cores)\n\n");

@@ -86,11 +86,11 @@ int main(int Argc, char **Argv) {
     uint64_t RssBytes = 0;
     for (const SimPoint *Pt : {&Default, &Region, &DDm}) {
       RssBytes += Pt->RssBytes;
-      if (!Pt->HasPageStats)
+      if (!Pt->PageStats)
         continue;
-      if (Pt->PageStats.externalFragmentation() > ExtFrag)
-        ExtFrag = Pt->PageStats.externalFragmentation();
-      PagesReclaimed += Pt->PageStats.PagesReclaimed;
+      if (Pt->PageStats->externalFragmentation() > ExtFrag)
+        ExtFrag = Pt->PageStats->externalFragmentation();
+      PagesReclaimed += Pt->PageStats->PagesReclaimed;
     }
     double Base = Default.MeanConsumptionBytes;
     double RRatio = Region.MeanConsumptionBytes / Base;

@@ -11,7 +11,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "experiments/Measure.h"
+#include "experiments/BenchCli.h"
 #include "support/ArgParse.h"
 #include "support/Table.h"
 
@@ -20,31 +20,24 @@
 using namespace ddm;
 
 int main(int Argc, char **Argv) {
-  double Scale = 0.12;
-  uint64_t WarmupTx = 30;
-  uint64_t MeasureTx = 80;
+  BenchCli Cli;
+  Cli.Scale = 0.12;
+  Cli.WarmupTx = 30;
+  Cli.MeasureTx = 80;
   uint64_t RestartPeriod = 60;
-  uint64_t Seed = 1;
   bool Csv = false;
   ArgParser Parser("Reproduces Figure 11: CPU-cycle breakdown per transaction "
                    "for Ruby on Rails with various allocators.");
-  Parser.addFlag("scale", &Scale, "workload scale");
-  Parser.addFlag("warmup", &WarmupTx, "warm-up transactions");
-  Parser.addFlag("transactions", &MeasureTx, "measured transactions");
+  Cli.addSimFlags(Parser);
   Parser.addFlag("restart-period", &RestartPeriod,
                  "transactions between process restarts");
-  Parser.addFlag("seed", &Seed, "random seed");
   Parser.addFlag("csv", &Csv, "emit CSV instead of ASCII");
   if (!Parser.parse(Argc, Argv))
     return 1;
 
   const WorkloadSpec *W = findWorkload("rails");
 
-  SimulationOptions Options;
-  Options.Scale = Scale;
-  Options.WarmupTx = static_cast<unsigned>(WarmupTx);
-  Options.MeasureTx = static_cast<unsigned>(MeasureTx);
-  Options.Seed = Seed;
+  SimulationOptions Options = Cli.simOptions();
 
   Platform P = xeonLike();
   Table Out({"allocator", "total %", "memory ops %", "others %"});
@@ -58,7 +51,7 @@ int main(int Argc, char **Argv) {
     // A restart costs a fixed interpreter boot; scale it like the
     // transactions so the amortized share matches the full-size workload.
     Config.RestartCostInstructions =
-        static_cast<uint64_t>(Config.RestartCostInstructions * Scale);
+        static_cast<uint64_t>(Config.RestartCostInstructions * Cli.Scale);
     SimPoint Point = simulateRuntime(*W, Config, P, P.Cores, Options);
     if (Kind == AllocatorKind::Glibc)
       Base = Point.Perf.CyclesPerTx;

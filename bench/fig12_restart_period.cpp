@@ -37,7 +37,7 @@ using namespace ddm;
 int main(int Argc, char **Argv) {
   BenchCli Cli;
   Cli.Scale = 0.5;
-  uint64_t MaxMeasureTx = 375;
+  unsigned MaxMeasureTx = 375;
   ArgParser Parser("Reproduces Figure 12: throughput improvement vs restart "
                    "period for glibc and DDmalloc (Ruby on Rails).");
   Parser.addFlag("scale", &Cli.Scale, "workload scale");
@@ -82,11 +82,10 @@ int main(int Argc, char **Argv) {
       Options.Seed = Cli.Seed;
       // Measure to steady state: several restart windows, or a long aged
       // run for the no-restart / very-long-period cases.
-      uint64_t Measure =
+      Options.WarmupTx = 10;
+      Options.MeasureTx =
           Pd.Tx == 0 ? MaxMeasureTx
                      : std::clamp<uint64_t>(3 * Pd.Tx, 100, MaxMeasureTx);
-      Options.WarmupTx = 10;
-      Options.MeasureTx = static_cast<unsigned>(Measure);
       Tasks.push_back([W, Config, P, Options] {
         return simulateRuntime(*W, Config, P, P.Cores, Options);
       });

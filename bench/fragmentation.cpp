@@ -116,7 +116,7 @@ int main(int Argc, char **Argv) {
     uint64_t ReclaimedUnderRestarts = 0;
     for (const Period &Pd : Periods) {
       const SimPoint &Pt = Points[Idx++];
-      const PageBackendStats &S = Pt.PageStats;
+      const PageBackendStats S = Pt.PageStats.value_or(PageBackendStats());
       double PeakRss = double(S.PeakPagesLive) * double(S.PageBytes);
       double Live = Pt.MeanConsumptionBytes;
       double PeakVsLive = Live > 0 ? PeakRss / Live : 0.0;

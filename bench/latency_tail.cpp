@@ -92,11 +92,11 @@ int main(int Argc, char **Argv) {
   std::string PolicyName = "fifo";
   std::string ArrivalName = "poisson";
   std::string LoadList = "0.5,0.7,0.85,0.95,1.05";
-  uint64_t Cores = 0; // 0 = all of the platform's cores
+  unsigned Cores = 0; // 0 = all of the platform's cores
   uint64_t DurationTx = 3000;
   uint64_t QueueCap = 512;
-  uint64_t Samples = 12;
-  uint64_t Warmup = 1;
+  unsigned Samples = 12;
+  unsigned Warmup = 1;
   ArgParser Parser(
       "Sweeps offered load toward saturation and reports tail latency, "
       "drops, and goodput per allocator (the serving-layer view of the "
@@ -156,13 +156,13 @@ int main(int Argc, char **Argv) {
 
   SimulationOptions Options;
   Options.Scale = Cli.Scale;
-  Options.WarmupTx = static_cast<unsigned>(Warmup);
-  Options.MeasureTx = static_cast<unsigned>(Samples);
+  Options.WarmupTx = Warmup;
+  Options.MeasureTx = Samples;
   Options.Seed = Cli.Seed;
 
   std::vector<unsigned> ActiveCoresPerPlatform;
   for (const Platform &P : Platforms) {
-    unsigned ActiveCores = Cores ? static_cast<unsigned>(Cores) : P.Cores;
+    unsigned ActiveCores = Cores ? Cores : P.Cores;
     std::string Error;
     if (!validateActiveCores(P, ActiveCores, Error)) {
       std::fprintf(stderr, "%s\n", Error.c_str());

@@ -7,7 +7,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "experiments/Measure.h"
+#include "experiments/BenchCli.h"
 #include "support/ArgParse.h"
 
 #include <chrono>
@@ -19,20 +19,17 @@ int main(int Argc, char **Argv) {
   std::string WorkloadName = "mediawiki-read";
   std::string AllocName = "default";
   std::string PlatformName = "xeon";
-  uint64_t Cores = 8;
-  double Scale = 0.3;
-  uint64_t WarmupTx = 1;
-  uint64_t MeasureTx = 1;
-  uint64_t Seed = 0x5eed;
+  unsigned Cores = 8;
+  BenchCli Cli;
+  Cli.Scale = 0.3;
+  Cli.MeasureTx = 1;
+  Cli.Seed = 0x5eed;
   ArgParser Parser("Calibration probe: one simulated point with timing.");
   Parser.addFlag("workload", &WorkloadName, "workload name");
   Parser.addFlag("allocator", &AllocName, allocatorNamesJoined());
   Parser.addFlag("platform", &PlatformName, "xeon or niagara");
   Parser.addFlag("cores", &Cores, "active cores");
-  Parser.addFlag("scale", &Scale, "workload scale");
-  Parser.addFlag("warmup", &WarmupTx, "warmup transactions");
-  Parser.addFlag("transactions", &MeasureTx, "measured transactions");
-  Parser.addFlag("seed", &Seed, "random seed");
+  Cli.addSimFlags(Parser);
   if (!Parser.parse(Argc, Argv))
     return 1;
 
@@ -44,21 +41,17 @@ int main(int Argc, char **Argv) {
   }
   Platform P = PlatformName == "xeon" ? xeonLike() : niagaraLike();
 
-  SimulationOptions Options;
-  Options.Scale = Scale;
-  Options.WarmupTx = static_cast<unsigned>(WarmupTx);
-  Options.MeasureTx = static_cast<unsigned>(MeasureTx);
-  Options.Seed = Seed;
+  SimulationOptions Options = Cli.simOptions();
 
   auto Start = std::chrono::steady_clock::now();
-  SimPoint Point = simulate(*W, *Kind, P, static_cast<unsigned>(Cores), Options);
+  SimPoint Point = simulate(*W, *Kind, P, Cores, Options);
   auto End = std::chrono::steady_clock::now();
   double Ms = std::chrono::duration<double, std::milli>(End - Start).count();
 
   DomainEvents T = Point.Events.total();
   std::printf("point: %s / %s / %s / %llu cores (scale %.2f)\n",
               W->Name.c_str(), AllocName.c_str(), P.Name.c_str(),
-              static_cast<unsigned long long>(Cores), Scale);
+              static_cast<unsigned long long>(Cores), Cli.Scale);
   std::printf("wall: %.0f ms\n", Ms);
   std::printf("tx/s=%.1f  cyc/tx=%.3gM  mm%%=%.1f  U=%.3f  bus/tx=%.2f MB\n",
               Point.Perf.TxPerSec, Point.Perf.CyclesPerTx / 1e6,

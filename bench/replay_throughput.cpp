@@ -477,7 +477,7 @@ bool runCompressionStudy(const std::vector<std::string> &Paths,
 } // namespace
 
 int main(int Argc, char **Argv) {
-  uint64_t Jobs = 0;
+  unsigned Jobs = 0;
   uint64_t Passes = 3;
   bool Check = false;
   double MinSpeedup = 3.5;
@@ -568,7 +568,7 @@ int main(int Argc, char **Argv) {
   // Sharded parallel replay: jobs=1 vs jobs=N must merge identically.
   ReplaySweepResult Serial = replayShardsParallel(Inputs, 1);
   ReplaySweepResult Sharded =
-      replayShardsParallel(Inputs, static_cast<unsigned>(Jobs));
+      replayShardsParallel(Inputs, Jobs);
   if (!Serial.ok() || !Sharded.ok()) {
     std::fprintf(stderr, "bench_replay_throughput: %s\n",
                  (!Serial.ok() ? Serial : Sharded).firstError().c_str());

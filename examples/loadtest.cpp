@@ -24,6 +24,8 @@
 #include "trace/TraceRecorder.h"
 #include "trace/TraceReplayer.h"
 
+#include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 
@@ -72,11 +74,11 @@ int main(int Argc, char **Argv) {
   std::string AllocatorName = "ddmalloc";
   std::string ArrivalName = "poisson";
   std::string PolicyName = "fifo";
-  uint64_t Cores = 8;
+  unsigned Cores = 8;
   uint64_t DurationTx = 2000;
   uint64_t QueueCap = 512;
-  uint64_t Clients = 32;
-  uint64_t Samples = 12;
+  unsigned Clients = 32;
+  unsigned Samples = 12;
   uint64_t Seed = 1;
   double Rps = 0.0;
   double ThinkMs = 100.0;
@@ -94,7 +96,7 @@ int main(int Argc, char **Argv) {
   Parser.addFlag("allocator", &AllocatorName, allocatorNamesJoined());
   Parser.addFlag("arrival", &ArrivalName, "poisson, bursty, or closed");
   std::string Mode = "sim";
-  uint64_t Threads = 4;
+  unsigned Threads = 4;
   double DurationSec = 0.0;
   Parser.addFlag("mode", &Mode,
                  "sim = serving simulation on the machine model (default); "
@@ -207,7 +209,7 @@ int main(int Argc, char **Argv) {
                    static_cast<unsigned long long>(Summary.Transactions));
       return 1;
     }
-    Samples = Summary.Transactions - 1;
+    Samples = std::min<uint64_t>(Summary.Transactions - 1, UINT_MAX);
     std::fprintf(stderr,
                  "profiling from trace %s (%llu transactions, workload %s)\n",
                  ReplayTrace.c_str(),
@@ -266,12 +268,13 @@ int main(int Argc, char **Argv) {
       return 1;
     }
   }
-  if (BackendName != "arena" && BackendName != "buddy") {
-    std::fprintf(stderr, "unknown --backend '%s' (arena or buddy)\n",
+  std::optional<PageBackendKind> Backend = pageBackendKindFromName(BackendName);
+  if (!Backend) {
+    std::fprintf(stderr, "error: unknown backend '%s' (expected arena, buddy)\n",
                  BackendName.c_str());
     return 1;
   }
-  if (BackendName == "buddy" && Mode == "native") {
+  if (*Backend == PageBackendKind::Buddy && Mode == "native") {
     std::fprintf(stderr,
                  "--backend buddy is sim-mode only: native workers build "
                  "their heaps through the thread-heap registry, which keeps "
@@ -300,7 +303,7 @@ int main(int Argc, char **Argv) {
     NC.Load.BurstOnFraction = BurstOn;
     NC.Load.MixWeights = Weights;
     NC.Load.Seed = Seed;
-    NC.Threads = static_cast<unsigned>(Threads);
+    NC.Threads = Threads;
     NC.TotalTransactions = DurationSec > 0.0 ? 0 : DurationTx;
     NC.DurationSec = DurationSec;
     NC.QueueCapacity = QueueCap;
@@ -389,11 +392,10 @@ int main(int Argc, char **Argv) {
   SimulationOptions Options;
   Options.Scale = Scale;
   Options.WarmupTx = 1;
-  Options.MeasureTx = static_cast<unsigned>(Samples);
+  Options.MeasureTx = Samples;
   Options.Seed = Seed;
   Options.Hardening.Enabled = Harden;
-  if (BackendName == "buddy")
-    Options.Backend = PageBackendKind::Buddy;
+  Options.Backend = *Backend;
 
   TraceRecorder Recorder;
   if (!RecordTrace.empty()) {
@@ -419,7 +421,7 @@ int main(int Argc, char **Argv) {
   }
 
   ServiceTimeModel Model = buildServiceTimeModel(
-      Mix, *Kind, *P, static_cast<unsigned>(Cores), Options);
+      Mix, *Kind, *P, Cores, Options);
   if (Options.RecordSink) {
     if (TraceStatus S = Recorder.finish(); !S) {
       std::fprintf(stderr, "recording '%s' failed: %s\n", RecordTrace.c_str(),
@@ -475,7 +477,7 @@ int main(int Argc, char **Argv) {
   Config.Load.RatePerSec = Rps;
   Config.Load.BurstBoost = BurstBoost;
   Config.Load.BurstOnFraction = BurstOn;
-  Config.Load.Clients = static_cast<unsigned>(Clients);
+  Config.Load.Clients = Clients;
   Config.Load.MeanThinkSec = ThinkMs / 1e3;
   Config.Load.MixWeights = Weights;
   Config.Load.Seed = Seed;

@@ -19,6 +19,8 @@
 #include "trace/TraceRecorder.h"
 #include "trace/TraceReplayer.h"
 
+#include <algorithm>
+#include <climits>
 #include <cstdio>
 
 using namespace ddm;
@@ -28,9 +30,9 @@ int main(int Argc, char **Argv) {
   std::string PlatformName = "xeon";
   std::string RecordTrace;
   std::string ReplayTrace;
-  uint64_t Cores = 8;
+  unsigned Cores = 8;
   double Scale = 0.5;
-  uint64_t MeasureTx = 3;
+  unsigned MeasureTx = 3;
   uint64_t Seed = 1;
   ArgParser Parser(
       "Simulates a web workload on a multicore server and compares the "
@@ -66,6 +68,16 @@ int main(int Argc, char **Argv) {
     return 1;
   if (!RecordTrace.empty() && !ReplayTrace.empty()) {
     std::fprintf(stderr, "--record-trace and --replay-trace are exclusive\n");
+    return 1;
+  }
+  if (MeasureTx == 0) {
+    std::fprintf(stderr, "error: --transactions must be at least 1\n");
+    return 1;
+  }
+  std::optional<PageBackendKind> Backend = pageBackendKindFromName(BackendName);
+  if (!Backend) {
+    std::fprintf(stderr, "error: unknown backend '%s' (expected arena, buddy)\n",
+                 BackendName.c_str());
     return 1;
   }
   TraceReaderKind ReaderKind = TraceReaderKind::Auto;
@@ -109,7 +121,7 @@ int main(int Argc, char **Argv) {
                    static_cast<unsigned long long>(Summary.Transactions));
       return 1;
     }
-    MeasureTx = Summary.Transactions - 1;
+    MeasureTx = std::min<uint64_t>(Summary.Transactions - 1, UINT_MAX);
     std::fprintf(stderr,
                  "replaying %llu transactions from %s (workload %s)\n",
                  static_cast<unsigned long long>(Summary.Transactions),
@@ -158,15 +170,9 @@ int main(int Argc, char **Argv) {
   SimulationOptions Options;
   Options.Scale = Scale;
   Options.WarmupTx = 1;
-  Options.MeasureTx = static_cast<unsigned>(MeasureTx);
+  Options.MeasureTx = MeasureTx;
   Options.Seed = Seed;
-  if (BackendName == "buddy") {
-    Options.Backend = PageBackendKind::Buddy;
-  } else if (BackendName != "arena") {
-    std::fprintf(stderr, "unknown --backend '%s' (arena or buddy)\n",
-                 BackendName.c_str());
-    return 1;
-  }
+  Options.Backend = *Backend;
 
   std::printf("workload %s on %llu %s-like core(s), scale %.2f\n\n",
               W->Name.c_str(), static_cast<unsigned long long>(Cores),
@@ -205,7 +211,7 @@ int main(int Argc, char **Argv) {
       Options.ReplaySource = &Replayer;
     }
     SimPoint Point =
-        simulate(*W, Kind, P, static_cast<unsigned>(Cores), Options);
+        simulate(*W, Kind, P, Cores, Options);
     if (Options.RecordSink) {
       if (TraceStatus S = Recorder.finish(); !S) {
         std::fprintf(stderr, "recording '%s' failed: %s\n",

@@ -15,154 +15,222 @@
 #include "support/Arena.h"
 #include "support/Error.h"
 
+#include <iterator>
+
 using namespace ddm;
 
-/// True if \p Options attaches a pre-reserved shared backend to \p Kind,
-/// in which case the allocator makes no private heap reservation.
-static bool usesSharedBackend(AllocatorKind Kind,
-                              const AllocatorOptions &Options) {
-  switch (Kind) {
-  case AllocatorKind::DDmalloc:
-    return Options.SegmentPool != nullptr;
-  case AllocatorKind::TCMalloc:
-    return Options.TCCentral != nullptr;
-  case AllocatorKind::Hoard:
-    return Options.HoardBackend != nullptr;
-  case AllocatorKind::Slab:
-    return Options.SlabBackend != nullptr;
-  default:
-    return false;
-  }
-}
+namespace {
 
-/// True if \p Kind draws its heap spans from Options.Backend when one is
-/// set (the backend's reservation already exists; nothing to probe).
-static bool usesPageBackend(AllocatorKind Kind,
-                            const AllocatorOptions &Options) {
-  if (!Options.Backend)
-    return false;
-  switch (Kind) {
-  case AllocatorKind::Region:
-  case AllocatorKind::Obstack:
-  case AllocatorKind::Default:
-  case AllocatorKind::Glibc:
-  case AllocatorKind::Slab:
-  case AllocatorKind::Adaptive:
+/// The one reservation probe: reserves and immediately releases an arena
+/// of \p Bytes, so a fatal reservation of the same size afterwards
+/// succeeds whenever the probe did.
+bool probeReservation(size_t Bytes, size_t Align, std::string &Error) {
+  std::string MapError;
+  if (AlignedArena::tryReserve(Bytes, Align, &MapError))
     return true;
-  default:
-    return false;
-  }
+  Error = "heap reservation of " + std::to_string(Bytes) +
+          " bytes is too large for this system (" + MapError + ")";
+  return false;
 }
 
-/// The bare (unhardened) construction switch; createAllocator adds the
-/// hardening wrap on top.
-static std::unique_ptr<TxAllocator>
-createBareAllocator(AllocatorKind Kind, const AllocatorOptions &Options) {
-  switch (Kind) {
-  case AllocatorKind::DDmalloc: {
-    DDmallocConfig Config;
-    Config.SegmentSize = Options.SegmentSize;
-    Config.HeapReserveBytes = Options.HeapReserveBytes;
-    Config.ProcessId = Options.ProcessId;
-    Config.MetadataColoring = Options.MetadataColoring;
-    Config.LargePages = Options.LargePages;
-    Config.Pool = Options.SegmentPool;
-    Config.ShardId = Options.ShardId;
-    return std::make_unique<DDmallocAllocator>(Config);
+/// Downcasts Options.Shared into \p Out; false if the handle was built
+/// for another kind.
+template <typename Central>
+bool sharedAs(const AllocatorOptions &Options, std::shared_ptr<Central> &Out) {
+  Out = std::dynamic_pointer_cast<Central>(Options.Shared);
+  return Out || !Options.Shared;
+}
+
+/// Builds a mutex-guarded central over Threads * HeapReserveBytes.
+template <typename Central, std::shared_ptr<Central> (*Make)(size_t)>
+std::shared_ptr<SharedHeap> buildCentral(const AllocatorOptions &Options,
+                                         unsigned Threads, std::string &Error) {
+  size_t Bytes = Options.HeapReserveBytes * Threads;
+  return probeReservation(Bytes, 4096, Error) ? Make(Bytes) : nullptr;
+}
+
+/// The common constructor: the heap size, the page backend where the
+/// kind takes one, and the shared central where it has one. A shared
+/// handle is foreign to every kind without a central.
+template <typename Allocator, typename Config>
+std::unique_ptr<TxAllocator> construct(const AllocatorOptions &Options) {
+  Config C;
+  C.HeapReserveBytes = Options.HeapReserveBytes;
+  if constexpr (requires { C.Backend; })
+    C.Backend = Options.Backend;
+  if constexpr (requires { C.Central; }) {
+    if (!sharedAs(Options, C.Central))
+      return nullptr;
+  } else if (Options.Shared) {
+    return nullptr;
   }
-  case AllocatorKind::Region: {
-    RegionConfig Config;
-    Config.ChunkBytes = Options.RegionChunkBytes;
-    Config.Backend = Options.Backend;
-    return std::make_unique<RegionAllocator>(Config);
+  return std::make_unique<Allocator>(C);
+}
+
+std::unique_ptr<TxAllocator> createDDmalloc(const AllocatorOptions &Options) {
+  DDmallocConfig C;
+  if (!sharedAs(Options, C.Pool))
+    return nullptr;
+  C.SegmentSize = Options.SegmentSize;
+  C.HeapReserveBytes = Options.HeapReserveBytes;
+  C.ProcessId = Options.ProcessId;
+  C.MetadataColoring = Options.MetadataColoring;
+  C.LargePages = Options.LargePages;
+  C.ShardId = Options.ShardId;
+  return std::make_unique<DDmallocAllocator>(C);
+}
+
+std::shared_ptr<SharedHeap> buildSegmentPool(const AllocatorOptions &Options,
+                                             unsigned Threads,
+                                             std::string &Error) {
+  SharedSegmentPool::Config C;
+  C.SegmentSize = Options.SegmentSize;
+  C.ReserveBytes = Options.HeapReserveBytes * Threads;
+  C.Stripes = Threads;
+  return SharedSegmentPool::tryCreate(C, &Error);
+}
+
+std::unique_ptr<TxAllocator> createRegion(const AllocatorOptions &Options) {
+  if (Options.Shared)
+    return nullptr;
+  RegionConfig C;
+  C.ChunkBytes = Options.RegionChunkBytes;
+  C.Backend = Options.Backend;
+  return std::make_unique<RegionAllocator>(C);
+}
+
+std::unique_ptr<TxAllocator> createAdaptive(const AllocatorOptions &Options) {
+  if (Options.Shared)
+    return nullptr;
+  AdaptiveConfig C;
+  C.InnerOptions = Options;
+  // The adaptive dispatcher is hardened once at the top by
+  // createAllocator; its inner strategies stay bare (nesting would
+  // double every canary and quarantine).
+  C.InnerOptions.Hardening = HardeningConfig();
+  return std::make_unique<AdaptiveAllocator>(C);
+}
+
+constexpr size_t AllocatorOptions::*HeapBytes =
+    &AllocatorOptions::HeapReserveBytes;
+constexpr const char *PrivateHeap = "private-heap";
+constexpr const char *SharedCentral = "shared-central";
+
+/// One row per kind, in AllocatorKind order. Unnamed fields are
+/// false/null: no page backend, page-aligned probe, no shared heap.
+const AllocatorTraits Table[] = {
+    {.Kind = AllocatorKind::DDmalloc, .Name = "ddmalloc", .BulkFree = true,
+     .Sharing = "sharded-pool", .ProbeBytes = HeapBytes,
+     .ProbeAlign = &AllocatorOptions::SegmentSize,
+     .CodeFootprintBytes = 2.0 * 1024, .Create = createDDmalloc,
+     .BuildShared = buildSegmentPool},
+    {.Kind = AllocatorKind::Region, .Name = "region", .BulkFree = true,
+     .PageBackend = true, .Sharing = PrivateHeap,
+     .ProbeBytes = &AllocatorOptions::RegionChunkBytes,
+     .CodeFootprintBytes = 0.5 * 1024, .Create = createRegion},
+    {.Kind = AllocatorKind::Obstack, .Name = "obstack", .BulkFree = true,
+     .PageBackend = true, .Sharing = PrivateHeap, .ProbeBytes = HeapBytes,
+     .CodeFootprintBytes = 1.0 * 1024,
+     .Create = construct<ObstackAllocator, ObstackConfig>},
+    {.Kind = AllocatorKind::Default, .Name = "default", .BulkFree = true,
+     .PageBackend = true, .Sharing = PrivateHeap, .ProbeBytes = HeapBytes,
+     .CodeFootprintBytes = 8.0 * 1024,
+     .Create = construct<ZendDefaultAllocator, ZendConfig>},
+    {.Kind = AllocatorKind::Glibc, .Name = "glibc", .PageBackend = true,
+     .Sharing = PrivateHeap, .ProbeBytes = HeapBytes,
+     .CodeFootprintBytes = 8.0 * 1024,
+     .Create = construct<GlibcModelAllocator, GlibcConfig>},
+    {.Kind = AllocatorKind::TCMalloc, .Name = "tcmalloc",
+     .Sharing = SharedCentral, .ProbeBytes = HeapBytes,
+     .CodeFootprintBytes = 6.0 * 1024,
+     .Create = construct<TCMallocModelAllocator, TCMallocConfig>,
+     .BuildShared = buildCentral<TCMallocCentral, createTCMallocCentral>},
+    {.Kind = AllocatorKind::Hoard, .Name = "hoard", .Sharing = SharedCentral,
+     .ProbeBytes = HeapBytes, .CodeFootprintBytes = 5.0 * 1024,
+     .Create = construct<HoardModelAllocator, HoardConfig>,
+     .BuildShared = buildCentral<HoardCentral, createHoardCentral>},
+    // Slab: the magazine fast path is tiny; the slab/buddy machinery is
+    // cold.
+    {.Kind = AllocatorKind::Slab, .Name = "slab", .PageBackend = true,
+     .Sharing = SharedCentral, .ProbeBytes = HeapBytes,
+     .CodeFootprintBytes = 3.0 * 1024,
+     .Create = construct<SlabAllocator, SlabConfig>,
+     .BuildShared = buildCentral<SlabCentral, createSlabCentral>},
+    // Adaptive: a thin dispatch layer plus whichever strategy is resident;
+    // only one inner allocator's hot path is live at a time.
+    {.Kind = AllocatorKind::Adaptive, .Name = "adaptive", .BulkFree = true,
+     .PageBackend = true, .Sharing = PrivateHeap, .ProbeBytes = HeapBytes,
+     .CodeFootprintBytes = 2.5 * 1024, .Create = createAdaptive},
+};
+
+/// The bare allocator with the hardening wrap on top; null (with
+/// \p Error set) when Options.Shared belongs to another kind.
+std::unique_ptr<TxAllocator> create(const AllocatorTraits &T,
+                                    const AllocatorOptions &Options,
+                                    std::string &Error) {
+  std::unique_ptr<TxAllocator> A = T.Create(Options);
+  if (!A) {
+    Error = std::string("the shared heap handle was not built for ") + T.Name;
+    return nullptr;
   }
-  case AllocatorKind::Obstack: {
-    ObstackConfig Config;
-    Config.HeapReserveBytes = Options.HeapReserveBytes;
-    Config.Backend = Options.Backend;
-    return std::make_unique<ObstackAllocator>(Config);
-  }
-  case AllocatorKind::Default: {
-    ZendConfig Config;
-    Config.HeapReserveBytes = Options.HeapReserveBytes;
-    Config.Backend = Options.Backend;
-    return std::make_unique<ZendDefaultAllocator>(Config);
-  }
-  case AllocatorKind::Glibc: {
-    GlibcConfig Config;
-    Config.HeapReserveBytes = Options.HeapReserveBytes;
-    Config.Backend = Options.Backend;
-    return std::make_unique<GlibcModelAllocator>(Config);
-  }
-  case AllocatorKind::TCMalloc: {
-    TCMallocConfig Config;
-    Config.HeapReserveBytes = Options.HeapReserveBytes;
-    Config.Central = Options.TCCentral;
-    return std::make_unique<TCMallocModelAllocator>(Config);
-  }
-  case AllocatorKind::Hoard: {
-    HoardConfig Config;
-    Config.HeapReserveBytes = Options.HeapReserveBytes;
-    Config.Central = Options.HoardBackend;
-    return std::make_unique<HoardModelAllocator>(Config);
-  }
-  case AllocatorKind::Slab: {
-    SlabConfig Config;
-    Config.HeapReserveBytes = Options.HeapReserveBytes;
-    Config.Central = Options.SlabBackend;
-    Config.Backend = Options.Backend;
-    return std::make_unique<SlabAllocator>(Config);
-  }
-  case AllocatorKind::Adaptive: {
-    AdaptiveConfig Config;
-    Config.InnerOptions = Options;
-    // The adaptive dispatcher is hardened once at the top by
-    // createAllocator; its inner strategies stay bare (nesting would
-    // double every canary and quarantine).
-    Config.InnerOptions.Hardening = HardeningConfig();
-    return std::make_unique<AdaptiveAllocator>(Config);
-  }
-  }
-  unreachable("unknown allocator kind");
+  return hardenAllocator(std::move(A), Options.Hardening);
+}
+
+} // namespace
+
+const AllocatorTraits &ddm::allocatorTraits(AllocatorKind Kind) {
+  size_t Index = static_cast<size_t>(Kind);
+  if (Index >= std::size(Table) || Table[Index].Kind != Kind)
+    unreachable("traits table out of AllocatorKind order");
+  return Table[Index];
+}
+
+bool ddm::probeHeapReservation(AllocatorKind Kind,
+                               const AllocatorOptions &Options,
+                               std::string &Error) {
+  const AllocatorTraits &T = allocatorTraits(Kind);
+  return probeReservation(Options.*T.ProbeBytes,
+                          T.ProbeAlign ? Options.*T.ProbeAlign : 4096, Error);
 }
 
 std::unique_ptr<TxAllocator>
 ddm::createAllocator(AllocatorKind Kind, const AllocatorOptions &Options) {
-  return hardenAllocator(createBareAllocator(Kind, Options),
-                         Options.Hardening);
+  std::string Error;
+  std::unique_ptr<TxAllocator> A = create(allocatorTraits(Kind), Options, Error);
+  if (!A)
+    fatal("createAllocator: " + Error);
+  return A;
 }
 
 std::unique_ptr<TxAllocator>
 ddm::createAllocatorChecked(AllocatorKind Kind, const AllocatorOptions &Options,
                             std::string &Error) {
+  const AllocatorTraits &T = allocatorTraits(Kind);
   // Validate what the constructors would otherwise abort on.
   if (Kind == AllocatorKind::DDmalloc) {
+    auto *Pool = dynamic_cast<SharedSegmentPool *>(Options.Shared.get());
     if (Options.SegmentSize < 4096 ||
         (Options.SegmentSize & (Options.SegmentSize - 1)) != 0) {
       Error = "ddmalloc segment size must be a power of two >= 4096";
       return nullptr;
     }
-    if (Options.SegmentPool &&
-        Options.SegmentPool->segmentSize() != Options.SegmentSize) {
+    if (Pool && Pool->segmentSize() != Options.SegmentSize) {
       Error = "ddmalloc segment size does not match the shared pool's";
       return nullptr;
     }
-    if (!Options.SegmentPool &&
-        Options.HeapReserveBytes < 4 * Options.SegmentSize) {
+    if (!Options.Shared && Options.HeapReserveBytes < 4 * Options.SegmentSize) {
       Error = "ddmalloc heap reservation too small: need at least 4 segments";
       return nullptr;
     }
   }
 
-  // A shared backend already carries the reservation; nothing to probe.
-  // A page backend does too, but its spans can still run out: probe with
-  // a trial acquire instead of an arena reservation.
-  if (usesSharedBackend(Kind, Options))
-    return createAllocator(Kind, Options);
-  if (usesPageBackend(Kind, Options)) {
-    size_t ProbeBytes = Kind == AllocatorKind::Region
-                            ? Options.RegionChunkBytes
-                            : Options.HeapReserveBytes;
+  // A shared heap already carries the reservation; nothing to probe. A
+  // page backend does too, but its spans can still run out: probe with a
+  // trial acquire instead of an arena reservation.
+  if (Options.Shared)
+    return create(T, Options, Error);
+  if (T.PageBackend && Options.Backend) {
+    size_t ProbeBytes = Options.*T.ProbeBytes;
     std::byte *Probe = Options.Backend->acquire(ProbeBytes, 4096);
     if (!Probe) {
       Error = "page backend cannot supply a span of " +
@@ -170,68 +238,19 @@ ddm::createAllocatorChecked(AllocatorKind Kind, const AllocatorOptions &Options,
       return nullptr;
     }
     Options.Backend->release(Probe, ProbeBytes);
-    return createAllocator(Kind, Options);
+    return create(T, Options, Error);
   }
-
-  // Probe the reservation non-fatally: the probe arena is released before
-  // the real construction, so the allocator's own (fatal) reservation of
-  // the same size succeeds whenever the probe did.
-  size_t ProbeBytes = Kind == AllocatorKind::Region ? Options.RegionChunkBytes
-                                                    : Options.HeapReserveBytes;
-  size_t ProbeAlign =
-      Kind == AllocatorKind::DDmalloc ? Options.SegmentSize : 4096;
-  {
-    std::string MapError;
-    std::optional<AlignedArena> Probe =
-        AlignedArena::tryReserve(ProbeBytes, ProbeAlign, &MapError);
-    if (!Probe) {
-      Error = "heap reservation of " + std::to_string(ProbeBytes) +
-              " bytes is too large for this system (" + MapError + ")";
-      return nullptr;
-    }
-  }
-  return createAllocator(Kind, Options);
+  if (!probeHeapReservation(Kind, Options, Error))
+    return nullptr;
+  return create(T, Options, Error);
 }
 
 bool ddm::allocatorSupportsBulkFree(AllocatorKind Kind) {
-  switch (Kind) {
-  case AllocatorKind::DDmalloc:
-  case AllocatorKind::Region:
-  case AllocatorKind::Obstack:
-  case AllocatorKind::Default:
-  case AllocatorKind::Adaptive:
-    return true;
-  case AllocatorKind::Glibc:
-  case AllocatorKind::TCMalloc:
-  case AllocatorKind::Hoard:
-  case AllocatorKind::Slab:
-    return false;
-  }
-  unreachable("unknown allocator kind");
+  return allocatorTraits(Kind).BulkFree;
 }
 
 const char *ddm::allocatorKindName(AllocatorKind Kind) {
-  switch (Kind) {
-  case AllocatorKind::DDmalloc:
-    return "ddmalloc";
-  case AllocatorKind::Region:
-    return "region";
-  case AllocatorKind::Obstack:
-    return "obstack";
-  case AllocatorKind::Default:
-    return "default";
-  case AllocatorKind::Glibc:
-    return "glibc";
-  case AllocatorKind::TCMalloc:
-    return "tcmalloc";
-  case AllocatorKind::Hoard:
-    return "hoard";
-  case AllocatorKind::Slab:
-    return "slab";
-  case AllocatorKind::Adaptive:
-    return "adaptive";
-  }
-  unreachable("unknown allocator kind");
+  return allocatorTraits(Kind).Name;
 }
 
 std::optional<AllocatorKind>
@@ -260,11 +279,10 @@ std::string ddm::allocatorNamesJoined() {
 }
 
 std::vector<AllocatorKind> ddm::allAllocatorKinds() {
-  return {AllocatorKind::DDmalloc, AllocatorKind::Region,
-          AllocatorKind::Obstack,  AllocatorKind::Default,
-          AllocatorKind::Glibc,    AllocatorKind::TCMalloc,
-          AllocatorKind::Hoard,    AllocatorKind::Slab,
-          AllocatorKind::Adaptive};
+  std::vector<AllocatorKind> Kinds;
+  for (const AllocatorTraits &T : Table)
+    Kinds.push_back(T.Kind);
+  return Kinds;
 }
 
 std::vector<AllocatorKind> ddm::phpStudyAllocatorKinds() {

@@ -20,10 +20,6 @@
 
 namespace ddm {
 
-class SharedSegmentPool;
-struct TCMallocCentral;
-struct HoardCentral;
-struct SlabCentral;
 class PageBackend;
 
 /// Every allocator the study compares.
@@ -56,18 +52,13 @@ struct AllocatorOptions {
   size_t RegionChunkBytes = 256ull * 1024 * 1024;
 
   /// \name Native multi-threaded backends (see src/exec).
-  /// When set, the matching allocator kind shares that backend with its
-  /// sibling threads instead of reserving a private heap; other kinds
-  /// ignore them. Null (the default) keeps every study single-owner.
   /// @{
-  /// DDmalloc: sharded segment pool over one shared arena.
-  std::shared_ptr<SharedSegmentPool> SegmentPool;
-  /// TCmalloc model: shared page heap + central free lists.
-  std::shared_ptr<TCMallocCentral> TCCentral;
-  /// Hoard model: shared superblock arena + global empty pool.
-  std::shared_ptr<HoardCentral> HoardBackend;
-  /// Slab allocator: shared buddy heap + slab lists.
-  std::shared_ptr<SlabCentral> SlabBackend;
+  /// The shared heap built by the kind's AllocatorTraits::BuildShared
+  /// (ddmalloc's segment pool, the tcmalloc/hoard/slab centrals). When
+  /// set, the allocator shares it with its sibling threads instead of
+  /// reserving a private heap; a handle built for another kind is an
+  /// error. Null (the default) keeps every study single-owner.
+  std::shared_ptr<SharedHeap> Shared;
   /// DDmalloc pooled mode: which pool stripe this allocator refills from
   /// (one per worker thread).
   uint32_t ShardId = 0;
@@ -86,8 +77,53 @@ struct AllocatorOptions {
   HardeningConfig Hardening;
 };
 
+/// Everything the program knows about one allocator kind: one row of the
+/// table in AllocatorFactory.cpp. Adding a kind to the zoo means adding a
+/// row there plus the allocator's own files.
+struct AllocatorTraits {
+  AllocatorKind Kind;
+  /// Stable name, as accepted by allocatorKindFromName().
+  const char *Name;
+  /// Implements freeAll() (region-style bulk reclamation).
+  bool BulkFree = false;
+  /// Draws its heap spans from AllocatorOptions::Backend when one is set.
+  bool PageBackend = false;
+  /// Native sharing model: "private-heap", "sharded-pool" or
+  /// "shared-central".
+  const char *Sharing;
+  /// The private heap reservation createAllocatorChecked probes: its size
+  /// and its alignment (null: page aligned).
+  size_t AllocatorOptions::*ProbeBytes = nullptr;
+  size_t AllocatorOptions::*ProbeAlign = nullptr;
+  /// Hot allocator code, in bytes, competing with the application's code
+  /// for the L1I. A general-purpose allocator's paths (size-class lookup,
+  /// bin management, coalescing, splitting) are larger than a bump pointer
+  /// — the paper credits DDmalloc's and the region allocator's L1I-miss
+  /// reductions to "the smaller size of the allocator code".
+  double CodeFootprintBytes;
+  /// Builds the bare (unhardened) allocator. Returns null when
+  /// Options.Shared was built for another kind.
+  std::unique_ptr<TxAllocator> (*Create)(const AllocatorOptions &Options);
+  /// Builds the shared heap \p Threads per-thread heaps draw from (each
+  /// thread's share is Options.HeapReserveBytes); null with \p Error set
+  /// when the reservation fails. Null for private-heap kinds.
+  std::shared_ptr<SharedHeap> (*BuildShared)(const AllocatorOptions &Options,
+                                             unsigned Threads,
+                                             std::string &Error) = nullptr;
+};
+
+/// The table row of \p Kind.
+const AllocatorTraits &allocatorTraits(AllocatorKind Kind);
+
+/// Probes, without aborting, the private heap reservation \p Kind would
+/// make under \p Options (size and alignment from its table row). False
+/// with \p Error describing the failure.
+bool probeHeapReservation(AllocatorKind Kind, const AllocatorOptions &Options,
+                          std::string &Error);
+
 /// Constructs the allocator \p Kind. Aborts via fatal() if the
-/// configuration is invalid or the OS refuses the heap reservation;
+/// configuration is invalid, Options.Shared belongs to another kind, or
+/// the OS refuses the heap reservation;
 /// command-line front ends that want a clean diagnostic instead use
 /// createAllocatorChecked().
 std::unique_ptr<TxAllocator>

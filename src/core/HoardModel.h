@@ -33,7 +33,7 @@ namespace ddm {
 /// actual design, where per-processor heaps exchange whole superblocks
 /// through the global pool. M guards every field and is the
 /// happens-before edge for superblocks migrating between threads.
-struct HoardCentral {
+struct HoardCentral : SharedHeap {
   static constexpr size_t SuperblockBytes = 64 * 1024;
 
   /// The header living at the start of every small-object superblock.

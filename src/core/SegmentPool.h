@@ -19,6 +19,7 @@
 #ifndef DDM_CORE_SEGMENTPOOL_H
 #define DDM_CORE_SEGMENTPOOL_H
 
+#include "core/TxAllocator.h"
 #include "support/Arena.h"
 
 #include <atomic>
@@ -46,7 +47,7 @@ struct SegmentPoolStats {
 /// A shared arena of fixed-size segments with striped (per-shard) free
 /// lists. All methods are thread-safe; the intended pattern is one stripe
 /// per worker thread, addressed by the worker's shard id.
-class SharedSegmentPool {
+class SharedSegmentPool : public SharedHeap {
 public:
   struct Config {
     /// Segment size in bytes; a power of two >= 4096 (DDmalloc's rules).

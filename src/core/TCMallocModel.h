@@ -44,7 +44,7 @@ namespace ddm {
 /// the real TCmalloc topology — and every access to it goes through M,
 /// which is also the happens-before edge for objects migrating between
 /// thread caches via the central lists.
-struct TCMallocCentral {
+struct TCMallocCentral : SharedHeap {
   static constexpr size_t PageSize = 8 * 1024;
   static constexpr size_t SpanPages = 8; // 64 KB spans feed small classes.
   static constexpr uint8_t PageUnused = 0xFF;

@@ -38,6 +38,15 @@ struct AllocatorStats {
   uint64_t PeakUsableBytesLive = 0;
 };
 
+/// The shared half of a kind whose per-thread heaps share one backend in
+/// a native run (SharedSegmentPool, TCMallocCentral, HoardCentral,
+/// SlabCentral). AllocatorOptions carries it as one untyped handle; each
+/// kind's constructor downcasts it to its own central type.
+class SharedHeap {
+public:
+  virtual ~SharedHeap() = default;
+};
+
 /// Abstract allocator for transaction-scoped objects.
 class TxAllocator {
 public:

@@ -1,102 +1,47 @@
 //===- exec/ThreadHeapRegistry.cpp - Per-thread heap construction --------===//
 
 #include "exec/ThreadHeapRegistry.h"
-#include "core/HoardModel.h"
-#include "core/SegmentPool.h"
-#include "core/TCMallocModel.h"
-#include "page/SlabAllocator.h"
-#include "support/Arena.h"
 #include "support/Error.h"
 
 using namespace ddm;
 
 ThreadHeapRegistry::ThreadHeapRegistry(const Config &C) {
   std::string Error;
-  if (!init(C, &Error))
+  if (!init(C, Error))
     fatal("thread heap registry: " + Error);
 }
 
 std::unique_ptr<ThreadHeapRegistry>
 ThreadHeapRegistry::tryCreate(const Config &C, std::string *ErrorOut) {
   std::unique_ptr<ThreadHeapRegistry> R(new ThreadHeapRegistry());
-  if (!R->init(C, ErrorOut))
+  std::string Error;
+  if (!R->init(C, Error)) {
+    if (ErrorOut)
+      *ErrorOut = Error;
     return nullptr;
+  }
   return R;
 }
 
-bool ThreadHeapRegistry::init(const Config &C, std::string *Error) {
+bool ThreadHeapRegistry::init(const Config &C, std::string &Error) {
   Cfg = C;
   if (Cfg.Threads == 0)
     Cfg.Threads = 1;
-
-  size_t SharedBytes = Cfg.Options.HeapReserveBytes * Cfg.Threads;
-  switch (Cfg.Kind) {
-  case AllocatorKind::DDmalloc: {
-    SharedSegmentPool::Config PC;
-    PC.SegmentSize = Cfg.Options.SegmentSize;
-    PC.ReserveBytes = SharedBytes;
-    PC.Stripes = Cfg.Threads;
-    std::string PoolError;
-    Pool = SharedSegmentPool::tryCreate(PC, &PoolError);
-    if (!Pool) {
-      if (Error)
-        *Error = PoolError;
-      return false;
-    }
-    return true;
+  const AllocatorTraits &T = allocatorTraits(Cfg.Kind);
+  if (T.BuildShared) {
+    Shared = T.BuildShared(Cfg.Options, Cfg.Threads, Error);
+    return Shared != nullptr;
   }
-  case AllocatorKind::TCMalloc:
-  case AllocatorKind::Hoard:
-  case AllocatorKind::Slab: {
-    // Probe the reservation non-fatally before the (fatal) central ctor.
-    std::string MapError;
-    {
-      std::optional<AlignedArena> Probe =
-          AlignedArena::tryReserve(SharedBytes, 4096, &MapError);
-      if (!Probe) {
-        if (Error)
-          *Error = "shared central reservation of " +
-                   std::to_string(SharedBytes) + " bytes failed (" + MapError +
-                   ")";
-        return false;
-      }
-    }
-    if (Cfg.Kind == AllocatorKind::TCMalloc)
-      TCCentral = createTCMallocCentral(SharedBytes);
-    else if (Cfg.Kind == AllocatorKind::Hoard)
-      HoardBackend = createHoardCentral(SharedBytes);
-    else
-      SlabBackend = createSlabCentral(SharedBytes);
-    return true;
-  }
-  default:
-    // Private per-thread heaps; each createHeap() reserves its own. Probe
-    // one thread's worth so obvious misconfiguration fails up front.
-    std::string MapError;
-    size_t ProbeBytes = Cfg.Kind == AllocatorKind::Region
-                            ? Cfg.Options.RegionChunkBytes
-                            : Cfg.Options.HeapReserveBytes;
-    std::optional<AlignedArena> Probe =
-        AlignedArena::tryReserve(ProbeBytes, 4096, &MapError);
-    if (!Probe) {
-      if (Error)
-        *Error = "per-thread heap reservation of " +
-                 std::to_string(ProbeBytes) + " bytes failed (" + MapError +
-                 ")";
-      return false;
-    }
-    return true;
-  }
+  // Private per-thread heaps; each createHeap() reserves its own. Probe
+  // one thread's worth so obvious misconfiguration fails up front.
+  return probeHeapReservation(Cfg.Kind, Cfg.Options, Error);
 }
 
 AllocatorOptions ThreadHeapRegistry::optionsFor(unsigned Thread) const {
   AllocatorOptions Options = Cfg.Options;
   Options.ProcessId = Cfg.Options.ProcessId + Thread;
   Options.ShardId = Thread;
-  Options.SegmentPool = Pool;
-  Options.TCCentral = TCCentral;
-  Options.HoardBackend = HoardBackend;
-  Options.SlabBackend = SlabBackend;
+  Options.Shared = Shared;
   return Options;
 }
 
@@ -105,17 +50,4 @@ ThreadHeapRegistry::createHeap(unsigned Thread) const {
   if (Thread >= Cfg.Threads)
     fatal("thread heap registry: thread index out of range");
   return createAllocator(Cfg.Kind, optionsFor(Thread));
-}
-
-const char *ThreadHeapRegistry::sharingModel() const {
-  switch (Cfg.Kind) {
-  case AllocatorKind::DDmalloc:
-    return "sharded-pool";
-  case AllocatorKind::TCMalloc:
-  case AllocatorKind::Hoard:
-  case AllocatorKind::Slab:
-    return "shared-central";
-  default:
-    return "private-heap";
-  }
 }

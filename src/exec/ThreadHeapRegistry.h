@@ -2,19 +2,17 @@
 ///
 /// \file
 /// Maps each worker thread of a native run to its own TxAllocator instance
-/// plus whatever shared backend the allocator kind needs:
+/// plus whatever shared heap the allocator kind needs. The kind's row in
+/// the AllocatorTraits table (core/AllocatorFactory.cpp) names its sharing
+/// model and builds the shared heap:
 ///
-///  - ddmalloc: per-thread heaps refilling from one SharedSegmentPool
-///    (sharded striped free lists over a single arena);
-///  - tcmalloc: per-thread caches over one shared TCMallocCentral (page
-///    heap + central free lists under a mutex);
-///  - hoard: per-thread available lists over one shared HoardCentral
-///    (superblock arena + global empty pool under a mutex);
-///  - slab: per-thread magazines over one shared SlabCentral (buddy page
-///    heap + slab partial lists under a mutex);
-///  - region/obstack/default/glibc: fully private per-thread heaps — these
-///    allocators have no cross-thread sharing in the paper's deployments
-///    (one PHP process per core), so each worker simply owns one.
+///  - sharded-pool (ddmalloc): per-thread heaps refilling from one
+///    SharedSegmentPool (sharded striped free lists over a single arena);
+///  - shared-central (tcmalloc, hoard, slab): per-thread caches, available
+///    lists or magazines over one mutex-guarded central;
+///  - private-heap (everything else): fully private per-thread heaps —
+///    these allocators have no cross-thread sharing in the paper's
+///    deployments (one PHP process per core), so each worker owns one.
 ///
 /// The registry only *builds* heaps; ownership passes to the caller (the
 /// executor's worker threads), which keeps the hot paths free of any
@@ -55,7 +53,7 @@ public:
                                                        std::string *ErrorOut);
 
   /// The options thread \p Thread must construct its allocator with:
-  /// backend handles attached, ShardId = Thread, ProcessId offset by
+  /// the shared heap handle attached, ShardId = Thread, ProcessId offset by
   /// Thread (distinct DDmalloc metadata colors per worker).
   AllocatorOptions optionsFor(unsigned Thread) const;
 
@@ -67,24 +65,22 @@ public:
   AllocatorKind kind() const { return Cfg.Kind; }
   unsigned threads() const { return Cfg.Threads; }
 
-  /// "sharded-pool" (ddmalloc), "shared-central" (tcmalloc/hoard/slab),
-  /// or "private-heap" (everything else).
-  const char *sharingModel() const;
+  /// The kind's AllocatorTraits::Sharing: "sharded-pool",
+  /// "shared-central" or "private-heap".
+  const char *sharingModel() const { return allocatorTraits(Cfg.Kind).Sharing; }
 
-  /// The DDmalloc pool, when kind == DDmalloc (for tests/benches).
-  SharedSegmentPool *segmentPool() const { return Pool.get(); }
+  /// The shared heap every thread's options carry; null for private-heap
+  /// kinds.
+  SharedHeap *sharedHeap() const { return Shared.get(); }
 
 private:
   ThreadHeapRegistry() = default;
-  /// Builds backends; returns false with \p Error set on failure (fatal
-  /// paths pass nullptr-tolerant Error and abort in the backend ctor).
-  bool init(const Config &C, std::string *Error);
+  /// Builds the shared heap (or probes one private heap); returns false
+  /// with \p Error set on failure.
+  bool init(const Config &C, std::string &Error);
 
   Config Cfg;
-  std::shared_ptr<SharedSegmentPool> Pool;      // ddmalloc
-  std::shared_ptr<TCMallocCentral> TCCentral;   // tcmalloc
-  std::shared_ptr<HoardCentral> HoardBackend;   // hoard
-  std::shared_ptr<SlabCentral> SlabBackend;     // slab
+  std::shared_ptr<SharedHeap> Shared;
 };
 
 } // namespace ddm

@@ -35,20 +35,22 @@ void BenchCli::addBackendFlag(ArgParser &Parser) {
 }
 
 PageBackendKind BenchCli::backendKind() const {
-  if (Backend == "arena")
-    return PageBackendKind::Arena;
-  if (Backend == "buddy")
-    return PageBackendKind::Buddy;
+  if (std::optional<PageBackendKind> Kind = pageBackendKindFromName(Backend))
+    return *Kind;
   std::fprintf(stderr, "error: unknown backend '%s' (expected arena, buddy)\n",
                Backend.c_str());
   std::exit(1);
 }
 
 SimulationOptions BenchCli::simOptions() const {
+  if (MeasureTx == 0) {
+    std::fprintf(stderr, "error: --transactions must be at least 1\n");
+    std::exit(1);
+  }
   SimulationOptions Options;
   Options.Scale = Scale;
-  Options.WarmupTx = static_cast<unsigned>(WarmupTx);
-  Options.MeasureTx = static_cast<unsigned>(MeasureTx);
+  Options.WarmupTx = WarmupTx;
+  Options.MeasureTx = MeasureTx;
   Options.Seed = Seed;
   Options.Backend = backendKind();
   return Options;

@@ -22,10 +22,10 @@ namespace ddm {
 /// time are the defaults shown in --help.
 struct BenchCli {
   double Scale = 1.0;
-  uint64_t WarmupTx = 1;
-  uint64_t MeasureTx = 2;
+  unsigned WarmupTx = 1;
+  unsigned MeasureTx = 2;
   uint64_t Seed = 1;
-  uint64_t Jobs = 0; ///< Sweep workers; 0 = all hardware threads.
+  unsigned Jobs = 0; ///< Sweep workers; 0 = all hardware threads.
   bool Csv = false;
   bool Json = false;
   std::string Backend = "arena"; ///< Page economy: "arena" or "buddy".
@@ -46,13 +46,12 @@ struct BenchCli {
   /// The PageBackendKind --backend names; exits(1) on an unknown name.
   PageBackendKind backendKind() const;
 
-  /// The SimulationOptions these flags describe.
+  /// The SimulationOptions these flags describe; exits(1) on
+  /// --transactions 0.
   SimulationOptions simOptions() const;
 
   /// A SweepRunner honouring --jobs.
-  SweepRunner makeRunner() const {
-    return SweepRunner(static_cast<unsigned>(Jobs));
-  }
+  SweepRunner makeRunner() const { return SweepRunner(Jobs); }
 };
 
 /// Peels a `--name=value` unsigned flag out of \p Argv before a foreign

@@ -1,13 +1,21 @@
 //===- experiments/Measure.h - Shared experiment harness -------*- C++ -*-===//
 ///
 /// \file
-/// The measurement pipeline every table/figure reproduction uses:
+/// The measurement pipeline every table/figure reproduction uses. Each
+/// entry point below is a thin wrapper around one simulation session
+/// (Measure.cpp) with three steps:
 ///
-///   workload spec + allocator kind + platform + core count
-///     -> TransactionRuntime with a SimSink attached
-///     -> warm-up transactions (caches fill, heap reaches steady state)
-///     -> measured transactions (counters averaged per transaction)
-///     -> evaluatePerformance (cycles, throughput, bus utilization)
+///  1. Set up: map the SimulationOptions into the RuntimeConfig, build the
+///     machine model (SimSink), the optional buddy page backend, the
+///     optional access-sampler tee and the TransactionRuntime — in that
+///     order, since canonical address bases are handed out in mapRegion
+///     order — then run the warm-up transactions (caches fill, the heap
+///     reaches steady state) and flush.
+///  2. Run windows: reset the counters, run measured transactions, flush;
+///     sampler snapshots are taken at window boundaries.
+///  3. Finish: the cold give-back, the per-transaction event averages,
+///     evaluatePerformance (cycles, throughput, bus utilization) and the
+///     memory, page-economy, sampler and adaptive fields of SimPoint.
 ///
 /// One representative runtime process is simulated; the performance model
 /// scales to the requested core count analytically (see sim/Performance.h
@@ -26,6 +34,9 @@
 #include "sim/SimSink.h"
 #include "workload/WorkloadSpec.h"
 
+#include <optional>
+#include <string>
+
 namespace ddm {
 
 class TraceReplayer;
@@ -35,6 +46,9 @@ enum class PageBackendKind {
   Arena, ///< Legacy private mmap arenas (the default).
   Buddy, ///< One BuddyPageBackend shared by the run's allocator.
 };
+
+/// Parses a --backend value ("arena" or "buddy"); std::nullopt if unknown.
+std::optional<PageBackendKind> pageBackendKindFromName(const std::string &Name);
 
 /// Knobs of one simulation run.
 struct SimulationOptions {
@@ -93,17 +107,15 @@ struct SimPoint {
   /// Mean allocator memory consumption at transaction end (Figure 9).
   double MeanConsumptionBytes = 0;
   RuntimeMetrics Metrics;
-  /// Page-economy counters at run end. Filled when the run used a buddy
+  /// Page-economy counters at run end. Present when the run used a buddy
   /// backend (SimulationOptions::Backend) or a slab allocator (whose
-  /// private central has a buddy inside); HasPageStats says which runs
-  /// carry meaningful numbers.
-  PageBackendStats PageStats;
-  bool HasPageStats = false;
+  /// private central has a buddy inside).
+  std::optional<PageBackendStats> PageStats;
 
   /// \name Sampler observability (filled when Options.Sampling).
   /// @{
-  bool HasSampler = false;
-  /// Aggregate snapshots at the warmup/measure phase boundaries.
+  /// Aggregate snapshots at the warmup/measure phase boundaries; empty
+  /// without sampling.
   std::vector<SamplerSnapshot> SamplerPhases;
   /// The final region table (heat, age, size-class histograms).
   std::vector<SamplerRegion> SamplerRegions;

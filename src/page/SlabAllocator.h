@@ -50,7 +50,7 @@ namespace ddm {
 /// shared by all worker threads' magazines and every access goes through
 /// M, which is also the happens-before edge for objects migrating between
 /// threads.
-struct SlabCentral {
+struct SlabCentral : SharedHeap {
   static constexpr size_t PageBytes = 4096;
   static constexpr uint8_t PageUnused = 0xFF;
   static constexpr uint8_t PageLargeStart = 0xFE;

@@ -9,41 +9,6 @@
 
 using namespace ddm;
 
-namespace {
-
-/// Hot-code footprints per allocator for the L1I model: defragmenting
-/// allocators carry several times more code (bin management, coalescing,
-/// splitting) than a bump pointer — the paper credits DDmalloc's and the
-/// region allocator's L1I-miss reductions to "the smaller size of the
-/// allocator code".
-double codeFootprintFor(AllocatorKind Kind) {
-  switch (Kind) {
-  case AllocatorKind::Region:
-    return 0.5 * 1024;
-  case AllocatorKind::Obstack:
-    return 1.0 * 1024;
-  case AllocatorKind::DDmalloc:
-    return 2.0 * 1024;
-  case AllocatorKind::TCMalloc:
-    return 6.0 * 1024;
-  case AllocatorKind::Hoard:
-    return 5.0 * 1024;
-  case AllocatorKind::Slab:
-    // Magazine fast path is tiny; the slab/buddy machinery is cold.
-    return 3.0 * 1024;
-  case AllocatorKind::Default:
-  case AllocatorKind::Glibc:
-    return 8.0 * 1024;
-  case AllocatorKind::Adaptive:
-    // A thin dispatch layer plus whichever strategy is resident; only one
-    // inner allocator's hot path is live at a time.
-    return 2.5 * 1024;
-  }
-  unreachable("unknown allocator kind");
-}
-
-} // namespace
-
 TransactionRuntime::TransactionRuntime(const WorkloadSpec &W,
                                        const RuntimeConfig &C, AccessSink *S)
     : Workload(W), Config(C), Sink(S), SinkHandleView(S),
@@ -66,7 +31,7 @@ TransactionRuntime::~TransactionRuntime() {
 }
 
 double TransactionRuntime::allocatorCodeFootprintBytes() const {
-  return codeFootprintFor(Config.Kind);
+  return allocatorTraits(Config.Kind).CodeFootprintBytes;
 }
 
 void TransactionRuntime::setWorkload(const WorkloadSpec &W) {

@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cctype>
 #include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -63,6 +64,11 @@ void ArgParser::addFlag(const std::string &Name, uint64_t *Storage,
   addFlagImpl(Name, FlagKind::Uint, Storage, Help, std::to_string(*Storage));
 }
 
+void ArgParser::addFlag(const std::string &Name, unsigned *Storage,
+                        const std::string &Help) {
+  addFlagImpl(Name, FlagKind::Uint32, Storage, Help, std::to_string(*Storage));
+}
+
 void ArgParser::addFlag(const std::string &Name, double *Storage,
                         const std::string &Help) {
   char Buffer[32];
@@ -92,6 +98,13 @@ bool ArgParser::assign(Flag &F, const std::string &Value) {
     return parseInt64(Value.c_str(), *static_cast<int64_t *>(F.Storage));
   case FlagKind::Uint:
     return parseUint64(Value.c_str(), *static_cast<uint64_t *>(F.Storage));
+  case FlagKind::Uint32: {
+    uint64_t Parsed;
+    if (!parseUint64(Value.c_str(), Parsed) || Parsed > UINT_MAX)
+      return false;
+    *static_cast<unsigned *>(F.Storage) = static_cast<unsigned>(Parsed);
+    return true;
+  }
   case FlagKind::Double: {
     errno = 0;
     double Parsed = std::strtod(Value.c_str(), &End);

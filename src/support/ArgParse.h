@@ -41,6 +41,10 @@ public:
                const std::string &Help);
   void addFlag(const std::string &Name, uint64_t *Storage,
                const std::string &Help);
+  /// Like the uint64_t overload, but values above UINT_MAX are malformed
+  /// (rejected, never truncated).
+  void addFlag(const std::string &Name, unsigned *Storage,
+               const std::string &Help);
   void addFlag(const std::string &Name, double *Storage,
                const std::string &Help);
   void addFlag(const std::string &Name, bool *Storage, const std::string &Help);
@@ -56,7 +60,7 @@ public:
   std::string helpText(const std::string &Argv0) const;
 
 private:
-  enum class FlagKind { String, Int, Uint, Double, Bool };
+  enum class FlagKind { String, Int, Uint, Uint32, Double, Bool };
 
   struct Flag {
     std::string Name;

@@ -65,13 +65,14 @@ TEST(AllocatorFactoryTest, ReadmeAllocatorTableStaysInSync) {
 }
 
 TEST(AllocatorFactoryTest, BackendCapableKindsDrawFromABuddyBackend) {
-  // Every allocator that accepts a page backend really routes its heap
-  // span through it — and returns the span when the allocator dies.
+  // Every kind whose table row claims page-backend support really routes
+  // its heap span through the backend — and returns the span when the
+  // allocator dies; every other kind leaves the backend untouched.
   auto Backend = createBuddyBackend(512ull * 1024 * 1024);
-  for (AllocatorKind Kind :
-       {AllocatorKind::Region, AllocatorKind::Obstack, AllocatorKind::Default,
-        AllocatorKind::Glibc, AllocatorKind::Slab}) {
+  for (AllocatorKind Kind : allAllocatorKinds()) {
+    const bool Capable = allocatorTraits(Kind).PageBackend;
     const uint64_t LiveBefore = Backend->stats().PagesLive;
+    const uint64_t AcquiredBefore = Backend->stats().PagesAcquired;
     {
       AllocatorOptions Options;
       Options.HeapReserveBytes = 16ull * 1024 * 1024;
@@ -80,15 +81,52 @@ TEST(AllocatorFactoryTest, BackendCapableKindsDrawFromABuddyBackend) {
       auto A = createAllocator(Kind, Options);
       void *P = A->allocate(256);
       ASSERT_NE(P, nullptr) << allocatorKindName(Kind);
-      EXPECT_TRUE(Backend->contains(P))
-          << allocatorKindName(Kind) << " ignored the page backend";
-      EXPECT_GT(Backend->stats().PagesLive, LiveBefore)
-          << allocatorKindName(Kind);
+      EXPECT_EQ(Backend->contains(P), Capable) << allocatorKindName(Kind);
+      if (Capable)
+        EXPECT_GT(Backend->stats().PagesLive, LiveBefore)
+            << allocatorKindName(Kind);
+      else
+        EXPECT_EQ(Backend->stats().PagesAcquired, AcquiredBefore)
+            << allocatorKindName(Kind) << " touched the page backend";
     }
     EXPECT_EQ(Backend->stats().PagesLive, LiveBefore)
         << allocatorKindName(Kind) << " leaked backend pages";
   }
   EXPECT_GT(Backend->stats().PagesReclaimed, 0u);
+}
+
+TEST(AllocatorFactoryTest, TraitsTableMatchesTheAllocators) {
+  for (AllocatorKind Kind : allAllocatorKinds()) {
+    const AllocatorTraits &T = allocatorTraits(Kind);
+    EXPECT_EQ(T.Kind, Kind);
+    EXPECT_EQ(allocatorKindName(Kind), std::string(T.Name));
+    AllocatorOptions Options;
+    Options.HeapReserveBytes = 32ull * 1024 * 1024;
+    EXPECT_EQ(createAllocator(Kind, Options)->supportsBulkFree(), T.BulkFree)
+        << T.Name;
+    EXPECT_EQ(allocatorSupportsBulkFree(Kind), T.BulkFree) << T.Name;
+    EXPECT_GT(T.CodeFootprintBytes, 0.0) << T.Name;
+  }
+}
+
+TEST(AllocatorFactoryTest, CheckedRejectsASharedHeapOfAnotherKind) {
+  // A handle built for tcmalloc fits tcmalloc only.
+  AllocatorOptions Options;
+  Options.HeapReserveBytes = 16ull * 1024 * 1024;
+  std::string Error;
+  Options.Shared = allocatorTraits(AllocatorKind::TCMalloc)
+                       .BuildShared(Options, 2, Error);
+  ASSERT_NE(Options.Shared, nullptr) << Error;
+  EXPECT_NE(createAllocatorChecked(AllocatorKind::TCMalloc, Options, Error),
+            nullptr)
+      << Error;
+  for (AllocatorKind Kind : {AllocatorKind::DDmalloc, AllocatorKind::Hoard,
+                             AllocatorKind::Slab, AllocatorKind::Region}) {
+    Error.clear();
+    EXPECT_EQ(createAllocatorChecked(Kind, Options, Error), nullptr)
+        << allocatorKindName(Kind);
+    EXPECT_NE(Error.find("not built for"), std::string::npos) << Error;
+  }
 }
 
 TEST(AllocatorFactoryTest, UnknownNameRejected) {

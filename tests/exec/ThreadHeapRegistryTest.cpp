@@ -12,7 +12,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "exec/ThreadHeapRegistry.h"
+#include "core/HoardModel.h"
 #include "core/SegmentPool.h"
+#include "core/TCMallocModel.h"
+#include "page/SlabAllocator.h"
 #include "support/Random.h"
 
 #include "gtest/gtest.h"
@@ -100,7 +103,7 @@ TEST_P(ThreadHeapSoak, ConcurrentChurnKeepsCountersConsistent) {
   }
 
   if (Kind == AllocatorKind::DDmalloc) {
-    SharedSegmentPool *Pool = Registry.segmentPool();
+    auto *Pool = dynamic_cast<SharedSegmentPool *>(Registry.sharedHeap());
     ASSERT_NE(Pool, nullptr);
     // freeAll() already returned everything the churn acquired.
     EXPECT_EQ(Pool->segmentsOutstanding(), 0u);
@@ -141,23 +144,33 @@ TEST(ThreadHeapRegistryTest, OptionsCarryShardAndBackends) {
   AllocatorOptions O2 = Registry.optionsFor(2);
   EXPECT_EQ(O2.ShardId, 2u);
   EXPECT_EQ(O2.ProcessId, 2u);
-  EXPECT_EQ(O2.SegmentPool.get(), Registry.segmentPool());
 
-  ThreadHeapRegistry TcReg(configFor(AllocatorKind::TCMalloc, 2));
-  EXPECT_NE(TcReg.optionsFor(0).TCCentral, nullptr);
-  EXPECT_EQ(TcReg.optionsFor(0).TCCentral, TcReg.optionsFor(1).TCCentral);
-
-  ThreadHeapRegistry HoardReg(configFor(AllocatorKind::Hoard, 2));
-  EXPECT_NE(HoardReg.optionsFor(0).HoardBackend, nullptr);
-
-  ThreadHeapRegistry SlabReg(configFor(AllocatorKind::Slab, 2));
-  EXPECT_NE(SlabReg.optionsFor(0).SlabBackend, nullptr);
-  EXPECT_EQ(SlabReg.optionsFor(0).SlabBackend, SlabReg.optionsFor(1).SlabBackend);
-
-  ThreadHeapRegistry RegionReg(configFor(AllocatorKind::Region, 2));
-  EXPECT_EQ(RegionReg.optionsFor(0).SegmentPool, nullptr);
-  EXPECT_EQ(RegionReg.optionsFor(0).TCCentral, nullptr);
-  EXPECT_EQ(RegionReg.optionsFor(0).HoardBackend, nullptr);
+  // Every shared kind hands all its threads the one handle it built, of
+  // its own central type; private kinds hand out none.
+  for (AllocatorKind Kind : allAllocatorKinds()) {
+    ThreadHeapRegistry Reg(configFor(Kind, 2));
+    std::shared_ptr<SharedHeap> Shared = Reg.optionsFor(0).Shared;
+    EXPECT_EQ(Shared.get(), Reg.sharedHeap()) << allocatorKindName(Kind);
+    EXPECT_EQ(Shared, Reg.optionsFor(1).Shared) << allocatorKindName(Kind);
+    EXPECT_EQ(Shared != nullptr, allocatorTraits(Kind).BuildShared != nullptr)
+        << allocatorKindName(Kind);
+  }
+  auto SharedOf = [](AllocatorKind Kind) {
+    return ThreadHeapRegistry(configFor(Kind, 2)).optionsFor(0).Shared;
+  };
+  EXPECT_NE(std::dynamic_pointer_cast<SharedSegmentPool>(
+                SharedOf(AllocatorKind::DDmalloc)),
+            nullptr);
+  EXPECT_NE(std::dynamic_pointer_cast<TCMallocCentral>(
+                SharedOf(AllocatorKind::TCMalloc)),
+            nullptr);
+  EXPECT_NE(
+      std::dynamic_pointer_cast<HoardCentral>(SharedOf(AllocatorKind::Hoard)),
+      nullptr);
+  EXPECT_NE(
+      std::dynamic_pointer_cast<SlabCentral>(SharedOf(AllocatorKind::Slab)),
+      nullptr);
+  EXPECT_EQ(SharedOf(AllocatorKind::Region), nullptr);
 }
 
 /// Shared-central teardown donates reusable memory: a tcmalloc heap's

@@ -1,8 +1,12 @@
 //===- tests/experiments/MeasureTest.cpp - Harness unit tests -------------===//
 
 #include "experiments/Measure.h"
+#include "trace/TraceRecorder.h"
+#include "trace/TraceReplayer.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdio>
 
 using namespace ddm;
 
@@ -15,6 +19,51 @@ SimulationOptions tinyOptions() {
   Options.MeasureTx = 2;
   Options.Seed = 5;
   return Options;
+}
+
+void expectSameEvents(const DomainEvents &A, const DomainEvents &B) {
+  EXPECT_EQ(A.Instructions, B.Instructions);
+  EXPECT_EQ(A.LineAccesses, B.LineAccesses);
+  EXPECT_EQ(A.L1DMisses, B.L1DMisses);
+  EXPECT_EQ(A.L2Hits, B.L2Hits);
+  EXPECT_EQ(A.L2Misses, B.L2Misses);
+  EXPECT_EQ(A.TlbMisses, B.TlbMisses);
+  EXPECT_EQ(A.Writebacks, B.Writebacks);
+  EXPECT_EQ(A.PrefetchesIssued, B.PrefetchesIssued);
+  EXPECT_EQ(A.PrefetchesUseful, B.PrefetchesUseful);
+}
+
+/// A trace file private to the running test (ctest runs tests as
+/// concurrent processes), removed when the test ends.
+struct ScratchTrace {
+  std::string Path = testing::TempDir() + "ddm_measure_" +
+                     testing::UnitTest::GetInstance()->current_test_info()->name() +
+                     TraceFileSuffix;
+  ~ScratchTrace() { std::remove(Path.c_str()); }
+};
+
+/// Runs \p Run once recording into a trace, then once replaying it with a
+/// different seed and scale: replay must override both from the trace's
+/// metadata. Returns {recorded, replayed}.
+template <typename Result, typename RunFn>
+std::pair<Result, Result> recordThenReplay(const WorkloadSpec &W, RunFn Run) {
+  ScratchTrace Trace;
+  SimulationOptions Options = tinyOptions();
+  TraceRecorder Recorder;
+  EXPECT_TRUE(Recorder.open(Trace.Path,
+                            TraceMeta{W.Name, Options.Scale, Options.Seed})
+                  .ok());
+  Options.RecordSink = &Recorder;
+  Result Recorded = Run(Options);
+  EXPECT_TRUE(Recorder.finish().ok());
+
+  TraceReplayer Replayer;
+  EXPECT_TRUE(Replayer.open(Trace.Path).ok());
+  SimulationOptions ReplayOptions = tinyOptions();
+  ReplayOptions.Seed = 64; // 64 % 64 == 0: the process id comes from the trace.
+  ReplayOptions.Scale = 1.0;
+  ReplayOptions.ReplaySource = &Replayer;
+  return {Recorded, Run(ReplayOptions)};
 }
 
 } // namespace
@@ -78,4 +127,31 @@ TEST(MeasureTest, LargePageOptionReachesTheTlbModel) {
   Options.LargePages = true;
   SimPoint Large = simulate(W, AllocatorKind::DDmalloc, P, 1, Options);
   EXPECT_LT(Large.Events.total().TlbMisses, Small.Events.total().TlbMisses);
+}
+
+TEST(MeasureTest, RecordedRunReplaysToIdenticalEvents) {
+  const WorkloadSpec W = phpBb();
+  RuntimeConfig Config;
+  Config.Kind = AllocatorKind::DDmalloc;
+  auto [Recorded, Replayed] = recordThenReplay<SimPoint>(
+      W, [&](const SimulationOptions &Options) {
+        return simulateRuntime(W, Config, xeonLike(), 4, Options);
+      });
+  expectSameEvents(Recorded.Events.App, Replayed.Events.App);
+  expectSameEvents(Recorded.Events.Mm, Replayed.Events.Mm);
+  EXPECT_EQ(Recorded.Perf.CyclesPerTx, Replayed.Perf.CyclesPerTx);
+  EXPECT_EQ(Recorded.MeanConsumptionBytes, Replayed.MeanConsumptionBytes);
+}
+
+TEST(MeasureTest, RecordedServiceProfileReplaysToIdenticalEvents) {
+  const WorkloadSpec W = phpBb();
+  RuntimeConfig Config;
+  Config.Kind = AllocatorKind::Region;
+  auto [Recorded, Replayed] = recordThenReplay<ServiceProfile>(
+      W, [&](const SimulationOptions &Options) {
+        return profileService(W, Config, xeonLike(), 4, 3, Options);
+      });
+  expectSameEvents(Recorded.MeanEvents.App, Replayed.MeanEvents.App);
+  expectSameEvents(Recorded.MeanEvents.Mm, Replayed.MeanEvents.Mm);
+  EXPECT_EQ(Recorded.RelativeWeights, Replayed.RelativeWeights);
 }

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <string>
+
 using namespace ddm;
 
 namespace {
@@ -160,4 +163,24 @@ TEST(ArgParseTest, IntFlagRejectsOverflow) {
   P.addFlag("i", &I, "int");
   EXPECT_FALSE(parseArgs(P, {"--i", "99999999999999999999"}));
   EXPECT_EQ(I, 3);
+}
+
+TEST(ArgParseTest, UnsignedFlagRejectsValuesAboveUintMax) {
+  // Regression: drivers parsed counts as uint64_t and narrowed them with
+  // static_cast<unsigned>, so 4294967296 became 0 and 4294967298 became 2.
+  for (const char *Text : {"4294967296", "4294967298", "-1", " 3", "3x"}) {
+    unsigned U = 7;
+    ArgParser P("test");
+    P.addFlag("u", &U, "unsigned");
+    EXPECT_FALSE(parseArgs(P, {"--u", Text})) << Text;
+    EXPECT_EQ(U, 7u) << Text;
+  }
+  unsigned U = 0;
+  ArgParser P("test");
+  P.addFlag("u", &U, "unsigned");
+  EXPECT_NE(P.helpText("prog").find("(default: 0)"), std::string::npos);
+  EXPECT_TRUE(parseArgs(P, {"--u=4294967295"}));
+  EXPECT_EQ(U, UINT_MAX);
+  EXPECT_TRUE(parseArgs(P, {"--u", "0x10"}));
+  EXPECT_EQ(U, 16u);
 }

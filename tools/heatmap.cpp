@@ -50,9 +50,9 @@ std::string jsonEscape(const std::string &S) {
 int main(int Argc, char **Argv) {
   std::string Allocator = "ddmalloc";
   uint64_t Transactions = 0; // 0 = the whole trace.
-  uint64_t SampleInterval = 32;
+  unsigned SampleInterval = 32;
   uint64_t WindowEvents = 2048;
-  uint64_t MaxRegions = 64;
+  unsigned MaxRegions = 64;
   bool Json = false;
   ArgParser Parser(
       "Replays traces through the access sampler and prints per-region "
@@ -75,9 +75,9 @@ int main(int Argc, char **Argv) {
   }
 
   SamplerOptions Opts;
-  Opts.SampleInterval = static_cast<unsigned>(SampleInterval);
+  Opts.SampleInterval = SampleInterval;
   Opts.WindowEvents = WindowEvents;
-  Opts.MaxRegions = static_cast<unsigned>(MaxRegions);
+  Opts.MaxRegions = MaxRegions;
   // Pure monitoring: no downstream machine model, so no overhead charge.
   Opts.InstrPerSample = 0;
   AllocatorKind Kind = kindByName(Allocator);
