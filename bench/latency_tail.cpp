@@ -118,6 +118,10 @@ int main(int Argc, char **Argv) {
   Cli.addJobsFlag(Parser);
   if (!Parser.parse(Argc, Argv))
     return 1;
+  if (Samples == 0) {
+    std::fprintf(stderr, "error: --samples must be at least 1\n");
+    return 1;
+  }
 
   const WorkloadSpec *W = findWorkload(WorkloadName);
   if (!W) {

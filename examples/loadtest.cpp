@@ -176,6 +176,11 @@ int main(int Argc, char **Argv) {
                  "files), stream, or mmap");
   if (!Parser.parse(Argc, Argv))
     return 1;
+  if (Samples == 0 || Threads == 0) {
+    std::fprintf(stderr, "error: --%s must be at least 1\n",
+                 Samples == 0 ? "samples" : "threads");
+    return 1;
+  }
   if (!RecordTrace.empty() && !ReplayTrace.empty()) {
     std::fprintf(stderr, "--record-trace and --replay-trace are exclusive\n");
     return 1;

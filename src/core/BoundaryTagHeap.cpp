@@ -42,7 +42,7 @@ BoundaryTagHeap::BoundaryTagHeap(size_t ArenaBytes,
   TopLimit = Heap.base() + Heap.size();
   // Small bins: one per 16 bytes for chunk sizes 32..1024 (indices 0..62);
   // large bins: one per power of two above that.
-  Bins.assign(63 + 22, nullptr);
+  Bins.assign(NumBins, nullptr);
   Tails.assign(Bins.size(), nullptr);
 }
 
@@ -52,7 +52,7 @@ unsigned BoundaryTagHeap::binIndexFor(uint64_t ChunkSize) {
     return static_cast<unsigned>(ChunkSize / 16 - 2);
   unsigned Log = 63 - static_cast<unsigned>(__builtin_clzll(ChunkSize));
   unsigned Index = 63 + (Log - 10);
-  return Index < 63 + 22 ? Index : 63 + 21;
+  return Index < NumBins ? Index : NumBins - 1;
 }
 
 void BoundaryTagHeap::insertIntoBin(std::byte *Chunk, uint64_t Size) {
@@ -68,6 +68,7 @@ void BoundaryTagHeap::insertIntoBin(std::byte *Chunk, uint64_t Size) {
   } else {
     Bins[Index] = Chunk;
     Sink.store(&Bins[Index], sizeof(std::byte *));
+    NonEmpty[Index / 64] |= uint64_t(1) << (Index % 64);
   }
   Tails[Index] = Chunk;
   Sink.instructions(InstrBinInsert);
@@ -91,20 +92,34 @@ void BoundaryTagHeap::unlinkFromBin(std::byte *Chunk, uint64_t Size) {
   } else {
     Tails[Index] = Bck;
   }
+  if (!Bins[Index])
+    NonEmpty[Index / 64] &= ~(uint64_t(1) << (Index % 64));
   Sink.instructions(InstrUnlink);
+}
+
+unsigned BoundaryTagHeap::firstNonEmptyBin(unsigned From) const {
+  for (unsigned Word = From / 64; Word < NonEmpty.size(); ++Word) {
+    uint64_t Bits = NonEmpty[Word];
+    if (Word == From / 64)
+      Bits &= ~uint64_t(0) << (From % 64);
+    if (Bits)
+      return Word * 64 + static_cast<unsigned>(__builtin_ctzll(Bits));
+  }
+  return NumBins;
 }
 
 std::byte *BoundaryTagHeap::takeFromBins(uint64_t Need) {
   unsigned Start = binIndexFor(Need);
   // One binmap word identifies the first non-empty bin at index >= Start;
-  // empty bins cost nothing beyond this scan.
+  // empty bins cost nothing beyond this scan. BinProbes still counts every
+  // bin from Start to the one searched, skipped or not.
   Sink.load(&Bins[Start], sizeof(std::byte *));
   Sink.instructions(InstrBinmapScan);
-  for (unsigned Index = Start, End = numBins(); Index != End; ++Index) {
-    ++Activity.BinProbes;
+  unsigned Cursor = Start;
+  for (unsigned Index; (Index = firstNonEmptyBin(Cursor)) != NumBins;
+       Cursor = Index + 1) {
+    Activity.BinProbes += Index - Cursor + 1;
     std::byte *Node = Bins[Index];
-    if (!Node)
-      continue;
     Sink.load(&Bins[Index], sizeof(std::byte *));
     Sink.instructions(InstrPerNonEmptyProbe);
     if (Index <= 62) {
@@ -128,6 +143,7 @@ std::byte *BoundaryTagHeap::takeFromBins(uint64_t Need) {
       Node = fwdOf(Node);
     }
   }
+  Activity.BinProbes += NumBins - Cursor;
   return nullptr;
 }
 
@@ -364,6 +380,7 @@ void BoundaryTagHeap::reset() {
   HighWaterOffset = 0;
   std::fill(Bins.begin(), Bins.end(), nullptr);
   std::fill(Tails.begin(), Tails.end(), nullptr);
+  NonEmpty.fill(0);
   if (Sink) {
     size_t TotalBytes = Bins.size() * sizeof(std::byte *);
     auto *Base = reinterpret_cast<const std::byte *>(Bins.data());
@@ -387,7 +404,13 @@ uint64_t BoundaryTagHeap::freeChunkCount() const {
 bool BoundaryTagHeap::verify() const {
   // Pass 1: collect the bins' contents and check their linkage.
   std::unordered_set<const std::byte *> Binned;
-  for (unsigned Index = 0, End = numBins(); Index != End; ++Index) {
+  for (unsigned Index = 0; Index != NumBins; ++Index) {
+    bool Marked = (NonEmpty[Index / 64] >> (Index % 64)) & 1;
+    if (Marked != (Bins[Index] != nullptr)) {
+      std::fprintf(stderr, "verify: binmap bit %u disagrees with its bin\n",
+                   Index);
+      return false;
+    }
     const std::byte *PrevNode = nullptr;
     for (std::byte *Node = Bins[Index]; Node; Node = fwdOf(Node)) {
       uint64_t Header = *reinterpret_cast<const uint64_t *>(Node);

@@ -27,6 +27,7 @@
 #include "page/PageBackend.h"
 #include "support/Arena.h"
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -111,6 +112,8 @@ private:
   static constexpr size_t MinChunk = 32;
   /// Small bins are exact-size spaced 16 bytes apart up to this chunk size.
   static constexpr size_t MaxSmallChunk = 1024;
+  /// 63 small bins (chunk sizes 32..1024) and 22 power-of-two large bins.
+  static constexpr unsigned NumBins = 63 + 22;
 
   uint64_t &headerOf(std::byte *Chunk) const {
     return *reinterpret_cast<uint64_t *>(Chunk);
@@ -127,10 +130,12 @@ private:
   }
 
   static unsigned binIndexFor(uint64_t ChunkSize);
-  unsigned numBins() const { return static_cast<unsigned>(Bins.size()); }
 
   void insertIntoBin(std::byte *Chunk, uint64_t Size);
   void unlinkFromBin(std::byte *Chunk, uint64_t Size);
+
+  /// Index of the first non-empty bin at or above \p From, or NumBins.
+  unsigned firstNonEmptyBin(unsigned From) const;
 
   /// Finds a free chunk of at least \p Need bytes in the bins; returns
   /// nullptr if none. On success the chunk is unlinked.
@@ -154,6 +159,8 @@ private:
   /// lists avoid.
   std::vector<std::byte *> Bins;
   std::vector<std::byte *> Tails;
+  /// Bit I is set iff Bins[I] is non-empty (dlmalloc's binmap).
+  std::array<uint64_t, (NumBins + 63) / 64> NonEmpty{};
   DefragActivity Activity;
   SinkHandle Sink;
 };

@@ -4,6 +4,7 @@
 #include "support/Error.h"
 #include "support/FaultInjection.h"
 
+#include <atomic>
 #include <cassert>
 #include <cstring>
 #include <optional>
@@ -27,9 +28,17 @@ uint64_t mix64(uint64_t X) {
   return X ^ (X >> 31);
 }
 
+/// Source of every region heap's free epochs. One counter for the whole
+/// process means no two epochs are ever equal, even between a dead heap
+/// and a new one built on the same recycled backend pages.
+std::atomic<uint64_t> NextFreeAllEpoch{0};
+
+uint64_t takeFreeAllEpoch() { return NextFreeAllEpoch++; }
+
 } // namespace
 
-RegionAllocator::RegionAllocator(const RegionConfig &C) : Config(C) {
+RegionAllocator::RegionAllocator(const RegionConfig &C)
+    : Config(C), FreeAllEpoch(takeFreeAllEpoch()) {
   assert(Config.ChunkBytes >= 4096 && "chunk too small");
   assert(Config.MaxChunks >= 1 && "need at least one chunk");
   Chunks.push_back(
@@ -97,8 +106,10 @@ void RegionAllocator::deallocate(void *Ptr) {
   // instructions are charged here either. The region still validates the
   // call: a foreign pointer is misuse, and stamping an epoch-salted mark
   // into the (now dead) object catches double frees — the bump pointer
-  // hands out each address at most once per epoch, so a stale mark can
-  // never false-positive.
+  // hands out each address at most once per epoch, and no two epochs of
+  // any region heap in the process are equal, so a stale mark (this
+  // heap's or a previous heap's on recycled pages) can never
+  // false-positive.
   if (!Ptr)
     return;
   if (!owns(Ptr))
@@ -142,7 +153,7 @@ void RegionAllocator::freeAll() {
   Next = Chunks[0].base();
   Limit = Next + Chunks[0].size();
   BytesInFullChunks = 0;
-  ++FreeAllEpoch;
+  FreeAllEpoch = takeFreeAllEpoch();
   Sink.store(&Next, sizeof(Next));
   Sink.instructions(InstrFreeAll);
   noteFreeAll();

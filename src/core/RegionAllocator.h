@@ -85,9 +85,11 @@ private:
   /// Bytes bump-allocated in all full chunks before the current one,
   /// counted since the last freeAll.
   uint64_t BytesInFullChunks = 0;
-  /// Incremented by every freeAll: dead marks stamped in an earlier epoch
-  /// can never be mistaken for this epoch's.
-  uint64_t FreeAllEpoch = 0;
+  /// Drawn from a process-wide counter at construction and by every
+  /// freeAll: dead marks stamped in any other epoch — an earlier one of
+  /// this heap, or one of a heap that used the same pages before — can
+  /// never be mistaken for this epoch's (deadMark is injective in it).
+  uint64_t FreeAllEpoch;
 };
 
 } // namespace ddm

@@ -5,6 +5,7 @@
 #include "support/Error.h"
 #include "support/FaultInjection.h"
 
+#include <array>
 #include <cassert>
 #include <cstring>
 
@@ -21,6 +22,45 @@ uint64_t mix64(uint64_t X) {
 
 constexpr uint64_t LiveSalt = 0xa11c0a11c0ull;
 constexpr uint64_t FreedSalt = 0xdeadf4eedull;
+
+/// Byte \p I of the fill that repeats \p Word: byte I mod 8 of the word,
+/// least significant first.
+uint8_t patternByte(uint64_t Word, size_t I) {
+  return static_cast<uint8_t>(Word >> ((I % 8) * 8));
+}
+
+/// The eight bytes one period of \p Word's fill consists of.
+std::array<uint8_t, 8> patternBytes(uint64_t Word) {
+  std::array<uint8_t, 8> Bytes;
+  for (size_t K = 0; K < 8; ++K)
+    Bytes[K] = patternByte(Word, K);
+  return Bytes;
+}
+
+/// Writes fill bytes [From, To) of \p Word to the same offsets of \p Dst.
+void fillPattern(uint8_t *Dst, size_t From, size_t To, uint64_t Word) {
+  std::array<uint8_t, 8> Bytes = patternBytes(Word);
+  size_t I = From;
+  for (; I < To && I % 8 != 0; ++I)
+    Dst[I] = Bytes[I % 8];
+  for (; I + 8 <= To; I += 8)
+    std::memcpy(Dst + I, Bytes.data(), 8);
+  for (; I < To; ++I)
+    Dst[I] = Bytes[I % 8];
+}
+
+/// Offset of the first of \p Src's \p N bytes that differs from \p Word's
+/// fill, or \p N if all match.
+size_t firstMismatch(const uint8_t *Src, size_t N, uint64_t Word) {
+  std::array<uint8_t, 8> Bytes = patternBytes(Word);
+  size_t I = 0;
+  while (I + 8 <= N && std::memcmp(Src + I, Bytes.data(), 8) == 0)
+    I += 8;
+  for (; I < N; ++I)
+    if (Src[I] != Bytes[I % 8])
+      return I;
+  return N;
+}
 
 std::string hexByte(uint8_t B) {
   char Buf[8];
@@ -100,15 +140,12 @@ HardenedAllocator::classify(const ObjHeader *H) const {
   return ObjState::Unknown;
 }
 
-uint8_t HardenedAllocator::redzoneByte(const void *User, uint32_t I) const {
-  uint64_t Word = mix64(reinterpret_cast<uintptr_t>(User) ^ Config.Seed);
-  return static_cast<uint8_t>(Word >> ((I % 8) * 8));
+uint64_t HardenedAllocator::redzoneWord(const void *User) const {
+  return mix64(reinterpret_cast<uintptr_t>(User) ^ Config.Seed);
 }
 
-uint8_t HardenedAllocator::poisonByte(const void *User, uint32_t I) const {
-  uint64_t Word =
-      mix64(reinterpret_cast<uintptr_t>(User) ^ Config.Seed ^ FreedSalt);
-  return static_cast<uint8_t>(Word >> ((I % 8) * 8));
+uint64_t HardenedAllocator::poisonWord(const void *User) const {
+  return mix64(reinterpret_cast<uintptr_t>(User) ^ Config.Seed ^ FreedSalt);
 }
 
 size_t HardenedAllocator::poisonSpan(uint64_t UserSize) const {
@@ -136,36 +173,30 @@ void HardenedAllocator::raise(CorruptionKind Kind, const char *Site,
 }
 
 void HardenedAllocator::writeRedzone(void *User, uint64_t UserSize) {
-  auto *RZ = static_cast<uint8_t *>(User) + UserSize;
-  for (uint32_t I = 0; I < Config.RedzoneBytes; ++I)
-    RZ[I] = redzoneByte(User, I);
+  fillPattern(static_cast<uint8_t *>(User) + UserSize, 0, Config.RedzoneBytes,
+              redzoneWord(User));
 }
 
 void HardenedAllocator::verifyRedzone(void *User, const char *Site) {
   ++HStats.RedzoneChecks;
   ObjHeader *H = headerOf(User);
   auto *RZ = static_cast<uint8_t *>(User) + H->UserSize;
-  for (uint32_t I = 0; I < Config.RedzoneBytes; ++I) {
-    uint8_t Want = redzoneByte(User, I);
-    if (RZ[I] != Want) {
-      uint8_t Got = RZ[I];
-      // Repair before reporting: a later verification of this object (the
-      // free after a realloc-time check, the quarantine drain after a
-      // free-time check) must not re-report the same scribble.
-      for (uint32_t J = I; J < Config.RedzoneBytes; ++J)
-        RZ[J] = redzoneByte(User, J);
-      raise(CorruptionKind::RedzoneOverflow, Site, H->UserSize + I, Want, Got,
-            H->UserSize);
-      return;
-    }
-  }
+  uint64_t Word = redzoneWord(User);
+  size_t I = firstMismatch(RZ, Config.RedzoneBytes, Word);
+  if (I == Config.RedzoneBytes)
+    return;
+  uint8_t Got = RZ[I];
+  // Repair before reporting: a later verification of this object (the
+  // free after a realloc-time check, the quarantine drain after a
+  // free-time check) must not re-report the same scribble.
+  fillPattern(RZ, I, Config.RedzoneBytes, Word);
+  raise(CorruptionKind::RedzoneOverflow, Site, H->UserSize + I,
+        patternByte(Word, I), Got, H->UserSize);
 }
 
 void HardenedAllocator::poisonObject(void *User, uint64_t UserSize) {
-  auto *P = static_cast<uint8_t *>(User);
-  size_t Span = poisonSpan(UserSize);
-  for (size_t I = 0; I < Span; ++I)
-    P[I] = poisonByte(User, static_cast<uint32_t>(I));
+  fillPattern(static_cast<uint8_t *>(User), 0, poisonSpan(UserSize),
+              poisonWord(User));
 }
 
 void HardenedAllocator::verifyPoison(void *User, const char *Site) {
@@ -173,16 +204,14 @@ void HardenedAllocator::verifyPoison(void *User, const char *Site) {
   ObjHeader *H = headerOf(User);
   auto *P = static_cast<uint8_t *>(User);
   size_t Span = poisonSpan(H->UserSize);
-  for (size_t I = 0; I < Span; ++I) {
-    uint8_t Want = poisonByte(User, static_cast<uint32_t>(I));
-    if (P[I] != Want) {
-      uint8_t Got = P[I];
-      for (size_t J = I; J < Span; ++J)
-        P[J] = poisonByte(User, static_cast<uint32_t>(J));
-      raise(CorruptionKind::UseAfterFree, Site, I, Want, Got, H->UserSize);
-      return;
-    }
-  }
+  uint64_t Word = poisonWord(User);
+  size_t I = firstMismatch(P, Span, Word);
+  if (I == Span)
+    return;
+  uint8_t Got = P[I];
+  fillPattern(P, I, Span, Word);
+  raise(CorruptionKind::UseAfterFree, Site, I, patternByte(Word, I), Got,
+        H->UserSize);
 }
 
 void HardenedAllocator::removeFromLive(ObjHeader *H, void *User,

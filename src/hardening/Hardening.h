@@ -166,9 +166,12 @@ private:
 
   uint64_t magicFor(const ObjHeader *H, uint64_t StateSalt) const;
   ObjState classify(const ObjHeader *H) const;
-  /// First pattern byte index I covers user offset UserSize + I.
-  uint8_t redzoneByte(const void *User, uint32_t I) const;
-  uint8_t poisonByte(const void *User, uint32_t I) const;
+  /// The words whose repeated bytes fill an object's red zone (from user
+  /// offset UserSize on) and its poison span (from offset 0): byte I of
+  /// the fill is byte I mod 8 of the word. One mix per object, not per
+  /// byte.
+  uint64_t redzoneWord(const void *User) const;
+  uint64_t poisonWord(const void *User) const;
   size_t poisonSpan(uint64_t UserSize) const;
 
   void writeRedzone(void *User, uint64_t UserSize);

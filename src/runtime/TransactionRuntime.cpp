@@ -4,6 +4,7 @@
 #include "support/Error.h"
 #include "support/FaultInjection.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -44,9 +45,17 @@ void TransactionRuntime::setWorkload(const WorkloadSpec &W) {
 }
 
 TransactionRuntime::ObjectRecord &TransactionRuntime::recordFor(uint32_t Id) {
-  if (Id >= Objects.size())
-    Objects.resize(Id + 1);
+  if (Id >= ObjectsInTx) {
+    ObjectsInTx = size_t(Id) + 1;
+    if (ObjectsInTx > Objects.size())
+      Objects.resize(ObjectsInTx);
+  }
   return Objects[Id];
+}
+
+void TransactionRuntime::resetObjects() {
+  std::fill_n(Objects.begin(), ObjectsInTx, ObjectRecord());
+  ObjectsInTx = 0;
 }
 
 void TransactionRuntime::onAlloc(uint32_t Id, size_t Size) {
@@ -269,21 +278,21 @@ void TransactionRuntime::cleanupTransaction() {
       Allocator->freeAll();
   } else {
     // Ruby mode: the GC sweeps dead objects through per-object free; a
-    // small fraction of litter escapes until the process restarts.
-    for (ObjectRecord &Record : Objects) {
+    // small fraction of litter escapes until the process restarts. The
+    // sweep runs in ascending id order: which objects leak, and the heap
+    // it leaves behind, depend on it.
+    for (size_t Id = 0; Id < ObjectsInTx; ++Id) {
+      const ObjectRecord &Record = Objects[Id];
       if (!Record.Live)
         continue;
-      if (CleanupRng.nextBool(Config.LeakFraction)) {
+      if (CleanupRng.nextBool(Config.LeakFraction))
         ++LeakedObjects;
-      } else {
+      else
         Allocator->deallocate(Record.Ptr);
-      }
-      Record.Live = false;
-      Record.Ptr = nullptr;
     }
   }
   SinkHandleView.setDomain(CostDomain::Application);
-  Objects.clear();
+  resetObjects();
 }
 
 void TransactionRuntime::rollbackTransaction() {
@@ -291,16 +300,12 @@ void TransactionRuntime::rollbackTransaction() {
   if (Allocator->supportsBulkFree()) {
     Allocator->freeAll();
   } else {
-    for (ObjectRecord &Record : Objects) {
-      if (!Record.Live)
-        continue;
-      Allocator->deallocate(Record.Ptr);
-      Record.Live = false;
-      Record.Ptr = nullptr;
-    }
+    for (size_t Id = 0; Id < ObjectsInTx; ++Id)
+      if (Objects[Id].Live)
+        Allocator->deallocate(Objects[Id].Ptr);
   }
   SinkHandleView.setDomain(CostDomain::Application);
-  Objects.clear();
+  resetObjects();
 }
 
 void TransactionRuntime::restartProcess() {

@@ -214,6 +214,9 @@ private:
   void installCorruptionHandler();
   void restartProcess();
   ObjectRecord &recordFor(uint32_t Id);
+  /// Ends the transaction's use of Objects: clears the records it touched
+  /// and keeps the storage for the next transaction.
+  void resetObjects();
   /// Shared allocation body of onAlloc/onCalloc/onAllocAligned (the tee
   /// differs per kind; the runtime-side behaviour does not — model
   /// allocators have a single >= 8-byte-aligned allocate entry point and
@@ -233,7 +236,10 @@ private:
   /// same decisions as the recorded run.
   Rng CleanupRng;
   TraceSink *Trace = nullptr;
-  std::vector<ObjectRecord> Objects; ///< Indexed by per-transaction id.
+  /// Indexed by per-transaction id. Records at and above ObjectsInTx are
+  /// all default (not live); the vector only grows.
+  std::vector<ObjectRecord> Objects;
+  size_t ObjectsInTx = 0; ///< One past the highest id used this transaction.
   uint64_t LeakedObjects = 0;
   RuntimeMetrics Metrics;
   /// True between a failed allocation and the end-of-transaction

@@ -4,6 +4,8 @@
 
 #include "runtime/TransactionRuntime.h"
 
+#include <algorithm>
+
 using namespace ddm;
 
 TraceStatus TraceReplayer::fail(std::string Message) {
@@ -19,7 +21,8 @@ TraceStatus TraceReplayer::open(const std::string &Path, TraceReaderKind Kind) {
   Span = TraceEventSpan();
   SpanPos = 0;
   EventsDone = 0;
-  LiveSize.clear();
+  Objects.clear();
+  ObjectsInTx = 0;
   Total = TraceStats();
   Transactions = 0;
   EventsInTx = 0;
@@ -67,22 +70,38 @@ TraceReplayer::replayTransactionInto(TxExecutor &Executor, TraceStats &Stats,
     }
 
     const TraceEvent &E = *EP;
-    auto Id = std::to_string(E.Id);
     switch (E.Op) {
     case TraceOp::Alloc:
     case TraceOp::Calloc:
     case TraceOp::AllocAligned: {
-      if (!LiveSize.emplace(E.Id, E.Size).second) {
-        fail("allocation reuses live object id " + Id);
+      // Every producer numbers a transaction's objects densely from zero,
+      // so an id can never exceed the events before it; the bound keeps
+      // the table (and the runtime's) proportional to the transaction.
+      if (E.Id > EventsInTx) {
+        fail("allocation of object id " + std::to_string(E.Id) +
+             " jumps ahead of the transaction's ids (only " +
+             std::to_string(EventsInTx) + " events precede it)");
+        return Step::Error;
+      }
+      if (E.Id >= ObjectsInTx) {
+        ObjectsInTx = uint64_t(E.Id) + 1;
+        if (ObjectsInTx > Objects.size())
+          Objects.resize(ObjectsInTx);
+      }
+      LiveObject &Object = Objects[E.Id];
+      if (Object.Live) {
+        fail("allocation reuses live object id " + std::to_string(E.Id));
         return Step::Error;
       }
       if (E.Op == TraceOp::AllocAligned &&
           (E.Alignment == 0 || (E.Alignment & (E.Alignment - 1)) != 0)) {
-        fail("aligned allocation of object id " + Id +
+        fail("aligned allocation of object id " + std::to_string(E.Id) +
              " requests non-power-of-two alignment " +
              std::to_string(E.Alignment));
         return Step::Error;
       }
+      Object.Size = E.Size;
+      Object.Live = true;
       ++EventsInTx;
       ++Stats.Mallocs;
       Stats.AllocatedBytes += E.Size;
@@ -97,48 +116,56 @@ TraceReplayer::replayTransactionInto(TxExecutor &Executor, TraceStats &Stats,
       }
       if (Executor.txAborted()) {
         fail("allocation of " + std::to_string(E.Size) + " bytes for object " +
-             Id + " failed: the executor's allocator exhausted its heap");
+             std::to_string(E.Id) +
+             " failed: the executor's allocator exhausted its heap");
         return Step::Error;
       }
       break;
     }
-    case TraceOp::Free:
-      if (LiveSize.erase(E.Id) == 0) {
-        fail("free of unknown or already-freed object id " + Id);
+    case TraceOp::Free: {
+      LiveObject *Object = liveObject(E.Id);
+      if (!Object) {
+        fail("free of unknown or already-freed object id " +
+             std::to_string(E.Id));
         return Step::Error;
       }
+      Object->Live = false;
       ++EventsInTx;
       ++Stats.Frees;
       Executor.onFree(E.Id);
       break;
+    }
     case TraceOp::Realloc: {
-      auto It = LiveSize.find(E.Id);
-      if (It == LiveSize.end()) {
-        fail("realloc of unknown or already-freed object id " + Id);
+      LiveObject *Object = liveObject(E.Id);
+      if (!Object) {
+        fail("realloc of unknown or already-freed object id " +
+             std::to_string(E.Id));
         return Step::Error;
       }
-      if (It->second != E.OldSize) {
-        fail("realloc old-size mismatch on object id " + Id + ": trace says " +
-             std::to_string(E.OldSize) + ", object is " +
-             std::to_string(It->second) + " bytes");
+      if (Object->Size != E.OldSize) {
+        fail("realloc old-size mismatch on object id " + std::to_string(E.Id) +
+             ": trace says " + std::to_string(E.OldSize) + ", object is " +
+             std::to_string(Object->Size) + " bytes");
         return Step::Error;
       }
-      It->second = E.Size;
+      Object->Size = E.Size;
       ++EventsInTx;
       // AllocatedBytes counts malloc'd bytes only (Table 3's mean
       // allocation size definition), as in the generator's TraceStats.
       ++Stats.Reallocs;
       Executor.onRealloc(E.Id, E.OldSize, E.Size);
       if (Executor.txAborted()) {
-        fail("realloc of object " + Id + " to " + std::to_string(E.Size) +
+        fail("realloc of object " + std::to_string(E.Id) + " to " +
+             std::to_string(E.Size) +
              " bytes failed: the executor's allocator exhausted its heap");
         return Step::Error;
       }
       break;
     }
     case TraceOp::Touch:
-      if (!LiveSize.count(E.Id)) {
-        fail("touch of unknown or already-freed object id " + Id);
+      if (!liveObject(E.Id)) {
+        fail("touch of unknown or already-freed object id " +
+             std::to_string(E.Id));
         return Step::Error;
       }
       ++EventsInTx;
@@ -168,7 +195,8 @@ TraceReplayer::replayTransactionInto(TxExecutor &Executor, TraceStats &Stats,
     case TraceOp::EndTx:
       // Object ids restart at zero next transaction; whatever is still
       // live belongs to the runtime's end-of-transaction cleanup.
-      LiveSize.clear();
+      std::fill_n(Objects.begin(), ObjectsInTx, LiveObject());
+      ObjectsInTx = 0;
       EventsInTx = 0;
       ++Transactions;
       return Step::Tx;

@@ -20,6 +20,17 @@
 /// after free, old-size mismatch, touch of a dead object, out-of-range
 /// state touch, and truncation inside a transaction are all caught.
 ///
+/// The live-object table is dense: a vector indexed by object id holding
+/// each object's size and a live flag, cleared (not freed) at every
+/// transaction boundary, so checking an event is one indexed load. That
+/// relies on one more rule: object ids are handed out densely within a
+/// transaction (the generator, the preload shim, tracesynth and the
+/// transforms all count from zero), so an allocation whose id exceeds the
+/// number of events already replayed in its transaction is rejected. The
+/// table, and the runtime's object records, therefore never outgrow the
+/// transaction that fills them. Diagnostic text is formatted only on the
+/// failing branch; a valid event costs no string work.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DDM_TRACE_TRACEREPLAYER_H
@@ -31,7 +42,7 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 namespace ddm {
 
@@ -97,7 +108,17 @@ public:
   /// @}
 
 private:
+  /// One slot of the live-object table.
+  struct LiveObject {
+    uint64_t Size = 0;
+    bool Live = false;
+  };
+
   TraceStatus fail(std::string Message);
+  /// The table slot of \p Id if that object is live, else nullptr.
+  LiveObject *liveObject(uint32_t Id) {
+    return Id < ObjectsInTx && Objects[Id].Live ? &Objects[Id] : nullptr;
+  }
   /// Advances the span cursor, refilling from the input as needed.
   TraceInput::Next nextEvent(const TraceEvent *&E);
 
@@ -105,7 +126,11 @@ private:
   TraceEventSpan Span;     ///< Current batch of decoded events.
   size_t SpanPos = 0;      ///< Consumption cursor within Span.
   uint64_t EventsDone = 0; ///< Events consumed (≤ Input->eventIndex()).
-  std::unordered_map<uint32_t, uint64_t> LiveSize; ///< id -> current size.
+  /// The live-object table, indexed by object id. Slots at and above
+  /// ObjectsInTx are never live; EndTx clears the used prefix and keeps
+  /// the storage for the next transaction.
+  std::vector<LiveObject> Objects;
+  uint64_t ObjectsInTx = 0; ///< One past the highest id allocated this tx.
   TraceStats Total;
   uint64_t Transactions = 0;
   uint64_t EventsInTx = 0;

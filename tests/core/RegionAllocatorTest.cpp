@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 using namespace ddm;
 
@@ -120,6 +121,33 @@ TEST(RegionAllocatorTest, StatsCountCalls) {
   EXPECT_EQ(A.stats().MallocCalls, 1u);
   EXPECT_EQ(A.stats().FreeCalls, 1u);
   EXPECT_EQ(A.stats().FreeAllCalls, 1u);
+}
+
+TEST(RegionAllocatorTest, RestartOnRecycledBuddyPagesSeesNoStaleDeadMarks) {
+  // A restarted process builds a new region heap on the pages the dead
+  // one gave back. Nothing overwrites a 1-3 byte object, so the dead
+  // heap's free marks are still there when the new heap hands the same
+  // addresses out again; freeing them must not read as a double free.
+  RegionConfig Config = smallRegion();
+  Config.Backend = createBuddyBackend(16 * 1024 * 1024);
+  std::vector<void *> Addresses;
+  {
+    RegionAllocator Dead(Config);
+    for (int I = 0; I < 30; ++I)
+      Addresses.push_back(Dead.allocate(1 + I % 3));
+    for (void *P : Addresses)
+      Dead.deallocate(P);
+  }
+  RegionAllocator Fresh(Config);
+  for (int I = 0; I < 30; ++I) {
+    void *P = Fresh.allocate(1 + I % 3);
+    ASSERT_EQ(P, Addresses[I]) << "the new heap did not reuse the pages";
+    Fresh.deallocate(P);
+  }
+  EXPECT_EQ(Fresh.stats().FreeCalls, 30u);
+  // A real double free in the new heap is still caught.
+  EXPECT_DEATH(Fresh.deallocate(Addresses[0]),
+               "double free of a region object");
 }
 
 TEST(ObstackAllocatorTest, BumpAndChunkGrowth) {

@@ -1,5 +1,6 @@
 //===- tests/runtime/TransactionRuntimeTest.cpp - Runtime engine tests ----===//
 
+#include "page/PageBackend.h"
 #include "runtime/TransactionRuntime.h"
 #include "sim/SimSink.h"
 
@@ -92,6 +93,52 @@ TEST(TransactionRuntimeTest, RubyModeRestartsOnSchedule) {
   // A fresh allocator after the restart: its stats restarted too.
   EXPECT_LT(Runtime.allocator().stats().MallocCalls,
             Runtime.metrics().TotalTrace.Mallocs);
+}
+
+TEST(TransactionRuntimeTest,
+     RubyModeRegionRestartsOnABuddyBackendWithTinyObjects) {
+  // Ruby mode with a restart after every transaction: each new region
+  // heap reuses the buddy pages of the one before, and objects under 4
+  // bytes carry no canary, so the previous process's free marks survive
+  // under the new objects. Freeing them must not abort as a double free.
+  RuntimeConfig Config = phpConfig(AllocatorKind::Region);
+  Config.UseBulkFree = false;
+  Config.LeakFraction = 0.0;
+  Config.RestartPeriodTx = 1;
+  Config.AllocOptions.RegionChunkBytes = 1024 * 1024;
+  Config.AllocOptions.Backend = createBuddyBackend(16 * 1024 * 1024);
+  TransactionRuntime Runtime(tinyWorkload(), Config);
+  for (int Tx = 0; Tx < 3; ++Tx) {
+    for (uint32_t Id = 0; Id < 30; ++Id)
+      Runtime.onAlloc(Id, 1 + Id % 3);
+    for (uint32_t Id = 0; Id < 30; Id += 2)
+      Runtime.onFree(Id);
+    EXPECT_EQ(Runtime.completeTransaction(TraceStats()), TxStatus::Ok);
+  }
+  EXPECT_EQ(Runtime.metrics().Restarts, 3u);
+}
+
+TEST(TransactionRuntimeTest, RubySweepSeesOnlyThisTransactionsObjects) {
+  // Object records are kept from one transaction to the next. A replayed
+  // transaction may leave id gaps (here ids 0-4 are never allocated in
+  // the second one); the sweep must not mistake the first transaction's
+  // records in those slots for live objects.
+  RuntimeConfig Config = phpConfig(AllocatorKind::Glibc);
+  Config.UseBulkFree = false;
+  Config.LeakFraction = 0.0;
+  TransactionRuntime Runtime(tinyWorkload(), Config);
+  for (uint32_t Id = 0; Id < 5; ++Id)
+    Runtime.onAlloc(Id, 16);
+  ASSERT_EQ(Runtime.completeTransaction(TraceStats()), TxStatus::Ok);
+  for (int I = 0; I < 5; ++I)
+    Runtime.onWork(10);
+  Runtime.onAlloc(5, 16);
+  EXPECT_EQ(Runtime.objectAddress(2), nullptr);
+  ASSERT_EQ(Runtime.completeTransaction(TraceStats()), TxStatus::Ok);
+  const AllocatorStats &S = Runtime.allocator().stats();
+  EXPECT_EQ(S.MallocCalls, 6u);
+  EXPECT_EQ(S.FreeCalls, 6u);
+  EXPECT_EQ(S.UsableBytesLive, 0u);
 }
 
 TEST(TransactionRuntimeTest, SinkSeesBothDomains) {

@@ -5,7 +5,8 @@
 /// future version, truncated header/frame/payload, CRC mismatch, garbage
 /// inside a CRC-valid payload, and semantically impossible event streams
 /// (double alloc of a live id, free of an unknown id, realloc size lies,
-/// truncation inside a transaction).
+/// an allocation id no producer could have handed out yet, truncation
+/// inside a transaction).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -141,6 +142,13 @@ public:
   void onTouch(uint32_t, bool) override {}
   void onWork(uint64_t) override {}
   void onStateTouch(uint64_t, bool) override {}
+};
+
+/// Counts the allocations that reach the executor.
+class CountingExecutor : public NullExecutor {
+public:
+  void onAlloc(uint32_t, size_t) override { ++Allocs; }
+  unsigned Allocs = 0;
 };
 
 /// Replays \p Path to completion; returns the first non-Tx step.
@@ -388,6 +396,105 @@ TEST(TraceCorruptionTest, ReplayRejectsStateTouchWithNoStateArea) {
   TraceStatus Status;
   EXPECT_EQ(replayAll(Path, Status, /*StateBytesLimit=*/0),
             TraceReplayer::Step::Error);
+  std::remove(Path.c_str());
+}
+
+TEST(TraceCorruptionTest, ReplayRejectsAllocationIdJumpingAhead) {
+  // A hostile first event: nothing precedes id 0xFFFFFFF0, so no producer
+  // could have handed it out. It must fail validation before the executor
+  // (whose object records are indexed by id) ever sees it.
+  std::string Path =
+      writeEventTrace("idjump", {event(TraceOp::Alloc, 0xFFFFFFF0u, 16),
+                                 event(TraceOp::EndTx)});
+  TraceReplayer Replayer;
+  ASSERT_TRUE(Replayer.open(Path).ok());
+  CountingExecutor Executor;
+  TraceStats Stats;
+  EXPECT_EQ(Replayer.replayTransactionInto(Executor, Stats),
+            TraceReplayer::Step::Error);
+  EXPECT_EQ(Executor.Allocs, 0u);
+  EXPECT_EQ(Stats.Mallocs, 0u);
+  const TraceStatus &Status = Replayer.status();
+  EXPECT_EQ(Status.EventIndex, 0u);
+  EXPECT_GT(Status.ByteOffset, 0u);
+  EXPECT_EQ(Status.Message,
+            "allocation of object id 4294967280 jumps ahead of the "
+            "transaction's ids (only 0 events precede it)");
+  std::remove(Path.c_str());
+}
+
+TEST(TraceCorruptionTest, ReplayBoundsIdsByTheEventsBeforeThemInTheirTx) {
+  // An id may equal the number of events before it in its transaction
+  // (ids are dense, and other events can sit between allocations), never
+  // exceed it; the count restarts at every boundary.
+  std::string Path = writeEventTrace(
+      "idbound",
+      {event(TraceOp::Work, 0, 10), event(TraceOp::Work, 0, 10),
+       event(TraceOp::Alloc, 2, 16), event(TraceOp::EndTx),
+       event(TraceOp::Alloc, 0, 16), event(TraceOp::Work, 0, 10),
+       event(TraceOp::Alloc, 3, 16), event(TraceOp::EndTx)});
+  TraceReplayer Replayer;
+  ASSERT_TRUE(Replayer.open(Path).ok());
+  CountingExecutor Executor;
+  TraceStats Stats;
+  EXPECT_EQ(Replayer.replayTransactionInto(Executor, Stats),
+            TraceReplayer::Step::Tx);
+  EXPECT_EQ(Replayer.replayTransactionInto(Executor, Stats),
+            TraceReplayer::Step::Error);
+  EXPECT_EQ(Executor.Allocs, 2u);
+  EXPECT_EQ(Replayer.status().EventIndex, 6u);
+  EXPECT_NE(Replayer.status().Message.find("object id 3 jumps ahead"),
+            std::string::npos)
+      << Replayer.status().describe();
+  std::remove(Path.c_str());
+}
+
+TEST(TraceCorruptionTest, ReplayReportsIdsBeyondTheTableAsUnknown) {
+  // Free, realloc and touch of an id no allocation has reached this
+  // transaction — past the table, or inside storage a previous
+  // transaction left behind — keep the unknown-object diagnostics.
+  struct Case {
+    std::vector<TraceEvent> Events;
+    const char *Message;
+  };
+  std::vector<TraceEvent> FiveLive;
+  for (uint32_t Id = 0; Id < 5; ++Id)
+    FiveLive.push_back(event(TraceOp::Alloc, Id, 16));
+  FiveLive.push_back(event(TraceOp::EndTx));
+  std::vector<TraceEvent> StaleTouch = FiveLive;
+  StaleTouch.push_back(event(TraceOp::Touch, 3));
+  const Case Cases[] = {
+      {{event(TraceOp::Alloc, 0, 16), event(TraceOp::Free, 7)},
+       "free of unknown or already-freed object id 7"},
+      {{event(TraceOp::Alloc, 0, 16), event(TraceOp::Touch, 9)},
+       "touch of unknown or already-freed object id 9"},
+      {{event(TraceOp::Alloc, 0, 16), event(TraceOp::Realloc, 4000, 32, 16)},
+       "realloc of unknown or already-freed object id 4000"},
+      {{event(TraceOp::Free, 4294967295u)},
+       "free of unknown or already-freed object id 4294967295"},
+      {StaleTouch, "touch of unknown or already-freed object id 3"},
+  };
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Message);
+    std::vector<TraceEvent> Events = C.Events;
+    Events.push_back(event(TraceOp::EndTx));
+    std::string Path = writeEventTrace("beyond", Events);
+    TraceStatus Status;
+    EXPECT_EQ(replayAll(Path, Status), TraceReplayer::Step::Error);
+    EXPECT_EQ(Status.Message, C.Message);
+    std::remove(Path.c_str());
+  }
+}
+
+TEST(TraceCorruptionTest, ReplayRejectsReuseOfALiveIdAfterRealloc) {
+  std::string Path = writeEventTrace(
+      "reallocreuse", {event(TraceOp::Alloc, 0, 16),
+                       event(TraceOp::Realloc, 0, 32, /*OldSize=*/16),
+                       event(TraceOp::Alloc, 0, 8), event(TraceOp::EndTx)});
+  TraceStatus Status;
+  EXPECT_EQ(replayAll(Path, Status), TraceReplayer::Step::Error);
+  EXPECT_EQ(Status.Message, "allocation reuses live object id 0");
+  EXPECT_EQ(Status.EventIndex, 2u);
   std::remove(Path.c_str());
 }
 
