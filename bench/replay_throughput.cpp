@@ -8,12 +8,15 @@
 ///     table CRC-32 + per-event next()), frozen in this file so the
 ///     speedup denominator cannot silently improve as the in-tree
 ///     streaming reader gets faster,
-///  2. per-event decode through today's streaming reader
-///     (TraceReader::next — now with slice-by-8/PCLMUL CRC and no
-///     redundant payload copy),
-///  3. batched streaming decode (TraceReader::nextBatch),
-///  4. mmap zero-copy batched decode (MappedTraceReader) — the reader
-///     replay actually uses for regular files,
+///  2. per-event decode through today's reader on its read() source
+///     (TraceReader::next — slice-by-8/PCLMUL CRC, no redundant payload
+///     copy, and a cursor over the shared threaded block decoder),
+///  3. batched decode from the read() source (TraceReader::nextBatch),
+///  4. batched decode from the mmap source (TraceReaderKind::Mapped) —
+///     the source replay actually uses for regular files,
+///
+/// Tiers 2-4 all decode through the reader's one block decoder; they
+/// differ only in byte source and consumption API.
 ///
 /// then replays the inputs as shards on a SweepRunner pool (--jobs) and
 /// reports fleet replay throughput in events/min. `--check` turns the
@@ -41,7 +44,6 @@
 #include "support/ArgParse.h"
 #include "support/Json.h"
 #include "support/Table.h"
-#include "trace/MappedTraceReader.h"
 #include "trace/TraceCodec.h"
 #include "trace/TraceFormat.h"
 #include "trace/TraceReader.h"
@@ -314,29 +316,28 @@ bool passPerEvent(const std::vector<std::string> &Paths, DecodeRun &Run,
   return true;
 }
 
-/// One pass of batched decode through any TraceInput open function.
-template <typename OpenReader>
-bool passBatched(const std::vector<std::string> &Paths, OpenReader Open,
+/// One pass of batched decode through the reader's \p Kind byte source.
+bool passBatched(const std::vector<std::string> &Paths, TraceReaderKind Kind,
                  DecodeRun &Run, std::string &Error) {
   Run.Events = 0;
   Run.Bytes = 0;
   Run.Checksum = 0;
   for (const std::string &Path : Paths) {
-    auto Reader = Open();
-    if (TraceStatus S = Reader.open(Path); !S) {
+    TraceReader Reader;
+    if (TraceStatus S = Reader.open(Path, Kind); !S) {
       Error = Path + ": " + S.describe();
       return false;
     }
     TraceEventSpan Span;
     for (;;) {
-      TraceInput::Next R = Reader.nextBatch(Span);
-      if (R == TraceInput::Next::Event) {
+      TraceReader::Next R = Reader.nextBatch(Span);
+      if (R == TraceReader::Next::Event) {
         for (const TraceEvent &E : Span)
           Run.Checksum = foldEvent(Run.Checksum, E);
         Run.Events += Span.Size;
         continue;
       }
-      if (R == TraceInput::Next::End)
+      if (R == TraceReader::Next::End)
         break;
       Error = Path + ": " + Reader.status().describe();
       return false;
@@ -533,14 +534,13 @@ int main(int Argc, char **Argv) {
       !measure(
           Passes,
           [&](DecodeRun &R, std::string &E) {
-            return passBatched(Inputs, [] { return TraceReader(); }, R, E);
+            return passBatched(Inputs, TraceReaderKind::Streaming, R, E);
           },
           StreamBatch, Error) ||
       !measure(
           Passes,
           [&](DecodeRun &R, std::string &E) {
-            return passBatched(Inputs, [] { return MappedTraceReader(); }, R,
-                               E);
+            return passBatched(Inputs, TraceReaderKind::Mapped, R, E);
           },
           MmapBatch, Error)) {
     std::fprintf(stderr, "bench_replay_throughput: %s\n", Error.c_str());

@@ -99,6 +99,8 @@ public:
   bool supportsPerObjectFree() const override;
   bool supportsBulkFree() const override { return true; }
   size_t usableSize(const void *Ptr) const override;
+  /// The current inner allocator's range check.
+  bool owns(const void *Ptr) const override { return Inner->owns(Ptr); }
   const char *name() const override { return "adaptive"; }
   uint64_t memoryConsumption() const override;
   void attachSink(AccessSink *S) override;

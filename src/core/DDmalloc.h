@@ -109,7 +109,7 @@ public:
   uint64_t metadataOffset() const { return MetadataColorOffset; }
   /// True if \p Ptr lies in this allocator's heap (in pooled mode: in the
   /// shared pool's arena, i.e. possibly in a sibling shard's segment).
-  bool owns(const void *Ptr) const {
+  bool owns(const void *Ptr) const override {
     auto P = reinterpret_cast<uintptr_t>(Ptr);
     auto B = reinterpret_cast<uintptr_t>(HeapBase);
     return P >= B && P < B + HeapSize;

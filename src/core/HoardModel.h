@@ -106,7 +106,9 @@ public:
   static constexpr size_t SuperblockBytes = HoardCentral::SuperblockBytes;
   uint64_t superblocksInUse() const;
   uint64_t emptyPoolSize() const;
-  bool owns(const void *Ptr) const { return Central->Heap.contains(Ptr); }
+  bool owns(const void *Ptr) const override {
+    return Central->Heap.contains(Ptr);
+  }
   HoardCentral *central() const { return Central.get(); }
   /// @}
 

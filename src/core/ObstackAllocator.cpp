@@ -83,6 +83,11 @@ void *ObstackAllocator::allocate(size_t Size) {
   return Result;
 }
 
+bool ObstackAllocator::owns(const void *Ptr) const {
+  auto *P = static_cast<const std::byte *>(Ptr);
+  return P >= Heap.base() && P < Heap.base() + Heap.size();
+}
+
 void ObstackAllocator::deallocate(void *Ptr) {
   // No per-object free (freeAll rewinds), but the call is still validated
   // like the region allocator's: range-check the pointer and stamp an
@@ -90,8 +95,7 @@ void ObstackAllocator::deallocate(void *Ptr) {
   // silently. Addresses recur only after a freeAll, which bumps the epoch.
   if (!Ptr)
     return;
-  auto *P = static_cast<const std::byte *>(Ptr);
-  if (P < Heap.base() || P >= Heap.base() + Heap.size())
+  if (!owns(Ptr))
     fatal("obstack allocator: freed pointer is not from this heap");
   auto *Mark = reinterpret_cast<uint64_t *>(Ptr);
   uint64_t Dead = mix64(reinterpret_cast<uintptr_t>(Ptr) ^

@@ -59,6 +59,7 @@ public:
   bool supportsPerObjectFree() const override { return false; }
   bool supportsBulkFree() const override { return true; }
   size_t usableSize(const void *Ptr) const override { (void)Ptr; return 0; }
+  bool owns(const void *Ptr) const override;
   const char *name() const override { return "obstack"; }
   uint64_t memoryConsumption() const override;
 

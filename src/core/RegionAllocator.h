@@ -70,7 +70,7 @@ public:
 
 private:
   /// True if \p Ptr lies inside one of the region's chunks.
-  bool owns(const void *Ptr) const;
+  bool owns(const void *Ptr) const override;
   /// The free-epoch stamp written into a dead object's first word; see
   /// deallocate().
   uint64_t deadMark(const void *Ptr) const;

@@ -123,7 +123,9 @@ public:
   uint64_t scavengeCount() const { return Scavenges; }
   uint64_t threadCacheBytes() const { return CacheBytes; }
   size_t freeRunCount() const;
-  bool owns(const void *Ptr) const { return Central->Heap.contains(Ptr); }
+  bool owns(const void *Ptr) const override {
+    return Central->Heap.contains(Ptr);
+  }
   TCMallocCentral *central() const { return Central.get(); }
   /// @}
 

@@ -83,6 +83,11 @@ public:
   /// allocators that do not track per-object sizes return 0.
   virtual size_t usableSize(const void *Ptr) const = 0;
 
+  /// True if \p Ptr lies in memory this allocator hands objects out of.
+  /// A range check, not proof of a live object: wrappers that keep
+  /// metadata in front of an object ask it before reading that metadata.
+  virtual bool owns(const void *Ptr) const = 0;
+
   /// Short stable identifier, e.g. "ddmalloc".
   virtual const char *name() const = 0;
 

@@ -48,7 +48,7 @@ public:
   }
   /// Heap-consistency check for the tests.
   bool verifyHeap() const { return Engine.verify(); }
-  bool owns(const void *Ptr) const { return Engine.owns(Ptr); }
+  bool owns(const void *Ptr) const override { return Engine.owns(Ptr); }
 
   void attachSink(AccessSink *S) override {
     TxAllocator::attachSink(S);

@@ -133,6 +133,8 @@ uint64_t HardenedAllocator::magicFor(const ObjHeader *H,
 
 HardenedAllocator::ObjState
 HardenedAllocator::classify(const ObjHeader *H) const {
+  if (!Inner->owns(H))
+    return ObjState::Unknown;
   if (H->Magic == magicFor(H, LiveSalt))
     return ObjState::Live;
   if (H->Magic == magicFor(H, FreedSalt))

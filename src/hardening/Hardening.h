@@ -135,6 +135,9 @@ public:
   }
   bool supportsBulkFree() const override { return Inner->supportsBulkFree(); }
   size_t usableSize(const void *Ptr) const override;
+  bool owns(const void *Ptr) const override {
+    return (Guard && Guard->owns(Ptr)) || Inner->owns(Ptr);
+  }
   /// The inner allocator's name: under --harden every table/JSON keeps the
   /// same allocator keys as the unhardened run.
   const char *name() const override { return Inner->name(); }
@@ -165,6 +168,8 @@ private:
   static void *userOf(ObjHeader *H) { return H + 1; }
 
   uint64_t magicFor(const ObjHeader *H, uint64_t StateSalt) const;
+  /// Asks the inner allocator whether \p H is its memory before reading
+  /// the header: a foreign pointer's "header" may not be readable at all.
   ObjState classify(const ObjHeader *H) const;
   /// The words whose repeated bytes fill an object's red zone (from user
   /// offset UserSize on) and its poison span (from offset 0): byte I of

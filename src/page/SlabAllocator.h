@@ -144,7 +144,9 @@ public:
 
   /// \name Introspection for tests and the fragmentation bench.
   /// @{
-  bool owns(const void *Ptr) const { return Central->Heap.contains(Ptr); }
+  bool owns(const void *Ptr) const override {
+    return Central->Heap.contains(Ptr);
+  }
   SlabCentral *central() const { return Central.get(); }
   uint64_t magazineCount(unsigned Class) const { return MagCount[Class]; }
   /// Slabs currently on the partial list / cached empty for \p Class.

@@ -61,11 +61,14 @@ private:
 
 /// Stateful event decoder; mirrors TraceEventEncoder exactly. \p Version
 /// is the container version being decoded: v2-only event kinds (Calloc,
-/// AllocAligned) appearing in a v1 trace are rejected as malformed.
+/// AllocAligned) appearing in a v1 trace are rejected as malformed. The
+/// reader's block decoder resumes a decoder mid-stream from its delta
+/// state (\p PrevAllocId, \p PrevWork) for block tails and bad input.
 class TraceEventDecoder {
 public:
-  explicit TraceEventDecoder(uint32_t Version = TraceVersion)
-      : Version(Version) {}
+  explicit TraceEventDecoder(uint32_t Version = TraceVersion,
+                             int64_t PrevAllocId = -1, int64_t PrevWork = 0)
+      : Version(Version), PrevAllocId(PrevAllocId), PrevWork(PrevWork) {}
 
   /// Decodes one event at \p Pos. Returns false on malformed input (bad
   /// tag, truncated varint, id delta out of the uint32 range).
@@ -73,6 +76,13 @@ public:
 
   /// Human-readable reason of the last decode() failure.
   const std::string &errorMessage() const { return Error; }
+
+  /// \name Delta state, for resuming decode elsewhere.
+  /// @{
+  uint32_t version() const { return Version; }
+  int64_t prevAllocId() const { return PrevAllocId; }
+  int64_t prevWork() const { return PrevWork; }
+  /// @}
 
 private:
   uint32_t Version;

@@ -1,112 +1,22 @@
-//===- trace/TraceInput.h - Batched trace event source ---------*- C++ -*-===//
+//===- trace/TraceInput.h - Replay-side name of the reader -----*- C++ -*-===//
 ///
 /// \file
-/// The reader-side abstraction of the trace subsystem: a TraceInput hands
-/// out *spans* of decoded events (one CRC-verified block's worth at a
-/// time) instead of one event per virtual call, so the replay hot loop
-/// pays the dispatch cost once per ~20k events rather than once per event.
-///
-/// Two implementations exist:
-///
-///  - TraceReader (TraceReader.h): the legacy streaming reader. Works on
-///    anything a file descriptor can read — pipes, FIFOs, /dev/stdin —
-///    holding exactly one block in memory.
-///  - MappedTraceReader (MappedTraceReader.h): mmap-backed zero-copy
-///    reader for seekable regular files. Frames are CRC-checked and
-///    decoded in place from the mapping; nothing is copied per frame.
-///
-/// openTraceInput() picks between them: mapped for regular files,
-/// streaming otherwise (or on any mmap failure), unless the caller forces
-/// a kind. Both implementations enforce the identical validation contract
-/// (magic/version/meta checks, frame bounds, CRC, declared-event-count
-/// honesty, malformed-varint rejection), so a trace is accepted or
-/// rejected identically regardless of which reader sees it — the parity
-/// tests in tests/trace hold them to that.
+/// TraceInput is the name replay-side code (the replayer, tracesynth,
+/// tracestat) uses for the one trace reader, TraceReader (TraceReader.h).
+/// It is an alias, not an interface: there is one reader class, and its
+/// byte source (mmap or read()) is picked by the TraceReaderKind given to
+/// openTraceInput().
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef DDM_TRACE_TRACEINPUT_H
 #define DDM_TRACE_TRACEINPUT_H
 
-#include "trace/TraceEvent.h"
-#include "trace/TraceFormat.h"
-
-#include <cstddef>
-#include <memory>
-#include <string>
+#include "trace/TraceReader.h"
 
 namespace ddm {
 
-/// A run of consecutive decoded events, valid until the producing
-/// TraceInput's next nextBatch() call (or its destruction).
-struct TraceEventSpan {
-  const TraceEvent *Data = nullptr;
-  size_t Size = 0;
-
-  bool empty() const { return Size == 0; }
-  const TraceEvent *begin() const { return Data; }
-  const TraceEvent *end() const { return Data + Size; }
-};
-
-/// Which reader implementation backs a replay.
-enum class TraceReaderKind {
-  Auto,      ///< Mapped for seekable regular files, streaming otherwise.
-  Streaming, ///< Force the FILE-descriptor streaming reader.
-  Mapped,    ///< Force the mmap reader (fails on non-regular files).
-};
-
-/// Parses a --reader flag value ("auto", "stream", "mmap"). Returns false
-/// on an unknown name.
-bool traceReaderKindFromName(const std::string &Name, TraceReaderKind &Kind);
-
-/// The canonical name of a kind ("auto", "stream", "mmap").
-const char *traceReaderKindName(TraceReaderKind Kind);
-
-/// Batched source of decoded trace events; see the file comment.
-class TraceInput {
-public:
-  /// Outcome of nextBatch(). Named Event (not Batch) so the enum is
-  /// source-compatible with the original per-event TraceReader::Next.
-  enum class Next {
-    Event, ///< A non-empty span of decoded events was produced.
-    End,   ///< Clean end of trace (EOF on a frame boundary).
-    Error, ///< Malformed input; see status().
-  };
-
-  virtual ~TraceInput() = default;
-
-  /// Provenance decoded from the meta frame (valid after a successful
-  /// open on the concrete reader).
-  virtual const TraceMeta &meta() const = 0;
-
-  /// Container format version of the open trace.
-  virtual uint32_t version() const = 0;
-
-  /// The diagnostic of the first failure (success-valued otherwise).
-  virtual const TraceStatus &status() const = 0;
-
-  /// Events delivered so far (sum of produced span sizes).
-  virtual uint64_t eventIndex() const = 0;
-
-  /// File offset of the frame currently being decoded (diagnostics).
-  virtual uint64_t byteOffset() const = 0;
-
-  /// "stream" or "mmap" — for diagnostics and bench labels.
-  virtual const char *readerName() const = 0;
-
-  /// Produces the next span of decoded events. On a decode failure past a
-  /// valid prefix of a block, the prefix is delivered first and the error
-  /// surfaces on the following call — exactly the order a per-event
-  /// consumer would observe.
-  virtual Next nextBatch(TraceEventSpan &Span) = 0;
-};
-
-/// Opens \p Path as a TraceInput of the requested kind (see
-/// TraceReaderKind). Returns nullptr and fills \p Status on failure;
-/// on success the input's header and meta frame are already validated.
-std::unique_ptr<TraceInput> openTraceInput(const std::string &Path,
-                                           TraceReaderKind Kind,
-                                           TraceStatus &Status);
+using TraceInput = TraceReader;
 
 } // namespace ddm
 

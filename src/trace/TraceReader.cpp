@@ -1,182 +1,366 @@
-//===- trace/TraceReader.cpp - Streaming trace file reader ----------------===//
+//===- trace/TraceReader.cpp - Trace file reader --------------------------===//
 
 #include "trace/TraceReader.h"
 
 #include "support/Crc32.h"
 
+#include <algorithm>
 #include <cerrno>
+#include <cstddef>
 #include <cstring>
+#include <limits>
 
 #include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 using namespace ddm;
 
+// The hot loop composes each event as four 64-bit words and stores all
+// 32 bytes at once; that packing is only valid against this exact field
+// layout (little-endian builds only — big-endian falls back to
+// field-wise stores).
+#if __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+static_assert(sizeof(TraceEvent) == 32, "TraceEvent layout changed");
+static_assert(offsetof(TraceEvent, Id) == 4 &&
+                  offsetof(TraceEvent, Size) == 8 &&
+                  offsetof(TraceEvent, OldSize) == 16 &&
+                  offsetof(TraceEvent, Alignment) == 24 &&
+                  offsetof(TraceEvent, IsWrite) == 28,
+              "TraceEvent layout changed");
+#endif
+
+namespace {
+
+/// Little-endian u32 load at an arbitrary (possibly unaligned) offset.
+inline uint32_t loadU32(const char *P) {
+  uint32_t V;
+  __builtin_memcpy(&V, P, sizeof(V));
+#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+  V = __builtin_bswap32(V);
+#endif
+  return V;
+}
+
+constexpr uint8_t OpMask = 0x07;
+
+/// Unchecked-bounds varint for the hot loop: callers guarantee at least
+/// MaxEventBytes of readable payload past P (the SafeEnd margin), so only
+/// the *content* rules remain — over-long >10-byte encodings and 64-bit
+/// overflow are rejected exactly as readVarint() rejects them.
+inline bool rawVarint(const uint8_t *&P, uint64_t &V) {
+  // The first four lengths are unrolled straight-line: the byte loads are
+  // independent of each other (only the final P bump is serial), where a
+  // byte-at-a-time loop chains every iteration through V and the shift
+  // counter. Work deltas and sizes live in the 2..4-byte range.
+  uint64_t B0 = P[0];
+  if (!(B0 & 0x80)) {
+    V = B0;
+    P += 1;
+    return true;
+  }
+  uint64_t B1 = P[1];
+  if (!(B1 & 0x80)) {
+    V = (B0 & 0x7F) | B1 << 7;
+    P += 2;
+    return true;
+  }
+  uint64_t B2 = P[2];
+  if (!(B2 & 0x80)) {
+    V = (B0 & 0x7F) | (B1 & 0x7F) << 7 | B2 << 14;
+    P += 3;
+    return true;
+  }
+  uint64_t B3 = P[3];
+  if (!(B3 & 0x80)) {
+    V = (B0 & 0x7F) | (B1 & 0x7F) << 7 | (B2 & 0x7F) << 14 | B3 << 21;
+    P += 4;
+    return true;
+  }
+  V = (B0 & 0x7F) | (B1 & 0x7F) << 7 | (B2 & 0x7F) << 14 | (B3 & 0x7F) << 21;
+  P += 4;
+  uint64_t Byte;
+  unsigned Shift = 28;
+  do {
+    Byte = *P++;
+    if (Shift == 63 && (Byte & 0x7E))
+      return false; // overflows 64 bits
+    if (Shift >= 63 && (Byte & 0x80))
+      return false; // over-long encoding
+    V |= (Byte & 0x7F) << Shift;
+    Shift += 7;
+  } while (Byte & 0x80);
+  return true;
+}
+
+inline bool rawZigzag(const uint8_t *&P, int64_t &V) {
+  uint64_t Raw;
+  if (!rawVarint(P, Raw))
+    return false;
+  V = static_cast<int64_t>((Raw >> 1) ^ (~(Raw & 1) + 1));
+  return true;
+}
+
+/// Largest possible encoded event: 1 tag byte + three 10-byte varints
+/// (realloc: id delta, old size, new size). The hot loop runs while at
+/// least this many bytes remain, so it needs no per-byte bounds checks.
+constexpr size_t MaxEventBytes = 32;
+
+// Defines decodeBlock(): the one block decoder, for both byte sources.
+#include "trace/TraceDecodeLoop.inc"
+
+} // namespace
+
+bool ddm::traceReaderKindFromName(const std::string &Name,
+                                  TraceReaderKind &Kind) {
+  if (Name == "auto")
+    Kind = TraceReaderKind::Auto;
+  else if (Name == "stream" || Name == "streaming")
+    Kind = TraceReaderKind::Streaming;
+  else if (Name == "mmap" || Name == "mapped")
+    Kind = TraceReaderKind::Mapped;
+  else
+    return false;
+  return true;
+}
+
+const char *ddm::traceReaderKindName(TraceReaderKind Kind) {
+  switch (Kind) {
+  case TraceReaderKind::Auto:
+    return "auto";
+  case TraceReaderKind::Streaming:
+    return "stream";
+  case TraceReaderKind::Mapped:
+    return "mmap";
+  }
+  return "auto";
+}
+
+std::unique_ptr<TraceReader> ddm::openTraceInput(const std::string &Path,
+                                                 TraceReaderKind Kind,
+                                                 TraceStatus &Status) {
+  auto Reader = std::make_unique<TraceReader>();
+  Status = Reader->open(Path, Kind);
+  return Status.ok() ? std::move(Reader) : nullptr;
+}
+
 TraceReader::~TraceReader() {
+  if (Base && MapSize) // zero-byte files carry a static placeholder base
+    munmap(const_cast<char *>(Base), MapSize);
   if (Fd >= 0)
     ::close(Fd);
 }
 
 TraceStatus TraceReader::fail(std::string Message) {
-  Status = TraceStatus::error(std::move(Message), BlockOffset, EventIdx);
+  Status = TraceStatus::error(std::move(Message), FrameOffset, EventIdx);
   Done = true;
   return Status;
 }
 
-size_t TraceReader::readFully(void *Dst, size_t Size) {
-  char *Out = static_cast<char *>(Dst);
-  size_t Got = 0;
-  while (Got < Size) {
-    ssize_t N = ::read(Fd, Out + Got, Size - Got);
-    if (N < 0) {
+const char *TraceReader::fetch(size_t N, char *Buf, size_t &Got) {
+  if (Base) {
+    Got = std::min<uint64_t>(N, MapSize - FileOffset);
+    const char *Data = Base + FileOffset;
+    FileOffset += Got;
+    return Data;
+  }
+  Got = 0;
+  while (Got < N) {
+    ssize_t R = ::read(Fd, Buf + Got, N - Got);
+    if (R < 0) {
       if (errno == EINTR)
         continue;
       break; // surfaces as a truncation diagnostic at the caller
     }
-    if (N == 0)
+    if (R == 0)
       break;
-    Got += static_cast<size_t>(N);
+    Got += static_cast<size_t>(R);
   }
-  return Got;
+  FileOffset += Got;
+  return Buf;
 }
 
-void TraceReader::reserveBlock(size_t Size) {
-  if (Size <= BlockCap)
-    return;
-  // Fresh uninitialized storage: the frame is read() straight into it and
-  // decoded in place, so zero-filling (as std::string::resize would) or
-  // copying the old contents would both be pure waste.
-  Block.reset(new char[Size]);
-  BlockCap = Size;
-}
-
-TraceStatus TraceReader::open(const std::string &Path) {
-  if (Fd >= 0)
+TraceStatus TraceReader::open(const std::string &Path, TraceReaderKind Kind) {
+  if (Fd >= 0 || Base)
     return TraceStatus::error("trace reader is already open");
-  Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (Fd < 0)
-    return TraceStatus::error("cannot open '" + Path +
-                              "': " + std::strerror(errno));
   Status = TraceStatus::success();
   Done = false;
-  EventIdx = 0;
-  FileOffset = 0;
-  BlockSize = 0;
-  BlockPos = 0;
-  BlockLeft = 0;
-  Version = TraceVersion;
+  // O_NONBLOCK when mmap is forced: a no-op for the regular files it
+  // accepts, but it keeps open(2) from blocking forever on a writer-less
+  // FIFO, so the not-a-regular-file diagnostic is reachable for any path.
+  // Auto must block: a FIFO it reads through read() needs its writer.
+  Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC |
+                                (Kind == TraceReaderKind::Mapped ? O_NONBLOCK
+                                                                 : 0));
+  if (Fd < 0)
+    return fail("cannot open '" + Path + "': " + std::strerror(errno));
 
-  char Header[sizeof(TraceMagic) + 4];
-  if (readFully(Header, sizeof(Header)) != sizeof(Header))
+  struct stat St;
+  if (Kind != TraceReaderKind::Streaming && fstat(Fd, &St) == 0 &&
+      S_ISREG(St.st_mode)) {
+    MapSize = static_cast<size_t>(St.st_size);
+    if (MapSize == 0) {
+      // A zero-byte file cannot be mapped; give it a non-null base so
+      // fetch() produces the normal truncation diagnostics.
+      static const char EmptyBase = 0;
+      Base = &EmptyBase;
+    } else {
+      int Flags = MAP_PRIVATE;
+#ifdef MAP_POPULATE
+      Flags |= MAP_POPULATE; // batch the page faults up front
+#endif
+      void *Map = mmap(nullptr, MapSize, PROT_READ, Flags, Fd, 0);
+      if (Map != MAP_FAILED) {
+        Base = static_cast<const char *>(Map);
+        // Best-effort: traces are decoded front to back exactly once.
+        madvise(Map, MapSize, MADV_SEQUENTIAL);
+      } else if (Kind == TraceReaderKind::Mapped) {
+        TraceStatus S = fail("cannot mmap '" + Path +
+                             "': " + std::strerror(errno));
+        ::close(Fd);
+        Fd = -1;
+        return S;
+      }
+      // Under Auto a refused mmap falls through to read().
+    }
+    if (Base) {
+      ::close(Fd); // the mapping keeps the pages alive
+      Fd = -1;
+    }
+  } else if (Kind == TraceReaderKind::Mapped) {
+    ::close(Fd);
+    Fd = -1;
+    return fail("'" + Path +
+                "' is not a seekable regular file; use the streaming reader");
+  }
+
+  char Buf[sizeof(TraceMagic) + 4];
+  size_t Got;
+  const char *Header = fetch(sizeof(Buf), Buf, Got);
+  if (Got != sizeof(Buf))
     return fail("file too short for trace header");
   if (std::memcmp(Header, TraceMagic, sizeof(TraceMagic)) != 0)
     return fail("bad magic: not a ddm trace file");
-  size_t Pos = sizeof(TraceMagic);
-  readU32(Header, sizeof(Header), Pos, Version);
+  Version = loadU32(Header + sizeof(TraceMagic));
   if (Version < TraceVersionMin || Version > TraceVersion)
     return fail("unsupported trace version " + std::to_string(Version) +
                 " (reader supports " + std::to_string(TraceVersionMin) +
                 ".." + std::to_string(TraceVersion) + ")");
   Decoder = TraceEventDecoder(Version);
-  FileOffset = sizeof(Header);
 
   // The first frame is always metadata (event-count 0).
-  if (loadBlock() != Load::Block)
-    return Status.ok() ? fail("missing metadata frame") : Status;
-  if (BlockLeft != 0)
+  switch (loadFrame()) {
+  case Load::End:
+    return fail("missing metadata frame");
+  case Load::Error:
+    return Status;
+  case Load::Frame:
+    break;
+  }
+  if (FrameEventsLeft != 0)
     return fail("first frame is not a metadata frame");
   std::string Error;
-  if (!decodeTraceMeta(Block.get(), BlockSize, Meta, Error))
+  if (!decodeTraceMeta(reinterpret_cast<const char *>(FrameP),
+                       static_cast<size_t>(FrameEnd - FrameP), Meta, Error))
     return fail("bad metadata frame: " + Error);
-  BlockSize = 0;
-  BlockPos = 0;
+  FrameP = FrameEnd; // consumed
   return Status;
 }
 
-TraceReader::Next TraceReader::next(TraceEvent &E) {
-  if (Done)
-    return Status.ok() ? Next::End : Next::Error;
-
-  // A loop, not an if: a fresh frame may itself declare zero events, and
-  // falling through to decode its payload anyway would replay undeclared
-  // events with BlockLeft underflowed. Looping re-runs the trailing-bytes
-  // check on it (and skips genuinely empty frames).
-  while (BlockLeft == 0) {
-    if (BlockPos != BlockSize) {
-      fail("frame payload has " + std::to_string(BlockSize - BlockPos) +
-           " trailing bytes beyond its declared events");
-      return Next::Error;
-    }
-    switch (loadBlock()) {
-    case Load::End:
-      Done = true;
-      return Next::End;
-    case Load::Error:
-      return Next::Error;
-    case Load::Block:
-      break;
-    }
+TraceReader::Load TraceReader::loadFrame() {
+  // The finished frame (or a 0-event frame) must not hold payload its
+  // declared event count never consumed.
+  if (FrameP != FrameEnd) {
+    fail("frame payload has " + std::to_string(FrameEnd - FrameP) +
+         " trailing bytes beyond its declared events");
+    return Load::Error;
   }
-
-  if (!Decoder.decode(Block.get(), BlockSize, BlockPos, E)) {
-    fail(Decoder.errorMessage());
-    return Next::Error;
+  FrameOffset = FileOffset;
+  char Buf[12];
+  size_t Got;
+  const char *Header = fetch(sizeof(Buf), Buf, Got);
+  if (Got == 0)
+    return Load::End; // clean EOF: only legal on a frame boundary
+  if (Got != sizeof(Buf)) {
+    fail("truncated frame header");
+    return Load::Error;
   }
-  --BlockLeft;
-  ++EventIdx;
-  return Next::Event;
+  uint32_t PayloadLen = loadU32(Header);
+  uint32_t EventCount = loadU32(Header + 4);
+  uint32_t Crc = loadU32(Header + 8);
+  if (PayloadLen > TraceMaxBlockBytes) {
+    fail("frame claims " + std::to_string(PayloadLen) +
+         " payload bytes (limit " + std::to_string(TraceMaxBlockBytes) + ")");
+    return Load::Error;
+  }
+  if (!Base && PayloadLen > BlockCap) {
+    // Fresh uninitialized storage: the frame is read() straight into it
+    // and decoded in place, so zero-filling or copying the old contents
+    // would both be pure waste.
+    Block.reset(new char[PayloadLen]);
+    BlockCap = PayloadLen;
+  }
+  const char *Payload = fetch(PayloadLen, Block.get(), Got);
+  if (Got != PayloadLen) {
+    fail("truncated frame payload (declared " + std::to_string(PayloadLen) +
+         " bytes)");
+    return Load::Error;
+  }
+  if (crc32(Payload, PayloadLen) != Crc) {
+    fail("CRC-32 mismatch: frame payload is corrupted");
+    return Load::Error;
+  }
+  FrameP = reinterpret_cast<const uint8_t *>(Payload);
+  FrameEnd = FrameP + PayloadLen;
+  FrameEventsLeft = EventCount;
+  return Load::Frame;
 }
 
 TraceReader::Next TraceReader::nextBatch(TraceEventSpan &Span) {
   Span = TraceEventSpan();
+  if (Done)
+    return Status.ok() ? Next::End : Next::Error;
   if (HavePending) {
-    // The previous batch ended in a decode failure past a valid prefix;
-    // the prefix has been delivered, now the error surfaces.
+    // The error that followed the previously delivered block prefix.
     HavePending = false;
     Status = PendingStatus;
     Done = true;
     return Next::Error;
   }
-  if (Done)
-    return Status.ok() ? Next::End : Next::Error;
 
-  // Same loop as next(): zero-event frames get their trailing-bytes check
-  // and are then skipped.
-  while (BlockLeft == 0) {
-    if (BlockPos != BlockSize) {
-      fail("frame payload has " + std::to_string(BlockSize - BlockPos) +
-           " trailing bytes beyond its declared events");
-      return Next::Error;
-    }
-    switch (loadBlock()) {
+  // Genuinely empty frames (0 events over 0 bytes) are skipped rather
+  // than surfaced as empty spans; one frame spans as many calls as it
+  // needs at BatchCap events each.
+  while (FrameEventsLeft == 0) {
+    switch (loadFrame()) {
     case Load::End:
       Done = true;
       return Next::End;
     case Load::Error:
       return Next::Error;
-    case Load::Block:
+    case Load::Frame:
       break;
     }
   }
 
-  size_t Count = BlockLeft;
-  if (Batch.size() < Count)
-    Batch.resize(Count);
-  size_t Decoded = 0;
-  while (Decoded < Count &&
-         Decoder.decode(Block.get(), BlockSize, BlockPos, Batch[Decoded]))
-    ++Decoded;
-  BlockLeft -= static_cast<uint32_t>(Decoded);
-  if (Decoded < Count) {
-    TraceStatus Bad = TraceStatus::error(Decoder.errorMessage(), BlockOffset,
+  size_t Want = std::min<size_t>(FrameEventsLeft, BatchCap);
+  if (Batch.size() < Want)
+    Batch.resize(Want);
+  size_t Decoded = decodeBlock(FrameP, static_cast<size_t>(FrameEnd - FrameP),
+                               static_cast<uint32_t>(Want), Decoder,
+                               Batch.data(), FrameP);
+  FrameEventsLeft -= static_cast<uint32_t>(Decoded);
+  if (Decoded < Want) {
+    TraceStatus Bad = TraceStatus::error(Decoder.errorMessage(), FrameOffset,
                                          EventIdx + Decoded);
     if (Decoded == 0) {
-      Status = Bad;
+      Status = std::move(Bad);
       Done = true;
       return Next::Error;
     }
     HavePending = true;
-    PendingStatus = Bad;
+    PendingStatus = std::move(Bad);
   }
   EventIdx += Decoded;
   Span.Data = Batch.data();
@@ -184,39 +368,15 @@ TraceReader::Next TraceReader::nextBatch(TraceEventSpan &Span) {
   return Next::Event;
 }
 
-TraceReader::Load TraceReader::loadBlock() {
-  BlockOffset = FileOffset;
-  char Header[12];
-  size_t Got = readFully(Header, sizeof(Header));
-  if (Got == 0)
-    return Load::End; // clean EOF: only legal on a frame boundary
-  if (Got != sizeof(Header)) {
-    fail("truncated frame header");
-    return Load::Error;
+TraceReader::Next TraceReader::next(TraceEvent &E) {
+  if (CursorPos == Cursor.Size) {
+    TraceEventSpan Span;
+    Next R = nextBatch(Span);
+    if (R != Next::Event)
+      return R;
+    Cursor = Span;
+    CursorPos = 0;
   }
-  size_t Pos = 0;
-  uint32_t PayloadLen, EventCount, Crc;
-  readU32(Header, sizeof(Header), Pos, PayloadLen);
-  readU32(Header, sizeof(Header), Pos, EventCount);
-  readU32(Header, sizeof(Header), Pos, Crc);
-  if (PayloadLen > TraceMaxBlockBytes) {
-    fail("frame claims " + std::to_string(PayloadLen) +
-         " payload bytes (limit " + std::to_string(TraceMaxBlockBytes) + ")");
-    return Load::Error;
-  }
-  reserveBlock(PayloadLen);
-  if (PayloadLen && readFully(Block.get(), PayloadLen) != PayloadLen) {
-    fail("truncated frame payload (declared " + std::to_string(PayloadLen) +
-         " bytes)");
-    return Load::Error;
-  }
-  if (crc32(Block.get(), PayloadLen) != Crc) {
-    fail("CRC-32 mismatch: frame payload is corrupted");
-    return Load::Error;
-  }
-  FileOffset += sizeof(Header) + PayloadLen;
-  BlockSize = PayloadLen;
-  BlockPos = 0;
-  BlockLeft = EventCount;
-  return Load::Block;
+  E = Cursor.Data[CursorPos++];
+  return Next::Event;
 }

@@ -8,10 +8,10 @@
 /// trace drives every allocator at identical inputs, and replaying with
 /// the trace's own seed reproduces the live run bit-for-bit.
 ///
-/// The replayer pulls decoded events in block-sized spans from a
-/// TraceInput — the mmap zero-copy reader for regular files, the
-/// streaming reader for pipes/FIFOs (see openTraceInput) — so the hot
-/// loop costs one indirect call per ~20k events, not one per event.
+/// The replayer pulls decoded events in spans of up to 1024 from the
+/// trace reader (TraceInput, TraceReader.h) — mmap'd for regular files,
+/// read() for pipes/FIFOs (see openTraceInput) — so the hot loop costs
+/// one reader call per span, not one per event.
 ///
 /// The replayer validates events against its own live-object table before
 /// forwarding them, so a malformed or hand-edited trace produces a
@@ -125,7 +125,7 @@ private:
   std::unique_ptr<TraceInput> Input;
   TraceEventSpan Span;     ///< Current batch of decoded events.
   size_t SpanPos = 0;      ///< Consumption cursor within Span.
-  uint64_t EventsDone = 0; ///< Events consumed (≤ Input->eventIndex()).
+  uint64_t EventsDone = 0; ///< Events consumed from the input.
   /// The live-object table, indexed by object id. Slots at and above
   /// ObjectsInTx are never live; EndTx clears the used prefix and keeps
   /// the storage for the next transaction.

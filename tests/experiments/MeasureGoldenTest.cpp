@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -222,6 +223,39 @@ sampler churn 264328 33041 64 52 50 12 106168320 262144 34406400 64
 regions 12
 adaptive 2 'slab'
 )");
+}
+
+TEST(MeasureGoldenTest, SampledGiveBackWaitsForColdBytes) {
+  // The sampler gates the cold give-back: a sampled run whose monitor
+  // never ages a region into coldness advises nothing out, while its
+  // unsampled twin (an unconditional give-back) drops the free resident
+  // pages the adaptive switch away from the region chunk left behind.
+  SimulationOptions Options = tinyOptions();
+  Options.Scale = 0.2;
+  Options.MeasureTx = 3;
+  Options.Backend = PageBackendKind::Buddy;
+  Options.BackendReserveBytes = 256ull * 1024 * 1024;
+  Options.ColdGiveBack = true;
+  RuntimeConfig Config = smallHeapConfig(AllocatorKind::Adaptive);
+  Config.AllocOptions.HeapReserveBytes = 16ull * 1024 * 1024;
+  Config.AllocOptions.RegionChunkBytes = 64ull * 1024 * 1024;
+  SimPoint Unsampled =
+      simulatePhases(twoPhases(), Config, xeonLike(), 1, Options);
+  enableSampling(Options);
+  // No window ever folds, so no region ages long enough to count as cold.
+  Options.Sampler.WindowEvents = std::numeric_limits<uint64_t>::max();
+  SimPoint Sampled =
+      simulatePhases(twoPhases(), Config, xeonLike(), 1, Options);
+
+  ASSERT_FALSE(Sampled.SamplerPhases.empty());
+  EXPECT_EQ(Sampled.SamplerPhases.back().ColdBytes, 0u);
+  EXPECT_EQ(Sampled.AdvisedOutBytes, 0u);
+  EXPECT_GT(Unsampled.AdvisedOutBytes, 0u);
+  EXPECT_EQ("rss " + std::to_string(Unsampled.RssBytes) + " advised " +
+                std::to_string(Unsampled.AdvisedOutBytes) + "\nrss " +
+                std::to_string(Sampled.RssBytes) + " advised " +
+                std::to_string(Sampled.AdvisedOutBytes),
+            "rss 16777216 advised 50331648\nrss 67108864 advised 0");
 }
 
 TEST(MeasureGoldenTest, ServiceProfileWeightsAndSnapshot) {

@@ -1,17 +1,16 @@
 //===- tests/trace/MappedReaderTest.cpp - mmap/streaming reader parity ----===//
 ///
-/// The mmap reader must be observationally identical to the streaming
-/// reader: same decoded event sequence on valid traces, same
-/// accept/reject decision on broken ones, and the same
-/// prefix-then-error delivery order when corruption sits past a valid
+/// The reader's mmap source must be observationally identical to its
+/// read() source: same decoded event sequence on valid traces, same
+/// diagnostic (message, byte offset, event index) on broken ones, and the
+/// same prefix-then-error delivery order when corruption sits past a valid
 /// block prefix. Also pins openTraceInput()'s selection policy: mmap
-/// for regular files, streaming for FIFOs, and a hard error when the
+/// for regular files, read() for FIFOs, and a hard error when the
 /// caller forces mmap onto something unmappable.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "support/Crc32.h"
-#include "trace/MappedTraceReader.h"
 #include "trace/TraceInput.h"
 #include "trace/TraceReader.h"
 #include "trace/TraceWriter.h"
@@ -118,20 +117,20 @@ void expectSameEvents(const std::vector<TraceEvent> &A,
   }
 }
 
-/// Both readers over \p Path: same events, same accept/reject, same
-/// number of events delivered ahead of any error.
+/// Both sources over \p Path: same events, same diagnostic, same number
+/// of events delivered ahead of any error.
 void expectParity(const std::string &Path) {
   TraceReader Stream;
   ASSERT_TRUE(Stream.open(Path).ok()) << Path;
   TraceStatus StreamStatus;
   std::vector<TraceEvent> StreamEvents = drain(Stream, StreamStatus);
 
-  MappedTraceReader Mapped;
-  ASSERT_TRUE(Mapped.open(Path).ok()) << Path;
+  TraceReader Mapped;
+  ASSERT_TRUE(Mapped.open(Path, TraceReaderKind::Mapped).ok()) << Path;
   TraceStatus MappedStatus;
   std::vector<TraceEvent> MappedEvents = drain(Mapped, MappedStatus);
 
-  EXPECT_EQ(StreamStatus.ok(), MappedStatus.ok()) << Path;
+  EXPECT_EQ(StreamStatus.describe(), MappedStatus.describe()) << Path;
   expectSameEvents(StreamEvents, MappedEvents);
 }
 
@@ -140,8 +139,8 @@ TEST(MappedReaderTest, ParityOnFullOpMix) {
   makeFullTrace(Path);
   expectParity(Path);
 
-  MappedTraceReader Mapped;
-  ASSERT_TRUE(Mapped.open(Path).ok());
+  TraceReader Mapped;
+  ASSERT_TRUE(Mapped.open(Path, TraceReaderKind::Mapped).ok());
   EXPECT_STREQ(Mapped.readerName(), "mmap");
   EXPECT_EQ(Mapped.meta().Workload, "synthetic");
   EXPECT_EQ(Mapped.meta().Seed, 11u);
@@ -217,8 +216,9 @@ TEST(MappedReaderTest, RejectsNonTraces) {
        {std::string(), std::string("short"),
         std::string("garbage-not-a-trace-header-at-all")}) {
     spit(Path, Bytes);
-    MappedTraceReader Reader;
-    EXPECT_FALSE(Reader.open(Path).ok()) << "bytes: " << Bytes.size();
+    TraceReader Reader;
+    EXPECT_FALSE(Reader.open(Path, TraceReaderKind::Mapped).ok())
+        << "bytes: " << Bytes.size();
   }
   std::remove(Path.c_str());
 }
@@ -228,8 +228,8 @@ TEST(MappedReaderTest, RejectsFutureVersion) {
   std::string Bytes = makeFullTrace(Path);
   Bytes[8] = 99; // version u32le follows the 8-byte magic
   spit(Path, Bytes);
-  MappedTraceReader Reader;
-  TraceStatus S = Reader.open(Path);
+  TraceReader Reader;
+  TraceStatus S = Reader.open(Path, TraceReaderKind::Mapped);
   EXPECT_FALSE(S.ok());
   EXPECT_NE(S.Message.find("version"), std::string::npos) << S.describe();
   std::remove(Path.c_str());
@@ -242,8 +242,8 @@ TEST(MappedReaderTest, TornFinalFrameIsTruncationNotSilence) {
   // both readers, never a clean End.
   for (size_t Cut : {Bytes.size() - 1, Bytes.size() - 7, Bytes.size() / 2}) {
     spit(Path, Bytes.substr(0, Cut));
-    MappedTraceReader Mapped;
-    ASSERT_TRUE(Mapped.open(Path).ok());
+    TraceReader Mapped;
+    ASSERT_TRUE(Mapped.open(Path, TraceReaderKind::Mapped).ok());
     TraceStatus MappedStatus;
     std::vector<TraceEvent> MappedEvents = drain(Mapped, MappedStatus);
     EXPECT_FALSE(MappedStatus.ok()) << "cut at " << Cut;
@@ -253,6 +253,7 @@ TEST(MappedReaderTest, TornFinalFrameIsTruncationNotSilence) {
     TraceStatus StreamStatus;
     std::vector<TraceEvent> StreamEvents = drain(Stream, StreamStatus);
     EXPECT_FALSE(StreamStatus.ok()) << "cut at " << Cut;
+    EXPECT_EQ(StreamStatus.describe(), MappedStatus.describe());
     expectSameEvents(StreamEvents, MappedEvents);
   }
   std::remove(Path.c_str());
@@ -265,8 +266,8 @@ TEST(MappedReaderTest, CrcFlipIsDetected) {
   Flipped[Flipped.size() - 3] ^= 0x40; // inside the last frame's payload
   spit(Path, Flipped);
 
-  MappedTraceReader Mapped;
-  ASSERT_TRUE(Mapped.open(Path).ok());
+  TraceReader Mapped;
+  ASSERT_TRUE(Mapped.open(Path, TraceReaderKind::Mapped).ok());
   TraceStatus MappedStatus;
   std::vector<TraceEvent> MappedEvents = drain(Mapped, MappedStatus);
   EXPECT_FALSE(MappedStatus.ok());
@@ -280,6 +281,7 @@ TEST(MappedReaderTest, CrcFlipIsDetected) {
   TraceStatus StreamStatus;
   std::vector<TraceEvent> StreamEvents = drain(Stream, StreamStatus);
   EXPECT_FALSE(StreamStatus.ok());
+  EXPECT_EQ(StreamStatus.describe(), MappedStatus.describe());
   expectSameEvents(StreamEvents, MappedEvents);
   std::remove(Path.c_str());
 }
@@ -304,8 +306,8 @@ TEST(MappedReaderTest, GarbageInsideValidCrcFrameIsRejected) {
   std::memcpy(&Broken[Frame + 8], &NewCrc, 4);
   spit(Path, Broken);
 
-  MappedTraceReader Mapped;
-  ASSERT_TRUE(Mapped.open(Path).ok());
+  TraceReader Mapped;
+  ASSERT_TRUE(Mapped.open(Path, TraceReaderKind::Mapped).ok());
   TraceStatus MappedStatus;
   std::vector<TraceEvent> MappedEvents = drain(Mapped, MappedStatus);
   EXPECT_FALSE(MappedStatus.ok());
@@ -315,6 +317,7 @@ TEST(MappedReaderTest, GarbageInsideValidCrcFrameIsRejected) {
   TraceStatus StreamStatus;
   std::vector<TraceEvent> StreamEvents = drain(Stream, StreamStatus);
   EXPECT_FALSE(StreamStatus.ok());
+  EXPECT_EQ(StreamStatus.describe(), MappedStatus.describe());
   expectSameEvents(StreamEvents, MappedEvents);
   std::remove(Path.c_str());
 }
@@ -323,8 +326,8 @@ TEST(MappedReaderTest, TrailingGarbageAfterFinalFrame) {
   std::string Path = tempPath("trailing");
   std::string Bytes = makeFullTrace(Path);
   spit(Path, Bytes + std::string(5, '\x7f'));
-  MappedTraceReader Mapped;
-  ASSERT_TRUE(Mapped.open(Path).ok());
+  TraceReader Mapped;
+  ASSERT_TRUE(Mapped.open(Path, TraceReaderKind::Mapped).ok());
   TraceStatus MappedStatus;
   drain(Mapped, MappedStatus);
   EXPECT_FALSE(MappedStatus.ok());
@@ -334,6 +337,7 @@ TEST(MappedReaderTest, TrailingGarbageAfterFinalFrame) {
   TraceStatus StreamStatus;
   drain(Stream, StreamStatus);
   EXPECT_FALSE(StreamStatus.ok());
+  EXPECT_EQ(StreamStatus.describe(), MappedStatus.describe());
   std::remove(Path.c_str());
 }
 

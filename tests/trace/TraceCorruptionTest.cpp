@@ -8,6 +8,10 @@
 /// an allocation id no producer could have handed out yet, truncation
 /// inside a transaction).
 ///
+/// Every reader-level case runs through both byte sources (mmap and
+/// read()), and a FIFO, and must report the identical diagnostic:
+/// message, byte offset and event index.
+///
 //===----------------------------------------------------------------------===//
 
 #include "support/Crc32.h"
@@ -18,10 +22,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
+
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 using namespace ddm;
 
@@ -80,10 +91,20 @@ std::string makeValidTrace(const std::string &Path) {
   return slurp(Path);
 }
 
-/// Expects open()-or-scan of \p Path to fail with a non-empty diagnostic.
+/// Scans \p Path through the read() source and the mmap source; both must
+/// reach the identical verdict (message, byte offset and event index).
+TraceStatus summarizeBothSources(const std::string &Path) {
+  TraceSummary Stream, Mapped;
+  TraceStatus S = summarizeTrace(Path, Stream, TraceReaderKind::Streaming);
+  TraceStatus M = summarizeTrace(Path, Mapped, TraceReaderKind::Mapped);
+  EXPECT_EQ(S.describe(), M.describe()) << Path;
+  return S;
+}
+
+/// Expects open()-or-scan of \p Path to fail with a non-empty diagnostic,
+/// identically through both byte sources.
 void expectBroken(const std::string &Path) {
-  TraceSummary Summary;
-  TraceStatus Status = summarizeTrace(Path, Summary);
+  TraceStatus Status = summarizeBothSources(Path);
   EXPECT_FALSE(Status.ok());
   EXPECT_FALSE(Status.Message.empty());
   EXPECT_NE(Status.describe(), "ok");
@@ -552,8 +573,7 @@ TEST(TraceCorruptionTest, ZeroEventCountFrameWithPayloadFails) {
   size_t MetaEnd = metaEnd(Data);
   spit(Path, Data.substr(0, MetaEnd) + frameBytes(Payload, 0) +
                  Data.substr(MetaEnd));
-  TraceSummary Summary;
-  TraceStatus Status = summarizeTrace(Path, Summary);
+  TraceStatus Status = summarizeBothSources(Path);
   ASSERT_FALSE(Status.ok());
   EXPECT_NE(Status.Message.find("trailing bytes"), std::string::npos)
       << Status.describe();
@@ -568,9 +588,43 @@ TEST(TraceCorruptionTest, DiagnosticsCarryLocation) {
   std::string Broken = Data;
   Broken[Broken.size() - 2] ^= 0x01;
   spit(Path, Broken);
-  TraceSummary Summary;
-  TraceStatus Status = summarizeTrace(Path, Summary);
+  TraceStatus Status = summarizeBothSources(Path);
   ASSERT_FALSE(Status.ok());
   EXPECT_GT(Status.ByteOffset, 0u);
+  std::remove(Path.c_str());
+}
+
+TEST(TraceCorruptionTest, FifoReportsTheFileDiagnostic) {
+  // A corrupt frame after valid ones, fed through a FIFO: the reader
+  // delivers the valid prefix and then reports exactly what it reports
+  // for the same bytes in a regular file.
+  std::string Path = tempPath("fifo_src");
+  std::string Data = makeValidTrace(Path) + frameBytes("\xff\xff\xff", 3);
+  spit(Path, Data);
+  TraceSummary FileSummary;
+  TraceStatus FromFile =
+      summarizeTrace(Path, FileSummary, TraceReaderKind::Mapped);
+  ASSERT_FALSE(FromFile.ok());
+  EXPECT_EQ(FromFile.EventIndex, 202u) << FromFile.describe();
+
+  std::string Fifo = testing::TempDir() + "ddm_corrupt_fifo";
+  std::remove(Fifo.c_str());
+  ASSERT_EQ(mkfifo(Fifo.c_str(), 0600), 0) << strerror(errno);
+  // One write() well under the pipe capacity: it completes before the
+  // reader can fail and close its end, so the writer never sees SIGPIPE.
+  ASSERT_LT(Data.size(), 4096u);
+  std::thread Writer([&] {
+    int Fd = ::open(Fifo.c_str(), O_WRONLY);
+    if (Fd < 0)
+      return;
+    EXPECT_EQ(::write(Fd, Data.data(), Data.size()),
+              static_cast<ssize_t>(Data.size()));
+    ::close(Fd);
+  });
+  TraceSummary FifoSummary;
+  TraceStatus FromFifo = summarizeTrace(Fifo, FifoSummary);
+  Writer.join();
+  EXPECT_EQ(FromFifo.describe(), FromFile.describe());
+  std::remove(Fifo.c_str());
   std::remove(Path.c_str());
 }
