@@ -18,6 +18,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/DDmalloc.h"
+#include "experiments/BenchCli.h"
 #include "sim/Cache.h"
 #include "support/ArgParse.h"
 #include "support/Random.h"
@@ -126,6 +127,7 @@ int main(int Argc, char **Argv) {
   Parser.addFlag("csv", &Csv, "emit CSV instead of ASCII");
   if (!Parser.parse(Argc, Argv))
     return 1;
+  checkScaleFlag(Scale);
 
   WorkloadSpec W = mediaWikiReadOnly();
 

@@ -169,34 +169,16 @@ int main(int Argc, char **Argv) {
   bool GiveBackOk = GiveBack.AdvisedOutBytes > 0;
 
   Table Out({"allocator", "cycles/tx", "vs best static", "switches",
-             "final strategy"});
-  JsonWriter J;
-  if (Cli.Json) {
-    J.beginObject()
-        .field("bench", "adaptive")
-        .field("seed", Cli.Seed)
-        .field("scale", Cli.Scale)
-        .key("rows")
-        .beginArray();
-  }
+             "final strategy"},
+            {"allocator", "cycles_per_tx", "vs_best_static_pct",
+             "strategy_switches", "final_strategy"});
   auto emitRow = [&](const char *Name, const SimPoint &Pt) {
-    double VsBest = percentOver(Pt.Perf.CyclesPerTx, BestStaticCycles);
-    if (Cli.Json)
-      J.beginObject()
-          .field("allocator", Name)
-          .field("cycles_per_tx", Pt.Perf.CyclesPerTx)
-          .field("vs_best_static_pct", VsBest)
-          .field("strategy_switches", Pt.StrategySwitches)
-          .field("final_strategy",
-                 Pt.FinalStrategy.empty() ? "-" : Pt.FinalStrategy.c_str())
-          .endObject();
-    else
-      Out.row()
-          .cell(Name)
-          .cell(Pt.Perf.CyclesPerTx, 0)
-          .cell(VsBest, 2)
-          .cell(Pt.StrategySwitches)
-          .cell(Pt.FinalStrategy.empty() ? "-" : Pt.FinalStrategy.c_str());
+    Out.row()
+        .cell(Name)
+        .cell(Pt.Perf.CyclesPerTx, 0)
+        .cell(percentOver(Pt.Perf.CyclesPerTx, BestStaticCycles), 2)
+        .cell(Pt.StrategySwitches)
+        .cell(Pt.FinalStrategy.empty() ? "-" : Pt.FinalStrategy.c_str());
   };
   for (size_t I = 0; I < NumStatic; ++I)
     emitRow(allocatorKindName(StaticKinds[I]), Points[I]);
@@ -205,8 +187,14 @@ int main(int Argc, char **Argv) {
   emitRow("adaptive+giveback", GiveBack);
 
   if (Cli.Json) {
-    J.endArray()
-        .field("best_static", BestStaticName)
+    JsonWriter J;
+    J.beginObject()
+        .field("bench", "adaptive")
+        .field("seed", Cli.Seed)
+        .field("scale", Cli.Scale)
+        .key("rows");
+    Out.writeJson(J);
+    J.field("best_static", BestStaticName)
         .field("best_static_cycles_per_tx", BestStaticCycles)
         .field("sampling_overhead_pct", OverheadPct)
         .field("rss_before_giveback_bytes", RssBefore)

@@ -198,18 +198,9 @@ void hardenedSoak(JsonWriter &J, uint64_t Seed, uint64_t TxPerAllocator,
 }
 
 void servingMetricsJson(JsonWriter &J, const ServingMetrics &M) {
-  J.beginObject()
-      .field("offered", M.Offered)
-      .field("completed", M.Completed)
-      .field("dropped", M.Dropped)
-      .field("failed", M.Failed)
-      .field("retried", M.Retried)
-      .field("unfinished", M.Unfinished)
-      .field("corruption_aborts", M.CorruptionAborts)
-      .field("restarts", M.Restarts)
-      .field("restart_downtime_sec", M.RestartDowntimeSec)
-      .field("peak_worker_heap_bytes", M.PeakWorkerHeapBytes)
-      .field("goodput_rps", M.GoodputRps)
+  J.beginObject();
+  writeServingCounters(J, M);
+  J.field("goodput_rps", M.GoodputRps)
       .field("p99_ms", M.p99Ms())
       .endObject();
 }

@@ -71,30 +71,20 @@ int main(int Argc, char **Argv) {
 
   size_t Idx = 0;
   for (const Platform &P : Platforms) {
-    Table Out({"workload", "default (tx/s)", "region", "ddmalloc"});
-    if (Cli.Json)
-      J.beginObject().field("platform", P.Name).key("rows").beginArray();
+    Table Out({"workload", "default (tx/s)", "region", "ddmalloc"},
+              {"workload", "default_tps", "region_vs_default_pct",
+               "ddmalloc_vs_default_pct"});
     for (const WorkloadSpec &W : Workloads) {
       const SimPoint &Default = Points[Idx++];
       const SimPoint &Region = Points[Idx++];
       const SimPoint &DDm = Points[Idx++];
-      if (Cli.Json)
-        J.beginObject()
-            .field("workload", W.Name)
-            .field("default_tps", Default.Perf.TxPerSec * Cli.Scale)
-            .field("region_vs_default_pct",
-                   percentOver(Region.Perf.TxPerSec, Default.Perf.TxPerSec))
-            .field("ddmalloc_vs_default_pct",
-                   percentOver(DDm.Perf.TxPerSec, Default.Perf.TxPerSec))
-            .endObject();
-      else
-        Out.row()
-            .cell(W.Name)
-            .cell(Default.Perf.TxPerSec * Cli.Scale, 1)
-            .percentCell(
-                percentOver(Region.Perf.TxPerSec, Default.Perf.TxPerSec))
-            .percentCell(
-                percentOver(DDm.Perf.TxPerSec, Default.Perf.TxPerSec));
+      Out.row()
+          .cell(W.Name)
+          .cell(Default.Perf.TxPerSec * Cli.Scale, 1)
+          .percentCell(
+              percentOver(Region.Perf.TxPerSec, Default.Perf.TxPerSec))
+          .percentCell(
+              percentOver(DDm.Perf.TxPerSec, Default.Perf.TxPerSec));
       if (Verbose && !Cli.Json) {
         auto Dump = [&](const char *Name, const SimPoint &Point) {
           DomainEvents T = Point.Events.total();
@@ -115,7 +105,9 @@ int main(int Argc, char **Argv) {
       }
     }
     if (Cli.Json) {
-      J.endArray().endObject();
+      J.beginObject().field("platform", P.Name).key("rows");
+      Out.writeJson(J);
+      J.endObject();
     } else {
       std::printf("--- platform: %s-like, %u cores ---\n", P.Name.c_str(),
                   P.Cores);

@@ -73,29 +73,22 @@ int main(int Argc, char **Argv) {
         .beginArray();
   size_t Idx = 0;
   for (const Platform &P : Platforms) {
-    Table Out({"cores", "default", "region-based", "our DDmalloc"});
-    if (Cli.Json)
-      J.beginObject().field("platform", P.Name).key("points").beginArray();
+    Table Out({"cores", "default", "region-based", "our DDmalloc"},
+              {"cores", "default_tps", "region_tps", "ddmalloc_tps"});
     for (unsigned Cores : CoreCounts) {
       const SimPoint &Default = Points[Idx++];
       const SimPoint &Region = Points[Idx++];
       const SimPoint &DDm = Points[Idx++];
-      if (Cli.Json)
-        J.beginObject()
-            .field("cores", Cores)
-            .field("default_tps", Default.Perf.TxPerSec * Cli.Scale)
-            .field("region_tps", Region.Perf.TxPerSec * Cli.Scale)
-            .field("ddmalloc_tps", DDm.Perf.TxPerSec * Cli.Scale)
-            .endObject();
-      else
-        Out.row()
-            .cell(Cores)
-            .cell(Default.Perf.TxPerSec * Cli.Scale, 1)
-            .cell(Region.Perf.TxPerSec * Cli.Scale, 1)
-            .cell(DDm.Perf.TxPerSec * Cli.Scale, 1);
+      Out.row()
+          .cell(Cores)
+          .cell(Default.Perf.TxPerSec * Cli.Scale, 1)
+          .cell(Region.Perf.TxPerSec * Cli.Scale, 1)
+          .cell(DDm.Perf.TxPerSec * Cli.Scale, 1);
     }
     if (Cli.Json) {
-      J.endArray().endObject();
+      J.beginObject().field("platform", P.Name).key("points");
+      Out.writeJson(J);
+      J.endObject();
     } else {
       std::printf("--- platform: %s-like ---\n", P.Name.c_str());
       std::fputs((Cli.Csv ? Out.renderCsv() : Out.renderAscii()).c_str(),

@@ -14,7 +14,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "experiments/BenchCli.h"
-#include "support/Format.h"
 #include "support/Json.h"
 #include "support/Stats.h"
 #include "support/Table.h"
@@ -61,18 +60,12 @@ int main(int Argc, char **Argv) {
   // there is no page economy, so all read 0 (the allocators own private
   // reservations outright).
   Table Out({"workload", "default", "region", "x default", "ddmalloc",
-             "x default", "ext frag", "pages reclaimed", "rss bytes"});
+             "x default", "ext frag", "pages reclaimed", "rss bytes"},
+            {"workload", "default_bytes", "region_bytes", "region_x_default",
+             "ddmalloc_bytes", "ddmalloc_x_default", "external_fragmentation",
+             "pages_reclaimed", "rss_bytes"});
   RunningStat RegionRatio, DDmallocRatio;
   double WorstRegionRatio = 0;
-
-  JsonWriter J;
-  if (Cli.Json)
-    J.beginObject()
-        .field("bench", "fig09_memory_consumption")
-        .field("seed", Cli.Seed)
-        .field("scale", Cli.Scale)
-        .key("rows")
-        .beginArray();
 
   size_t Idx = 0;
   for (const WorkloadSpec &W : Workloads) {
@@ -99,34 +92,27 @@ int main(int Argc, char **Argv) {
     DDmallocRatio.add(DRatio);
     if (RRatio > WorstRegionRatio)
       WorstRegionRatio = RRatio;
-    if (Cli.Json)
-      J.beginObject()
-          .field("workload", W.Name)
-          .field("default_bytes", Base)
-          .field("region_bytes", Region.MeanConsumptionBytes)
-          .field("region_x_default", RRatio)
-          .field("ddmalloc_bytes", DDm.MeanConsumptionBytes)
-          .field("ddmalloc_x_default", DRatio)
-          .field("external_fragmentation", ExtFrag)
-          .field("pages_reclaimed", PagesReclaimed)
-          .field("rss_bytes", RssBytes)
-          .endObject();
-    else
-      Out.row()
-          .cell(W.Name)
-          .cell(formatBytes(static_cast<uint64_t>(Base)))
-          .cell(formatBytes(static_cast<uint64_t>(Region.MeanConsumptionBytes)))
-          .cell(RRatio, 2)
-          .cell(formatBytes(static_cast<uint64_t>(DDm.MeanConsumptionBytes)))
-          .cell(DRatio, 2)
-          .cell(ExtFrag, 3)
-          .cell(static_cast<uint64_t>(PagesReclaimed))
-          .cell(formatBytes(RssBytes));
+    Out.row()
+        .cell(W.Name)
+        .bytesCell(Base)
+        .bytesCell(Region.MeanConsumptionBytes)
+        .cell(RRatio, 2)
+        .bytesCell(DDm.MeanConsumptionBytes)
+        .cell(DRatio, 2)
+        .cell(ExtFrag, 3)
+        .cell(PagesReclaimed)
+        .bytesCell(RssBytes);
   }
 
   if (Cli.Json) {
-    J.endArray()
-        .field("region_mean_x_default", RegionRatio.mean())
+    JsonWriter J;
+    J.beginObject()
+        .field("bench", "fig09_memory_consumption")
+        .field("seed", Cli.Seed)
+        .field("scale", Cli.Scale)
+        .key("rows");
+    Out.writeJson(J);
+    J.field("region_mean_x_default", RegionRatio.mean())
         .field("region_worst_x_default", WorstRegionRatio)
         .field("ddmalloc_mean_x_default", DDmallocRatio.mean())
         .endObject();

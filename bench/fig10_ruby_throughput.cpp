@@ -65,37 +65,30 @@ int main(int Argc, char **Argv) {
   SweepRunner Runner = Cli.makeRunner();
   std::vector<SimPoint> Points = Runner.run(Tasks);
 
-  Table Out({"allocator", "throughput (tx/s)", "vs glibc"});
-  JsonWriter J;
-  if (Cli.Json)
-    J.beginObject()
-        .field("bench", "fig10_ruby_throughput")
-        .field("seed", Cli.Seed)
-        .field("scale", Cli.Scale)
-        .field("restart_period_tx", RestartPeriod)
-        .key("rows")
-        .beginArray();
+  Table Out({"allocator", "throughput (tx/s)", "vs glibc"},
+            {"allocator", "tps", "vs_glibc_pct"});
   double Baseline = 0;
   for (size_t I = 0; I < Kinds.size(); ++I) {
     AllocatorKind Kind = Kinds[I];
     double Tps = Points[I].Perf.TxPerSec * Cli.Scale;
     if (Kind == AllocatorKind::Glibc)
       Baseline = Tps;
-    if (Cli.Json)
-      J.beginObject()
-          .field("allocator", allocatorKindName(Kind))
-          .field("tps", Tps)
-          .field("vs_glibc_pct", percentOver(Tps, Baseline))
-          .endObject();
-    else
-      Out.row()
-          .cell(allocatorKindName(Kind))
-          .cell(Tps, 1)
-          .percentCell(percentOver(Tps, Baseline));
+    Out.row()
+        .cell(allocatorKindName(Kind))
+        .cell(Tps, 1)
+        .percentCell(percentOver(Tps, Baseline));
   }
 
   if (Cli.Json) {
-    J.endArray().endObject();
+    JsonWriter J;
+    J.beginObject()
+        .field("bench", "fig10_ruby_throughput")
+        .field("seed", Cli.Seed)
+        .field("scale", Cli.Scale)
+        .field("restart_period_tx", RestartPeriod)
+        .key("rows");
+    Out.writeJson(J);
+    J.endObject();
     std::printf("%s\n", J.str().c_str());
   } else {
     std::printf("Figure 10: Ruby on Rails throughput on 8 Xeon-like cores "

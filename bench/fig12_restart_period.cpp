@@ -48,6 +48,7 @@ int main(int Argc, char **Argv) {
   Cli.addJobsFlag(Parser);
   if (!Parser.parse(Argc, Argv))
     return 1;
+  checkScaleFlag(Cli.Scale);
 
   const double Scale = Cli.Scale;
   const WorkloadSpec *W = findWorkload("rails");
@@ -95,52 +96,44 @@ int main(int Argc, char **Argv) {
   SweepRunner Runner = Cli.makeRunner();
   std::vector<SimPoint> Points = Runner.run(Tasks);
 
+  // One text table; the JSON nests each allocator's points in a series.
   Table Out({"allocator", "restart period", "throughput (tx/s)",
-             "vs no restart"});
-  JsonWriter J;
-  if (Cli.Json)
+             "vs no restart"},
+            {"", "period", "tps", "vs_no_restart_pct"});
+  size_t Idx = 0;
+  for (AllocatorKind Kind : Kinds) {
+    // The "no restart" baseline is the last period in the grid.
+    double Baseline = Points[Idx + Periods.size() - 1].Perf.TxPerSec * Scale;
+    for (const Period &Pd : Periods) {
+      double Tps = Points[Idx++].Perf.TxPerSec * Scale;
+      Out.row()
+          .cell(allocatorKindName(Kind))
+          .cell(Pd.Label)
+          .cell(Tps, 1)
+          .percentCell(percentOver(Tps, Baseline));
+    }
+  }
+
+  if (Cli.Json) {
+    JsonWriter J;
     J.beginObject()
         .field("bench", "fig12_restart_period")
         .field("seed", Cli.Seed)
         .field("scale", Scale)
         .key("series")
         .beginArray();
-  else
-    std::printf("Figure 12: improvement from periodic process restarts (Ruby "
-                "on Rails, 8 Xeon-like cores)\n\n");
-
-  size_t Idx = 0;
-  for (AllocatorKind Kind : Kinds) {
-    // The "no restart" baseline is the last period in the grid.
-    double Baseline = Points[Idx + Periods.size() - 1].Perf.TxPerSec * Scale;
-    if (Cli.Json)
+    for (size_t K = 0; K < std::size(Kinds); ++K) {
       J.beginObject()
-          .field("allocator", allocatorKindName(Kind))
-          .key("points")
-          .beginArray();
-    for (const Period &Pd : Periods) {
-      double Tps = Points[Idx++].Perf.TxPerSec * Scale;
-      if (Cli.Json)
-        J.beginObject()
-            .field("period", Pd.Label)
-            .field("tps", Tps)
-            .field("vs_no_restart_pct", percentOver(Tps, Baseline))
-            .endObject();
-      else
-        Out.row()
-            .cell(allocatorKindName(Kind))
-            .cell(Pd.Label)
-            .cell(Tps, 1)
-            .percentCell(percentOver(Tps, Baseline));
+          .field("allocator", allocatorKindName(Kinds[K]))
+          .key("points");
+      Out.writeJson(J, K * Periods.size(), (K + 1) * Periods.size());
+      J.endObject();
     }
-    if (Cli.Json)
-      J.endArray().endObject();
-  }
-
-  if (Cli.Json) {
     J.endArray().endObject();
     std::printf("%s\n", J.str().c_str());
   } else {
+    std::printf("Figure 12: improvement from periodic process restarts (Ruby "
+                "on Rails, 8 Xeon-like cores)\n\n");
     std::fputs((Cli.Csv ? Out.renderCsv() : Out.renderAscii()).c_str(), stdout);
     std::printf("\nPaper: at period 500, +4.0%% for DDmalloc vs +1.1%% for "
                 "glibc; very short periods lose to the restart cost.\n");

@@ -17,7 +17,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "experiments/BenchCli.h"
-#include "support/Format.h"
 #include "support/Json.h"
 #include "support/Table.h"
 
@@ -94,22 +93,12 @@ int main(int Argc, char **Argv) {
   std::vector<SimPoint> Points = Runner.run(Tasks);
 
   Table Out({"allocator", "restart", "pages acquired", "pages reclaimed",
-             "peak pages", "ext frag", "peak RSS", "x live", "end RSS",
-             "advised out"});
-  JsonWriter J;
-  if (Cli.Json)
-    J.beginObject()
-        .field("bench", "fragmentation")
-        .field("seed", Cli.Seed)
-        .field("scale", Scale)
-        .field("backend", Cli.Backend)
-        .key("rows")
-        .beginArray();
-  else
-    std::printf("Page economy: fragmentation and reclaim per allocator "
-                "(rails, %s backend)\n\n",
-                Cli.Backend.c_str());
-
+             "peak pages", "ext frag", "peak RSS", "", "x live", "end RSS",
+             "advised out"},
+            {"allocator", "restart_period", "pages_acquired",
+             "pages_reclaimed", "peak_pages", "external_fragmentation",
+             "peak_rss_bytes", "mean_live_bytes", "peak_rss_x_live",
+             "rss_bytes", "advised_out_bytes"});
   bool CheckFailed = false;
   size_t Idx = 0;
   for (AllocatorKind Kind : Kinds) {
@@ -122,32 +111,18 @@ int main(int Argc, char **Argv) {
       double PeakVsLive = Live > 0 ? PeakRss / Live : 0.0;
       if (Pd.Tx != 0)
         ReclaimedUnderRestarts += S.PagesReclaimed;
-      if (Cli.Json)
-        J.beginObject()
-            .field("allocator", allocatorKindName(Kind))
-            .field("restart_period", Pd.Label)
-            .field("pages_acquired", S.PagesAcquired)
-            .field("pages_reclaimed", S.PagesReclaimed)
-            .field("peak_pages", S.PeakPagesLive)
-            .field("external_fragmentation", S.externalFragmentation())
-            .field("peak_rss_bytes", PeakRss)
-            .field("mean_live_bytes", Live)
-            .field("peak_rss_x_live", PeakVsLive)
-            .field("rss_bytes", Pt.RssBytes)
-            .field("advised_out_bytes", Pt.AdvisedOutBytes)
-            .endObject();
-      else
-        Out.row()
-            .cell(allocatorKindName(Kind))
-            .cell(Pd.Label)
-            .cell(S.PagesAcquired)
-            .cell(S.PagesReclaimed)
-            .cell(S.PeakPagesLive)
-            .cell(S.externalFragmentation(), 3)
-            .cell(formatBytes(static_cast<uint64_t>(PeakRss)))
-            .cell(PeakVsLive, 2)
-            .cell(formatBytes(Pt.RssBytes))
-            .cell(formatBytes(Pt.AdvisedOutBytes));
+      Out.row()
+          .cell(allocatorKindName(Kind))
+          .cell(Pd.Label)
+          .cell(S.PagesAcquired)
+          .cell(S.PagesReclaimed)
+          .cell(S.PeakPagesLive)
+          .cell(S.externalFragmentation(), 3)
+          .bytesCell(PeakRss)
+          .cell(Live)
+          .cell(PeakVsLive, 2)
+          .bytesCell(Pt.RssBytes)
+          .bytesCell(Pt.AdvisedOutBytes);
     }
     if (Check && ReclaimedUnderRestarts == 0) {
       std::fprintf(stderr,
@@ -159,9 +134,20 @@ int main(int Argc, char **Argv) {
   }
 
   if (Cli.Json) {
-    J.endArray().endObject();
+    JsonWriter J;
+    J.beginObject()
+        .field("bench", "fragmentation")
+        .field("seed", Cli.Seed)
+        .field("scale", Scale)
+        .field("backend", Cli.Backend)
+        .key("rows");
+    Out.writeJson(J);
+    J.endObject();
     std::printf("%s\n", J.str().c_str());
   } else {
+    std::printf("Page economy: fragmentation and reclaim per allocator "
+                "(rails, %s backend)\n\n",
+                Cli.Backend.c_str());
     std::fputs((Cli.Csv ? Out.renderCsv() : Out.renderAscii()).c_str(), stdout);
     std::printf("\nShorter restart periods reclaim more pages; external "
                 "fragmentation stays low because whole heap spans coalesce "

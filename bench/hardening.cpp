@@ -26,7 +26,6 @@
 #include "experiments/BenchCli.h"
 #include "hardening/Hardening.h"
 #include "support/FaultInjection.h"
-#include "support/Format.h"
 #include "support/Json.h"
 #include "support/Random.h"
 #include "support/Table.h"
@@ -134,28 +133,41 @@ DetectionRow detectionWorkout(AllocatorKind Kind, uint64_t Seed,
   return Row;
 }
 
-void detectionJson(JsonWriter &J, const std::vector<DetectionRow> &Rows) {
-  J.beginArray();
+/// The detection rows. The text shows "detected/injected" per scribble
+/// kind; the JSON keeps both counts and the hardening counters.
+Table detectionTable(const std::vector<DetectionRow> &Rows) {
+  auto Ratio = [](uint64_t Detected, uint64_t Injected) {
+    return std::to_string(Detected) + "/" + std::to_string(Injected);
+  };
+  Table Out({"allocator", "overflow", "", "", "uaf", "", "", "double free", "",
+             "", "", "", "", "all", ""},
+            {"allocator", "", "injected_overflow", "detected_overflow", "",
+             "injected_uaf", "detected_uaf", "", "injected_double_free",
+             "detected_double_free", "redzone_checks", "poison_checks",
+             "quarantine_recycles", "", "all_detected"});
   for (const DetectionRow &Row : Rows)
-    J.beginObject()
-        .field("allocator", Row.Allocator)
-        .field("injected_overflow", Row.InjectedOverflow)
-        .field("detected_overflow", Row.DetectedOverflow)
-        .field("injected_uaf", Row.InjectedUaf)
-        .field("detected_uaf", Row.DetectedUaf)
-        .field("injected_double_free", Row.InjectedDoubleFree)
-        .field("detected_double_free", Row.DetectedDoubleFree)
-        .field("redzone_checks", Row.RedzoneChecks)
-        .field("poison_checks", Row.PoisonChecks)
-        .field("quarantine_recycles", Row.QuarantineRecycles)
-        .field("all_detected", Row.allDetected())
-        .endObject();
-  J.endArray();
+    Out.row()
+        .cell(Row.Allocator)
+        .cell(Ratio(Row.DetectedOverflow, Row.InjectedOverflow))
+        .cell(Row.InjectedOverflow)
+        .cell(Row.DetectedOverflow)
+        .cell(Ratio(Row.DetectedUaf, Row.InjectedUaf))
+        .cell(Row.InjectedUaf)
+        .cell(Row.DetectedUaf)
+        .cell(Ratio(Row.DetectedDoubleFree, Row.InjectedDoubleFree))
+        .cell(Row.InjectedDoubleFree)
+        .cell(Row.DetectedDoubleFree)
+        .cell(Row.RedzoneChecks)
+        .cell(Row.PoisonChecks)
+        .cell(Row.QuarantineRecycles)
+        .cell(Row.allDetected() ? "yes" : "NO")
+        .cell(Row.allDetected());
+  return Out;
 }
 
 std::string detectionString(const std::vector<DetectionRow> &Rows) {
   JsonWriter J;
-  detectionJson(J, Rows);
+  detectionTable(Rows).writeJson(J);
   return J.str();
 }
 
@@ -231,23 +243,28 @@ int main(int Argc, char **Argv) {
     DetectionOk = DetectionOk && Row.allDetected();
   bool DeterminismOk = detectionString(Rows) == detectionString(Rows2);
 
+  Table OverheadOut({"allocator", "plain cycles/tx", "hardened cycles/tx",
+                     "overhead %"},
+                    {"allocator", "plain_cycles_per_tx",
+                     "hardened_cycles_per_tx", "overhead_pct"});
+  for (const OverheadRow &Row : Overhead)
+    OverheadOut.row()
+        .cell(Row.Allocator)
+        .cell(Row.PlainCycles, 0)
+        .cell(Row.HardenedCycles, 0)
+        .cell(Row.OverheadPct, 2);
+  Table Out = detectionTable(Rows);
+
   if (Cli.Json) {
     JsonWriter J;
     J.beginObject()
         .field("bench", "hardening")
         .field("seed", Cli.Seed)
         .field("ops", Ops)
-        .key("overhead")
-        .beginArray();
-    for (const OverheadRow &Row : Overhead)
-      J.beginObject()
-          .field("allocator", Row.Allocator)
-          .field("plain_cycles_per_tx", Row.PlainCycles)
-          .field("hardened_cycles_per_tx", Row.HardenedCycles)
-          .field("overhead_pct", Row.OverheadPct)
-          .endObject();
-    J.endArray().key("detection");
-    detectionJson(J, Rows);
+        .key("overhead");
+    OverheadOut.writeJson(J);
+    J.key("detection");
+    Out.writeJson(J);
     J.field("overhead_ok", OverheadOk)
         .field("detection_ok", DetectionOk)
         .field("determinism_ok", DeterminismOk)
@@ -256,31 +273,12 @@ int main(int Argc, char **Argv) {
   } else {
     std::printf("Hardening overhead on %s (modeled, default settings)\n\n",
                 Workload->Name.c_str());
-    Table OverheadOut({"allocator", "plain cycles/tx", "hardened cycles/tx",
-                       "overhead %"});
-    for (const OverheadRow &Row : Overhead)
-      OverheadOut.row()
-          .cell(Row.Allocator)
-          .cell(Row.PlainCycles, 0)
-          .cell(Row.HardenedCycles, 0)
-          .cell(Row.OverheadPct, 2);
     std::fputs(
         (Cli.Csv ? OverheadOut.renderCsv() : OverheadOut.renderAscii())
             .c_str(),
         stdout);
     std::printf("\nDetection of injected scribbles (%llu ops/allocator)\n\n",
                 static_cast<unsigned long long>(Ops));
-    Table Out({"allocator", "overflow", "uaf", "double free", "all"});
-    for (const DetectionRow &Row : Rows)
-      Out.row()
-          .cell(Row.Allocator)
-          .cell(std::to_string(Row.DetectedOverflow) + "/" +
-                std::to_string(Row.InjectedOverflow))
-          .cell(std::to_string(Row.DetectedUaf) + "/" +
-                std::to_string(Row.InjectedUaf))
-          .cell(std::to_string(Row.DetectedDoubleFree) + "/" +
-                std::to_string(Row.InjectedDoubleFree))
-          .cell(Row.allDetected() ? "yes" : "NO");
     std::fputs((Cli.Csv ? Out.renderCsv() : Out.renderAscii()).c_str(),
                stdout);
     std::printf("\ndeterminism: %s\n",

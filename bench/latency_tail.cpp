@@ -60,28 +60,6 @@ std::vector<double> parseLoadList(const std::string &Text) {
   return Out;
 }
 
-struct PointResult {
-  double LoadFraction;
-  ServingMetrics Metrics;
-};
-
-void emitPointJson(JsonWriter &J, const PointResult &P) {
-  J.beginObject()
-      .field("load_fraction", P.LoadFraction)
-      .field("offered_rps", P.Metrics.OfferedRps)
-      .field("goodput_rps", P.Metrics.GoodputRps)
-      .field("p50_ms", P.Metrics.p50Ms())
-      .field("p90_ms", P.Metrics.p90Ms())
-      .field("p99_ms", P.Metrics.p99Ms())
-      .field("p999_ms", P.Metrics.p999Ms())
-      .field("mean_ms", P.Metrics.meanLatencyMs())
-      .field("mean_wait_ms", P.Metrics.meanWaitMs())
-      .field("drop_rate", P.Metrics.dropRate())
-      .field("mean_queue_depth", P.Metrics.QueueDepthAtArrival.mean())
-      .field("utilization", P.Metrics.Utilization)
-      .endObject();
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -118,6 +96,7 @@ int main(int Argc, char **Argv) {
   Cli.addJobsFlag(Parser);
   if (!Parser.parse(Argc, Argv))
     return 1;
+  checkScaleFlag(Cli.Scale);
   if (Samples == 0) {
     std::fprintf(stderr, "error: --samples must be at least 1\n");
     return 1;
@@ -250,36 +229,43 @@ int main(int Argc, char **Argv) {
 
     for (size_t KindIdx = 0; KindIdx < NumKinds; ++KindIdx) {
       const ServiceTimeModel &Model = Models[PIdx * NumKinds + KindIdx];
-      std::vector<PointResult> Points;
-      for (double F : Loads)
-        Points.push_back({F, AllMetrics[MetricIdx++]});
+      // The text shows drop and utilization as percentages; the JSON keeps
+      // the fractions.
+      Table Out({"load", "offered rq/s", "goodput", "p50 ms", "p90 ms",
+                 "p99 ms", "p999 ms", "", "", "drop %", "", "queue", "util %",
+                 ""},
+                {"load_fraction", "offered_rps", "goodput_rps", "p50_ms",
+                 "p90_ms", "p99_ms", "p999_ms", "mean_ms", "mean_wait_ms", "",
+                 "drop_rate", "mean_queue_depth", "", "utilization"});
+      for (double F : Loads) {
+        const ServingMetrics &M = AllMetrics[MetricIdx++];
+        Out.row()
+            .cell(F, 2)
+            .cell(M.OfferedRps, 1)
+            .cell(M.GoodputRps, 1)
+            .cell(M.p50Ms(), 2)
+            .cell(M.p90Ms(), 2)
+            .cell(M.p99Ms(), 2)
+            .cell(M.p999Ms(), 2)
+            .cell(M.meanLatencyMs())
+            .cell(M.meanWaitMs())
+            .cell(100.0 * M.dropRate(), 1)
+            .cell(M.dropRate())
+            .cell(M.QueueDepthAtArrival.mean(), 1)
+            .cell(100.0 * M.Utilization, 1)
+            .cell(M.Utilization);
+      }
 
       if (Cli.Json) {
         J.beginObject()
             .field("allocator", allocatorKindName(Model.Kind))
             .field("capacity_rps", Model.capacityRps())
-            .key("points")
-            .beginArray();
-        for (const PointResult &Pt : Points)
-          emitPointJson(J, Pt);
-        J.endArray().endObject();
+            .key("points");
+        Out.writeJson(J);
+        J.endObject();
       } else {
         std::printf("allocator: %s (capacity %.1f rq/s)\n",
                     allocatorKindName(Model.Kind), Model.capacityRps());
-        Table Out({"load", "offered rq/s", "goodput", "p50 ms", "p90 ms",
-                   "p99 ms", "p999 ms", "drop %", "queue", "util %"});
-        for (const PointResult &Pt : Points)
-          Out.row()
-              .cell(Pt.LoadFraction, 2)
-              .cell(Pt.Metrics.OfferedRps, 1)
-              .cell(Pt.Metrics.GoodputRps, 1)
-              .cell(Pt.Metrics.p50Ms(), 2)
-              .cell(Pt.Metrics.p90Ms(), 2)
-              .cell(Pt.Metrics.p99Ms(), 2)
-              .cell(Pt.Metrics.p999Ms(), 2)
-              .cell(100.0 * Pt.Metrics.dropRate(), 1)
-              .cell(Pt.Metrics.QueueDepthAtArrival.mean(), 1)
-              .cell(100.0 * Pt.Metrics.Utilization, 1);
         std::fputs(Out.renderAscii().c_str(), stdout);
         std::printf("\n");
       }

@@ -18,6 +18,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "exec/NativeExecutor.h"
+#include "experiments/BenchCli.h"
 #include "support/ArgParse.h"
 #include "support/Json.h"
 #include "support/Table.h"
@@ -86,6 +87,7 @@ int main(int Argc, char **Argv) {
                  "minimum allowed tput(2t)/tput(1t) ratio for --check");
   if (!Parser.parse(Argc, Argv))
     return 1;
+  checkScaleFlag(Scale);
 
   const WorkloadSpec *Workload = findWorkload(WorkloadName);
   if (!Workload) {
@@ -122,8 +124,12 @@ int main(int Argc, char **Argv) {
         .key("results")
         .beginArray();
 
-  Table Out({"allocator", "sharing", "threads", "completed", "oom", "wall s",
-             "tput rq/s", "p50 us", "p99 us"});
+  // One text table; the JSON nests each allocator's rows in a series.
+  Table Out({"allocator", "sharing", "threads", "", "completed", "oom",
+             "wall s", "tput rq/s", "p50 us", "p99 us", ""},
+            {"", "", "threads", "offered", "completed", "oom_aborts",
+             "wall_sec", "throughput_rps", "p50_us", "p99_us",
+             "queue_max_depth"});
   for (AllocatorKind Kind : Kinds) {
     std::vector<Point> Series;
     for (unsigned T : Threads) {
@@ -155,6 +161,7 @@ int main(int Argc, char **Argv) {
     }
 
     double Tput1 = 0.0, Tput2 = 0.0;
+    size_t FirstRow = Out.numRows();
     for (const Point &P : Series) {
       if (P.Threads == 1)
         Tput1 = P.M.Throughput;
@@ -163,13 +170,15 @@ int main(int Argc, char **Argv) {
       Out.row()
           .cell(allocatorKindName(Kind))
           .cell(P.M.SharingModel)
-          .cell(static_cast<uint64_t>(P.Threads))
+          .cell(P.Threads)
+          .cell(P.M.Offered)
           .cell(P.M.Completed)
           .cell(P.M.OomAborts)
           .cell(P.M.WallSec, 3)
           .cell(P.M.Throughput, 1)
           .cell(P.M.LatencyUs.percentile(0.50))
-          .cell(P.M.LatencyUs.percentile(0.99));
+          .cell(P.M.LatencyUs.percentile(0.99))
+          .cell(P.M.QueueMaxDepth);
     }
     if (Check && Tput1 > 0.0 && Tput2 > 0.0 &&
         Tput2 < CheckTolerance * Tput1) {
@@ -184,22 +193,9 @@ int main(int Argc, char **Argv) {
       J.beginObject()
           .field("allocator", allocatorKindName(Kind))
           .field("sharing", Series.front().M.SharingModel)
-          .key("series")
-          .beginArray();
-      for (const Point &P : Series)
-        J.beginObject()
-            .field("threads", P.Threads)
-            .field("offered", P.M.Offered)
-            .field("completed", P.M.Completed)
-            .field("oom_aborts", P.M.OomAborts)
-            .field("wall_sec", P.M.WallSec)
-            .field("throughput_rps", P.M.Throughput)
-            .field("p50_us", P.M.LatencyUs.percentile(0.50))
-            .field("p99_us", P.M.LatencyUs.percentile(0.99))
-            .field("queue_max_depth",
-                   static_cast<uint64_t>(P.M.QueueMaxDepth))
-            .endObject();
-      J.endArray().endObject();
+          .key("series");
+      Out.writeJson(J, FirstRow);
+      J.endObject();
     }
   }
 

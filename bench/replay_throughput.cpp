@@ -615,6 +615,24 @@ int main(int Argc, char **Argv) {
   bool SpeedupOk = Speedup >= MinSpeedup;
   bool FloorOk = MmapBatch.eventsPerMin() >= Floor;
 
+  // The JSON keys each tier's row by its name instead of listing the rows.
+  const char *TierKeys[] = {"seed_baseline", "stream_per_event",
+                            "stream_batch", "mmap_batch"};
+  Table Out({"tier", "ms", "events/sec", "MB/s", "events/min"},
+            {"", "ms", "events_per_sec", "mb_per_sec", "events_per_min"});
+  auto Row = [&](const char *Name, const DecodeRun &R) {
+    Out.row()
+        .cell(Name)
+        .cell(R.BestMs, 1)
+        .cell(R.eventsPerSec(), 0)
+        .cell(R.mbPerSec(), 1)
+        .cell(R.eventsPerMin(), 0);
+  };
+  Row("seed baseline", Seed);
+  Row("stream per-event", PerEvent);
+  Row("stream batch", StreamBatch);
+  Row("mmap batch", MmapBatch);
+
   if (Json) {
     JsonWriter J;
     J.beginObject()
@@ -625,19 +643,10 @@ int main(int Argc, char **Argv) {
         .field("passes", Passes)
         .key("decode")
         .beginObject();
-    auto Tier = [&](const char *Name, const DecodeRun &R) {
-      J.key(Name)
-          .beginObject()
-          .field("ms", R.BestMs)
-          .field("events_per_sec", R.eventsPerSec())
-          .field("mb_per_sec", R.mbPerSec())
-          .field("events_per_min", R.eventsPerMin())
-          .endObject();
-    };
-    Tier("seed_baseline", Seed);
-    Tier("stream_per_event", PerEvent);
-    Tier("stream_batch", StreamBatch);
-    Tier("mmap_batch", MmapBatch);
+    for (size_t I = 0; I < std::size(TierKeys); ++I) {
+      J.key(TierKeys[I]);
+      Out.writeJsonRow(J, I);
+    }
     J.endObject()
         .field("mmap_speedup_vs_seed", Speedup)
         .field("mmap_speedup_vs_per_event", SpeedupVsStream)
@@ -685,19 +694,6 @@ int main(int Argc, char **Argv) {
         .endObject();
     std::printf("%s\n", J.str().c_str());
   } else {
-    Table Out({"tier", "ms", "events/sec", "MB/s", "events/min"});
-    auto Row = [&](const char *Name, const DecodeRun &R) {
-      Out.row()
-          .cell(Name)
-          .cell(R.BestMs, 1)
-          .cell(R.eventsPerSec(), 0)
-          .cell(R.mbPerSec(), 1)
-          .cell(R.eventsPerMin(), 0);
-    };
-    Row("seed baseline", Seed);
-    Row("stream per-event", PerEvent);
-    Row("stream batch", StreamBatch);
-    Row("mmap batch", MmapBatch);
     std::fputs(Out.renderAscii().c_str(), stdout);
     std::printf("\nmmap speedup: %.2fx over the pinned seed reader, %.2fx "
                 "over today's per-event streaming\n",

@@ -99,6 +99,19 @@ int main(int Argc, char **Argv) {
   double ParEps = ParSec > 0 ? TotalEvents / ParSec : 0;
   double Speedup = ParSec > 0 ? SeqSec / ParSec : 0;
 
+  Table Out({"workload", "allocator", "seq ms", "par ms"},
+            {"workload", "allocator", "sequential_ms", "parallel_ms"});
+  size_t Idx = 0;
+  for (const WorkloadSpec &W : Workloads)
+    for (AllocatorKind Kind : Kinds) {
+      Out.row()
+          .cell(W.Name)
+          .cell(allocatorKindName(Kind))
+          .cell(Sequential.pointMillis()[Idx], 1)
+          .cell(Parallel.pointMillis()[Idx], 1);
+      ++Idx;
+    }
+
   if (Cli.Json) {
     JsonWriter J;
     J.beginObject()
@@ -122,35 +135,13 @@ int main(int Argc, char **Argv) {
         .field("speedup", Speedup)
         .endObject()
         .field("deterministic", true)
-        .key("points")
-        .beginArray();
-    size_t Idx = 0;
-    for (const WorkloadSpec &W : Workloads)
-      for (AllocatorKind Kind : Kinds) {
-        J.beginObject()
-            .field("workload", W.Name)
-            .field("allocator", allocatorKindName(Kind))
-            .field("sequential_ms", Sequential.pointMillis()[Idx])
-            .field("parallel_ms", Parallel.pointMillis()[Idx])
-            .endObject();
-        ++Idx;
-      }
-    J.endArray().endObject();
+        .key("points");
+    Out.writeJson(J);
+    J.endObject();
     std::printf("%s\n", J.str().c_str());
   } else {
     std::printf("Simulator self-performance (%zu points, %s)\n\n",
                 Tasks.size(), P.Name.c_str());
-    Table Out({"workload", "allocator", "seq ms", "par ms"});
-    size_t Idx = 0;
-    for (const WorkloadSpec &W : Workloads)
-      for (AllocatorKind Kind : Kinds) {
-        Out.row()
-            .cell(W.Name)
-            .cell(allocatorKindName(Kind))
-            .cell(Sequential.pointMillis()[Idx], 1)
-            .cell(Parallel.pointMillis()[Idx], 1);
-        ++Idx;
-      }
     std::fputs(Out.renderAscii().c_str(), stdout);
     std::printf("\nsequential: %.0f ms, %.3g events/sec\n",
                 Sequential.totalMillis(), SeqEps);

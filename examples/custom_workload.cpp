@@ -11,6 +11,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "experiments/BenchCli.h"
 #include "experiments/Measure.h"
 #include "support/ArgParse.h"
 #include "support/Table.h"
@@ -43,6 +44,7 @@ int main(int Argc, char **Argv) {
   Parser.addFlag("seed", &Seed, "random seed");
   if (!Parser.parse(Argc, Argv))
     return 1;
+  checkScaleFlag(Scale);
 
   if (FreeFraction < 0.0 || FreeFraction > 1.0) {
     std::fprintf(stderr, "free-fraction must be in [0, 1]\n");

@@ -15,6 +15,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "exec/NativeExecutor.h"
+#include "experiments/BenchCli.h"
 #include "server/ServingSimulator.h"
 #include "support/ArgParse.h"
 #include "support/FaultInjection.h"
@@ -176,6 +177,7 @@ int main(int Argc, char **Argv) {
                  "files), stream, or mmap");
   if (!Parser.parse(Argc, Argv))
     return 1;
+  checkScaleFlag(Scale);
   if (Samples == 0 || Threads == 0) {
     std::fprintf(stderr, "error: --%s must be at least 1\n",
                  Samples == 0 ? "samples" : "threads");
@@ -519,18 +521,9 @@ int main(int Argc, char **Argv) {
         .field("max_attempts", MaxAttempts)
         .field("offered_rps", M.OfferedRps)
         .field("goodput_rps", M.GoodputRps)
-        .field("makespan_sec", M.MakespanSec)
-        .field("offered", M.Offered)
-        .field("completed", M.Completed)
-        .field("dropped", M.Dropped)
-        .field("failed", M.Failed)
-        .field("retried", M.Retried)
-        .field("unfinished", M.Unfinished)
-        .field("corruption_aborts", M.CorruptionAborts)
-        .field("restarts", M.Restarts)
-        .field("restart_downtime_sec", M.RestartDowntimeSec)
-        .field("peak_worker_heap_bytes", M.PeakWorkerHeapBytes)
-        .field("p50_ms", M.p50Ms())
+        .field("makespan_sec", M.MakespanSec);
+    writeServingCounters(J, M);
+    J.field("p50_ms", M.p50Ms())
         .field("p90_ms", M.p90Ms())
         .field("p99_ms", M.p99Ms())
         .field("p999_ms", M.p999Ms())

@@ -12,6 +12,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "experiments/BenchCli.h"
 #include "experiments/Measure.h"
 #include "support/ArgParse.h"
 #include "support/Format.h"
@@ -66,6 +67,7 @@ int main(int Argc, char **Argv) {
                  "files), stream, or mmap");
   if (!Parser.parse(Argc, Argv))
     return 1;
+  checkScaleFlag(Scale);
   if (!RecordTrace.empty() && !ReplayTrace.empty()) {
     std::fprintf(stderr, "--record-trace and --replay-trace are exclusive\n");
     return 1;

@@ -2,6 +2,7 @@
 
 #include "experiments/BenchCli.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -47,6 +48,7 @@ SimulationOptions BenchCli::simOptions() const {
     std::fprintf(stderr, "error: --transactions must be at least 1\n");
     std::exit(1);
   }
+  checkScaleFlag(Scale);
   SimulationOptions Options;
   Options.Scale = Scale;
   Options.WarmupTx = WarmupTx;
@@ -54,6 +56,13 @@ SimulationOptions BenchCli::simOptions() const {
   Options.Seed = Seed;
   Options.Backend = backendKind();
   return Options;
+}
+
+void ddm::checkScaleFlag(double Scale) {
+  if (std::isfinite(Scale) && Scale > 0.0)
+    return;
+  std::fprintf(stderr, "error: --scale must be a finite number > 0\n");
+  std::exit(1);
 }
 
 bool ddm::peelUintFlag(int &Argc, char **Argv, const char *Name,

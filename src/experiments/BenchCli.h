@@ -47,12 +47,17 @@ struct BenchCli {
   PageBackendKind backendKind() const;
 
   /// The SimulationOptions these flags describe; exits(1) on
-  /// --transactions 0.
+  /// --transactions 0 or a bad --scale (see checkScaleFlag()).
   SimulationOptions simOptions() const;
 
   /// A SweepRunner honouring --jobs.
   SweepRunner makeRunner() const { return SweepRunner(Jobs); }
 };
+
+/// Exits(1) with "error: --scale must be a finite number > 0" unless
+/// \p Scale is. Every binary with a --scale flag calls this (BenchCli
+/// benches through simOptions()).
+void checkScaleFlag(double Scale);
 
 /// Peels a `--name=value` unsigned flag out of \p Argv before a foreign
 /// argument parser (e.g. Google Benchmark) sees it. Returns true and

@@ -13,6 +13,7 @@
 
 #include "sampling/AccessSampler.h"
 #include "server/LatencyHistogram.h"
+#include "support/Json.h"
 #include "support/Stats.h"
 
 #include <cstdint>
@@ -101,6 +102,22 @@ struct ServingMetrics {
   double meanLatencyMs() const { return LatencyUs.mean() / 1000.0; }
   double meanWaitMs() const { return WaitUs.mean() / 1000.0; }
 };
+
+/// Writes the request and restart counters, "offered" through
+/// "peak_worker_heap_bytes", as members of the object \p J has open. The
+/// serving reports of loadtest and bench_chaos share this run of keys.
+inline void writeServingCounters(JsonWriter &J, const ServingMetrics &M) {
+  J.field("offered", M.Offered)
+      .field("completed", M.Completed)
+      .field("dropped", M.Dropped)
+      .field("failed", M.Failed)
+      .field("retried", M.Retried)
+      .field("unfinished", M.Unfinished)
+      .field("corruption_aborts", M.CorruptionAborts)
+      .field("restarts", M.Restarts)
+      .field("restart_downtime_sec", M.RestartDowntimeSec)
+      .field("peak_worker_heap_bytes", M.PeakWorkerHeapBytes);
+}
 
 } // namespace ddm
 

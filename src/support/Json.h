@@ -6,6 +6,11 @@
 /// string escaping. Write-only by design — the repo never parses JSON,
 /// it only hands machine-readable results to external tooling.
 ///
+/// Drivers write the envelope (bench name, seed, scale, summary fields)
+/// here and their result rows through Table::writeJson(), which emits
+/// every value with the same value() calls, so a row reads the same
+/// whether it came from a Table or from field() chains.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DDM_SUPPORT_JSON_H

@@ -89,38 +89,27 @@ int throughputTraces(const std::vector<std::string> &Paths,
     }
   }
 
-  auto PerSec = [](const Row &R) {
-    return R.Ms > 0 ? static_cast<double>(R.Events) / (R.Ms / 1e3) : 0;
-  };
-  if (Json) {
-    JsonWriter J;
-    J.beginObject().field("tool", "tracestat").key("throughput").beginArray();
-    for (size_t I = 0; I < Paths.size(); ++I) {
-      const Row &R = Rows[I];
-      J.beginObject()
-          .field("file", Paths[I])
-          .field("reader", R.Reader)
-          .field("events", R.Events)
-          .field("bytes", R.Bytes)
-          .field("ms", R.Ms)
-          .field("events_per_sec", PerSec(R))
-          .endObject();
-    }
-    J.endArray().endObject();
-    std::printf("%s\n", J.str().c_str());
-    return 0;
-  }
-  Table Out({"trace", "reader", "events", "ms", "events/sec", "MB/s"});
+  Table Out({"trace", "reader", "events", "", "ms", "events/sec", "MB/s"},
+            {"file", "reader", "events", "bytes", "ms", "events_per_sec", ""});
   for (size_t I = 0; I < Paths.size(); ++I) {
     const Row &R = Rows[I];
     Out.row()
         .cell(Paths[I])
         .cell(R.Reader)
         .cell(R.Events)
+        .cell(R.Bytes)
         .cell(R.Ms, 2)
-        .cell(PerSec(R), 0)
+        .cell(R.Ms > 0 ? static_cast<double>(R.Events) / (R.Ms / 1e3) : 0, 0)
         .cell(R.Ms > 0 ? static_cast<double>(R.Bytes) / 1e6 / (R.Ms / 1e3) : 0,
               1);
+  }
+  if (Json) {
+    JsonWriter J;
+    J.beginObject().field("tool", "tracestat").key("throughput");
+    Out.writeJson(J);
+    J.endObject();
+    std::printf("%s\n", J.str().c_str());
+    return 0;
   }
   std::fputs((Csv ? Out.renderCsv() : Out.renderAscii()).c_str(), stdout);
   return 0;
@@ -138,41 +127,18 @@ int statTraces(const std::vector<std::string> &Paths, TraceReaderKind Kind,
     }
   }
 
-  if (Json) {
-    JsonWriter J;
-    J.beginObject().field("tool", "tracestat").key("traces").beginArray();
-    for (size_t I = 0; I < Paths.size(); ++I) {
-      const TraceSummary &S = Summaries[I];
-      J.beginObject()
-          .field("file", Paths[I])
-          .field("workload", S.Meta.Workload)
-          .field("scale", S.Meta.Scale)
-          .field("seed", S.Meta.Seed)
-          .field("transactions", S.Transactions)
-          .field("events", S.Events)
-          .field("mallocs_per_tx", S.mallocsPerTx())
-          .field("frees_per_tx", S.freesPerTx())
-          .field("reallocs_per_tx", S.reallocsPerTx())
-          .field("callocs", S.Total.Callocs)
-          .field("aligned_allocs", S.Total.AlignedAllocs)
-          .field("mean_alloc_bytes", S.meanAllocBytes())
-          .field("allocated_bytes", S.Total.AllocatedBytes)
-          .field("object_touches", S.Total.ObjectTouches)
-          .field("state_touches", S.Total.StateTouches)
-          .field("work_instructions", S.Total.WorkInstructions)
-          .endObject();
-    }
-    J.endArray().endObject();
-    std::printf("%s\n", J.str().c_str());
-    return 0;
-  }
-
   // The paper's Table 3 columns, computed from the trace instead of the
   // live generator; paper reference values appear when the trace's
-  // workload is one this build knows (at scale 1.0 they should agree).
-  Table Out({"trace", "workload", "scale", "tx", "malloc/tx", "paper",
-             "free/tx", "paper", "realloc/tx", "paper", "alloc size (B)",
-             "paper"});
+  // workload is one this build knows (at scale 1.0 they should agree). The
+  // JSON drops the paper columns and adds the raw totals.
+  Table Out({"trace", "workload", "scale", "", "tx", "", "malloc/tx", "paper",
+             "free/tx", "paper", "realloc/tx", "paper", "", "",
+             "alloc size (B)", "paper", "", "", "", ""},
+            {"file", "workload", "scale", "seed", "transactions", "events",
+             "mallocs_per_tx", "", "frees_per_tx", "", "reallocs_per_tx", "",
+             "callocs", "aligned_allocs", "mean_alloc_bytes", "",
+             "allocated_bytes", "object_touches", "state_touches",
+             "work_instructions"});
   for (size_t I = 0; I < Paths.size(); ++I) {
     const TraceSummary &S = Summaries[I];
     const WorkloadSpec *W = findWorkload(S.Meta.Workload);
@@ -183,15 +149,31 @@ int statTraces(const std::vector<std::string> &Paths, TraceReaderKind Kind,
         .cell(Paths[I])
         .cell(S.Meta.Workload)
         .cell(S.Meta.Scale, 2)
+        .cell(S.Meta.Seed)
         .cell(S.Transactions)
+        .cell(S.Events)
         .cell(S.mallocsPerTx(), 0)
         .cell(PaperCount(W ? W->MallocCalls : 0))
         .cell(S.freesPerTx(), 0)
         .cell(PaperCount(W ? W->FreeCalls : 0))
         .cell(S.reallocsPerTx(), 0)
         .cell(PaperCount(W ? W->ReallocCalls : 0))
+        .cell(S.Total.Callocs)
+        .cell(S.Total.AlignedAllocs)
         .cell(S.meanAllocBytes(), 1)
-        .cell(W ? formatDouble(W->MeanAllocBytes) : std::string("-"));
+        .cell(W ? formatDouble(W->MeanAllocBytes) : std::string("-"))
+        .cell(S.Total.AllocatedBytes)
+        .cell(S.Total.ObjectTouches)
+        .cell(S.Total.StateTouches)
+        .cell(S.Total.WorkInstructions);
+  }
+  if (Json) {
+    JsonWriter J;
+    J.beginObject().field("tool", "tracestat").key("traces");
+    Out.writeJson(J);
+    J.endObject();
+    std::printf("%s\n", J.str().c_str());
+    return 0;
   }
   std::fputs((Csv ? Out.renderCsv() : Out.renderAscii()).c_str(), stdout);
   return 0;

@@ -136,6 +136,21 @@ int main(int Argc, char **Argv) {
     return 1;
   }
 
+  Table Shard({"shard", "tx", "events", "bytes"},
+              {"file", "transactions", "events", "bytes"});
+  for (size_t I = 0; I < Report.ShardPaths.size(); ++I)
+    Shard.row()
+        .cell(Report.ShardPaths[I])
+        .cell(Report.ShardTransactions[I])
+        .cell(Report.ShardEvents[I])
+        .cell(Report.ShardBytes[I]);
+  Table Tenant({"tenant", "weight", "tx"}, {"file", "weight", "transactions"});
+  for (size_t I = 0; I < Spec.Sources.size(); ++I)
+    Tenant.row()
+        .cell(Spec.Sources[I].Path)
+        .cell(static_cast<uint64_t>(Spec.Sources[I].Weight))
+        .cell(Report.SourceTransactions[I]);
+
   if (Json) {
     JsonWriter J;
     J.beginObject()
@@ -145,23 +160,11 @@ int main(int Argc, char **Argv) {
         .field("transactions", Spec.Transactions)
         .field("seed", Spec.Seed)
         .field("total_events", Report.TotalEvents)
-        .key("shards")
-        .beginArray();
-    for (size_t I = 0; I < Report.ShardPaths.size(); ++I)
-      J.beginObject()
-          .field("file", Report.ShardPaths[I])
-          .field("transactions", Report.ShardTransactions[I])
-          .field("events", Report.ShardEvents[I])
-          .field("bytes", Report.ShardBytes[I])
-          .endObject();
-    J.endArray().key("sources").beginArray();
-    for (size_t I = 0; I < Spec.Sources.size(); ++I)
-      J.beginObject()
-          .field("file", Spec.Sources[I].Path)
-          .field("weight", static_cast<uint64_t>(Spec.Sources[I].Weight))
-          .field("transactions", Report.SourceTransactions[I])
-          .endObject();
-    J.endArray().key("slot_transactions").beginArray();
+        .key("shards");
+    Shard.writeJson(J);
+    J.key("sources");
+    Tenant.writeJson(J);
+    J.key("slot_transactions").beginArray();
     for (uint64_t N : Report.SlotTransactions)
       J.value(N);
     J.endArray().endObject();
@@ -169,21 +172,7 @@ int main(int Argc, char **Argv) {
     return 0;
   }
 
-  Table Shard({"shard", "tx", "events", "bytes"});
-  for (size_t I = 0; I < Report.ShardPaths.size(); ++I)
-    Shard.row()
-        .cell(Report.ShardPaths[I])
-        .cell(Report.ShardTransactions[I])
-        .cell(Report.ShardEvents[I])
-        .cell(Report.ShardBytes[I]);
   std::fputs(Shard.renderAscii().c_str(), stdout);
-
-  Table Tenant({"tenant", "weight", "tx"});
-  for (size_t I = 0; I < Spec.Sources.size(); ++I)
-    Tenant.row()
-        .cell(Spec.Sources[I].Path)
-        .cell(static_cast<uint64_t>(Spec.Sources[I].Weight))
-        .cell(Report.SourceTransactions[I]);
   std::fputs(Tenant.renderAscii().c_str(), stdout);
   std::printf("schedule %s over %u workers, %llu tx, %llu events total\n",
               synthScheduleName(Spec.Schedule), Spec.Workers,
