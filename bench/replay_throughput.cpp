@@ -29,12 +29,6 @@
 /// `--metrics-out` writes the canonical merged-metrics JSON so CI can
 /// byte-compare runs across processes.
 ///
-/// `--compression` appends the framed-payload compression study: the
-/// varint+delta payloads are deflated/inflated with zlib (and zstd when
-/// the build found it) to ask whether a compressed container would beat
-/// the raw codec on decode throughput — the answer decides whether a
-/// dictionary mode is worth adding.
-///
 ///   ./build/bench/bench_replay_throughput --check --jobs 4 --json
 ///       traces/synth/fleet.*.ddmtrc > BENCH_replay_throughput.json
 ///
@@ -55,13 +49,6 @@
 #include <cstring>
 #include <string>
 #include <vector>
-
-#ifdef DDM_HAVE_ZLIB
-#include <zlib.h>
-#endif
-#ifdef DDM_HAVE_ZSTD
-#include <zstd.h>
-#endif
 
 using namespace ddm;
 
@@ -363,118 +350,6 @@ bool measure(uint64_t Passes, PassFn Pass, DecodeRun &Run,
   return true;
 }
 
-/// The compression study: deflate/inflate the framed varint payloads and
-/// compare inflate throughput against raw decode throughput.
-struct CompressionResult {
-  bool Ran = false;
-  uint64_t RawBytes = 0;
-  uint64_t ZlibBytes = 0;
-  double ZlibInflateMbPerSec = 0;
-  bool HaveZstd = false;
-  uint64_t ZstdBytes = 0;
-  double ZstdDecompressMbPerSec = 0;
-};
-
-/// Collects every frame payload (varint+delta encoded) of \p Paths.
-bool collectPayloads(const std::vector<std::string> &Paths,
-                     std::vector<std::string> &Payloads, std::string &Error) {
-  for (const std::string &Path : Paths) {
-    std::FILE *F = std::fopen(Path.c_str(), "rb");
-    if (!F) {
-      Error = "cannot open '" + Path + "'";
-      return false;
-    }
-    char Header[12];
-    std::fseek(F, 12, SEEK_SET); // past magic + version
-    while (std::fread(Header, 1, sizeof(Header), F) == sizeof(Header)) {
-      uint32_t PayloadLen;
-      std::memcpy(&PayloadLen, Header, 4);
-      std::string Payload(PayloadLen, '\0');
-      if (PayloadLen &&
-          std::fread(&Payload[0], 1, PayloadLen, F) != PayloadLen)
-        break;
-      Payloads.push_back(std::move(Payload));
-    }
-    std::fclose(F);
-  }
-  return true;
-}
-
-bool runCompressionStudy(const std::vector<std::string> &Paths,
-                         CompressionResult &Out, std::string &Error) {
-  std::vector<std::string> Payloads;
-  if (!collectPayloads(Paths, Payloads, Error))
-    return false;
-  for (const std::string &P : Payloads)
-    Out.RawBytes += P.size();
-
-#ifdef DDM_HAVE_ZLIB
-  std::vector<std::string> Deflated(Payloads.size());
-  for (size_t I = 0; I < Payloads.size(); ++I) {
-    uLongf Bound = compressBound(Payloads[I].size());
-    Deflated[I].resize(Bound);
-    if (compress2(reinterpret_cast<Bytef *>(&Deflated[I][0]), &Bound,
-                  reinterpret_cast<const Bytef *>(Payloads[I].data()),
-                  Payloads[I].size(), Z_DEFAULT_COMPRESSION) != Z_OK) {
-      Error = "zlib deflate failed";
-      return false;
-    }
-    Deflated[I].resize(Bound);
-    Out.ZlibBytes += Bound;
-  }
-  std::string Scratch;
-  double T0 = nowMs();
-  for (size_t I = 0; I < Payloads.size(); ++I) {
-    Scratch.resize(Payloads[I].size());
-    uLongf Len = Scratch.size();
-    if (uncompress(reinterpret_cast<Bytef *>(&Scratch[0]), &Len,
-                   reinterpret_cast<const Bytef *>(Deflated[I].data()),
-                   Deflated[I].size()) != Z_OK ||
-        Len != Payloads[I].size()) {
-      Error = "zlib inflate round-trip failed";
-      return false;
-    }
-  }
-  double Ms = nowMs() - T0;
-  Out.ZlibInflateMbPerSec =
-      Ms > 0 ? static_cast<double>(Out.RawBytes) / 1e6 / (Ms / 1e3) : 0;
-#endif
-
-#ifdef DDM_HAVE_ZSTD
-  Out.HaveZstd = true;
-  std::vector<std::string> ZPacked(Payloads.size());
-  for (size_t I = 0; I < Payloads.size(); ++I) {
-    size_t Bound = ZSTD_compressBound(Payloads[I].size());
-    ZPacked[I].resize(Bound);
-    size_t N = ZSTD_compress(&ZPacked[I][0], Bound, Payloads[I].data(),
-                             Payloads[I].size(), 3);
-    if (ZSTD_isError(N)) {
-      Error = "zstd compress failed";
-      return false;
-    }
-    ZPacked[I].resize(N);
-    Out.ZstdBytes += N;
-  }
-  std::string ZScratch;
-  double Z0 = nowMs();
-  for (size_t I = 0; I < Payloads.size(); ++I) {
-    ZScratch.resize(Payloads[I].size());
-    size_t N = ZSTD_decompress(&ZScratch[0], ZScratch.size(),
-                               ZPacked[I].data(), ZPacked[I].size());
-    if (ZSTD_isError(N) || N != Payloads[I].size()) {
-      Error = "zstd round-trip failed";
-      return false;
-    }
-  }
-  double ZMs = nowMs() - Z0;
-  Out.ZstdDecompressMbPerSec =
-      ZMs > 0 ? static_cast<double>(Out.RawBytes) / 1e6 / (ZMs / 1e3) : 0;
-#endif
-
-  Out.Ran = true;
-  return true;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -484,13 +359,11 @@ int main(int Argc, char **Argv) {
   double MinSpeedup = 3.5;
   double Floor = 1e9;
   bool Json = false;
-  bool Compression = false;
   std::string MetricsOut;
   ArgParser Parser(
       "Fleet replay throughput: per-event streaming vs batched streaming "
       "vs mmap zero-copy decode, sharded parallel replay on --jobs "
-      "workers, and (--compression) the framed-payload compression study. "
-      "Positional arguments are trace shards. --check gates on "
+      "workers. Positional arguments are trace shards. --check gates on "
       "--min-speedup, --floor, and jobs-count determinism.");
   Parser.addFlag("jobs", &Jobs,
                  "sharded replay workers (0 = all hardware threads)");
@@ -503,8 +376,6 @@ int main(int Argc, char **Argv) {
                  "--check: minimum fleet replay events/min (mmap decode)");
   Parser.addFlag("metrics-out", &MetricsOut,
                  "write canonical merged replay metrics JSON to this path");
-  Parser.addFlag("compression", &Compression,
-                 "run the framed-payload compression study");
   Parser.addFlag("json", &Json, "emit machine-readable JSON");
   if (!Parser.parse(Argc, Argv))
     return 1;
@@ -599,12 +470,6 @@ int main(int Argc, char **Argv) {
     std::fclose(F);
   }
 
-  CompressionResult Comp;
-  if (Compression && !runCompressionStudy(Inputs, Comp, Error)) {
-    std::fprintf(stderr, "bench_replay_throughput: %s\n", Error.c_str());
-    return 1;
-  }
-
   double Speedup = Seed.eventsPerSec() > 0
                        ? MmapBatch.eventsPerSec() / Seed.eventsPerSec()
                        : 0;
@@ -660,27 +525,6 @@ int main(int Argc, char **Argv) {
         .field("transactions", Sharded.Transactions)
         .field("deterministic", Deterministic)
         .endObject();
-    if (Comp.Ran) {
-      J.key("compression")
-          .beginObject()
-          .field("raw_payload_bytes", Comp.RawBytes)
-          .field("zlib_bytes", Comp.ZlibBytes)
-          .field("zlib_ratio", Comp.RawBytes
-                                   ? static_cast<double>(Comp.ZlibBytes) /
-                                         static_cast<double>(Comp.RawBytes)
-                                   : 0)
-          .field("zlib_inflate_mb_per_sec", Comp.ZlibInflateMbPerSec)
-          .field("zstd_available", Comp.HaveZstd);
-      if (Comp.HaveZstd)
-        J.field("zstd_bytes", Comp.ZstdBytes)
-            .field("zstd_decompress_mb_per_sec", Comp.ZstdDecompressMbPerSec);
-      // Inflation is an extra stage in front of the same varint decode, so
-      // a compressed container only wins if inflate is faster than raw
-      // mmap decode consumes bytes — then a dictionary mode would pay.
-      J.field("dictionary_mode_warranted",
-              Comp.ZlibInflateMbPerSec > MmapBatch.mbPerSec())
-          .endObject();
-    }
     J.key("check")
         .beginObject()
         .field("enabled", Check)
@@ -703,21 +547,6 @@ int main(int Argc, char **Argv) {
                 Inputs.size(), static_cast<unsigned long long>(Jobs),
                 Sharded.Millis, ShardedEventsPerMin, Serial.Millis,
                 Deterministic ? "identical" : "DIFFER");
-    if (Comp.Ran) {
-      std::printf("compression: raw %llu B, zlib %llu B (%.2fx), inflate "
-                  "%.1f MB/s vs mmap decode %.1f MB/s -> dictionary mode %s\n",
-                  static_cast<unsigned long long>(Comp.RawBytes),
-                  static_cast<unsigned long long>(Comp.ZlibBytes),
-                  Comp.RawBytes ? static_cast<double>(Comp.RawBytes) /
-                                      static_cast<double>(Comp.ZlibBytes)
-                                : 0,
-                  Comp.ZlibInflateMbPerSec, MmapBatch.mbPerSec(),
-                  Comp.ZlibInflateMbPerSec > MmapBatch.mbPerSec()
-                      ? "warranted"
-                      : "not warranted");
-      if (!Comp.HaveZstd)
-        std::printf("compression: zstd not available in this build\n");
-    }
     if (Check)
       std::printf("check: speedup %s (%.2fx >= %.2fx), floor %s "
                   "(%.3g >= %.3g events/min)\n",

@@ -71,8 +71,8 @@ struct AllocatorOptions {
 
   /// Heap hardening (--harden): when Enabled, the factory wraps the
   /// allocator in the corruption-detecting HardenedAllocator
-  /// (src/hardening) — red-zone canaries, a poison-on-free quarantine,
-  /// and optional guarded-page sampling. Applies to every kind; the
+  /// (src/hardening) — checksummed headers, red-zone canaries and a
+  /// poison-on-free quarantine. Applies to every kind; the
   /// adaptive allocator is wrapped once at the top, not per strategy.
   HardeningConfig Hardening;
 };

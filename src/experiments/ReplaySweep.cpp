@@ -48,17 +48,6 @@ std::string ReplaySweepResult::mergedMetricsJson() const {
 
 namespace {
 
-/// A black hole executor: the sweep validates and counts, it does not
-/// drive an allocator (allocator-facing replay composes on top).
-class NullExecutor final : public TxExecutor {
-  void onAlloc(uint32_t, size_t) override {}
-  void onFree(uint32_t) override {}
-  void onRealloc(uint32_t, size_t, size_t) override {}
-  void onTouch(uint32_t, bool) override {}
-  void onWork(uint64_t) override {}
-  void onStateTouch(uint64_t, bool) override {}
-};
-
 ShardReplayResult replayOneShard(const std::string &Path,
                                  TraceReaderKind Kind) {
   ShardReplayResult R;
@@ -67,33 +56,12 @@ ShardReplayResult replayOneShard(const std::string &Path,
   if (::stat(Path.c_str(), &St) == 0)
     R.Bytes = static_cast<uint64_t>(St.st_size);
 
-  TraceReplayer Replayer;
-  if (TraceStatus S = Replayer.open(Path, Kind); !S) {
-    R.Status = S;
-    return R;
-  }
-  R.Reader = Replayer.readerName();
-
-  const WorkloadSpec *Spec = Replayer.workload();
-  uint64_t StateLimit =
-      Spec ? Spec->AppStateBytes : TraceReplayer::StateLimitUnknown;
-
-  NullExecutor Sink;
-  for (;;) {
-    TraceStats Stats;
-    switch (Replayer.replayTransactionInto(Sink, Stats, StateLimit)) {
-    case TraceReplayer::Step::Error:
-      R.Status = Replayer.status();
-      return R;
-    case TraceReplayer::Step::End:
-      R.Transactions = Replayer.transactionsReplayed();
-      R.Events = Replayer.eventsReplayed();
-      return R;
-    case TraceReplayer::Step::Tx:
-      R.Stats.add(Stats);
-      break;
-    }
-  }
+  TraceSummary Summary;
+  R.Status = summarizeTrace(Path, Summary, Kind);
+  R.Stats = Summary.Total;
+  R.Transactions = Summary.Transactions;
+  R.Events = Summary.Events;
+  return R;
 }
 
 } // namespace

@@ -3,8 +3,8 @@
 /// \file
 /// Replays a set of trace shards in parallel on a SweepRunner pool, one
 /// shard per task, and merges their per-shard statistics in submission
-/// order. Each shard is a self-contained validating replay (the same
-/// NullExecutor scan `tracestat` uses), so the SweepRunner determinism
+/// order. Each shard is a self-contained validating replay (the
+/// summarizeTrace scan `tracestat` uses), so the SweepRunner determinism
 /// contract applies directly: the merged metrics are a pure function of
 /// the shard list and are byte-identical at any `--jobs` count — the
 /// property bench_replay_throughput's `--check` mode enforces by
@@ -36,7 +36,6 @@ struct ShardReplayResult {
   uint64_t Transactions = 0; ///< Transactions replayed.
   uint64_t Events = 0;       ///< Events replayed.
   uint64_t Bytes = 0;        ///< Container bytes consumed.
-  std::string Reader;        ///< Backing reader ("mmap" or "stream").
   TraceStatus Status;        ///< First error, or success.
 };
 

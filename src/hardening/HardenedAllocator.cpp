@@ -80,8 +80,6 @@ const char *ddm::corruptionKindName(CorruptionKind Kind) {
     return "double-free";
   case CorruptionKind::HeaderClobber:
     return "header-clobber";
-  case CorruptionKind::GuardViolation:
-    return "guard-violation";
   }
   return "?";
 }
@@ -101,9 +99,6 @@ std::string CorruptionReport::describe() const {
   case CorruptionKind::HeaderClobber:
     What = "foreign pointer or clobbered object header";
     break;
-  case CorruptionKind::GuardViolation:
-    What = "overflow into a guarded page's slack";
-    break;
   }
   return "heap corruption detected: " + What + ": allocator=" + Allocator +
          " site=" + Site + " offset=" + std::to_string(ByteOffset) +
@@ -111,23 +106,16 @@ std::string CorruptionReport::describe() const {
          " size=" + std::to_string(UserSize);
 }
 
-HardenedAllocator::HardenedAllocator(std::unique_ptr<TxAllocator> InnerAlloc,
-                                     const HardeningConfig &C)
-    : Config(C), Inner(std::move(InnerAlloc)) {
+HardenedAllocator::HardenedAllocator(std::unique_ptr<TxAllocator> InnerAlloc)
+    : Inner(std::move(InnerAlloc)) {
   assert(Inner && "hardened wrapper needs an inner allocator");
-  if (Config.GuardSampleEveryN > 0) {
-    Guard = std::make_unique<GuardedPageAllocator>(Config.GuardSlots,
-                                                   Config.Seed);
-    if (!Guard->available())
-      Guard.reset();
-  }
 }
 
 HardenedAllocator::~HardenedAllocator() = default;
 
 uint64_t HardenedAllocator::magicFor(const ObjHeader *H,
                                      uint64_t StateSalt) const {
-  return mix64(reinterpret_cast<uintptr_t>(H) ^ Config.Seed ^
+  return mix64(reinterpret_cast<uintptr_t>(H) ^ Seed ^
                (H->UserSize * 0x9e3779b97f4a7c15ull) ^ StateSalt);
 }
 
@@ -143,16 +131,16 @@ HardenedAllocator::classify(const ObjHeader *H) const {
 }
 
 uint64_t HardenedAllocator::redzoneWord(const void *User) const {
-  return mix64(reinterpret_cast<uintptr_t>(User) ^ Config.Seed);
+  return mix64(reinterpret_cast<uintptr_t>(User) ^ Seed);
 }
 
 uint64_t HardenedAllocator::poisonWord(const void *User) const {
-  return mix64(reinterpret_cast<uintptr_t>(User) ^ Config.Seed ^ FreedSalt);
+  return mix64(reinterpret_cast<uintptr_t>(User) ^ Seed ^ FreedSalt);
 }
 
 size_t HardenedAllocator::poisonSpan(uint64_t UserSize) const {
   return static_cast<size_t>(
-      UserSize < Config.PoisonCapBytes ? UserSize : Config.PoisonCapBytes);
+      UserSize < PoisonCapBytes ? UserSize : PoisonCapBytes);
 }
 
 void HardenedAllocator::raise(CorruptionKind Kind, const char *Site,
@@ -175,7 +163,7 @@ void HardenedAllocator::raise(CorruptionKind Kind, const char *Site,
 }
 
 void HardenedAllocator::writeRedzone(void *User, uint64_t UserSize) {
-  fillPattern(static_cast<uint8_t *>(User) + UserSize, 0, Config.RedzoneBytes,
+  fillPattern(static_cast<uint8_t *>(User) + UserSize, 0, RedzoneBytes,
               redzoneWord(User));
 }
 
@@ -184,14 +172,14 @@ void HardenedAllocator::verifyRedzone(void *User, const char *Site) {
   ObjHeader *H = headerOf(User);
   auto *RZ = static_cast<uint8_t *>(User) + H->UserSize;
   uint64_t Word = redzoneWord(User);
-  size_t I = firstMismatch(RZ, Config.RedzoneBytes, Word);
-  if (I == Config.RedzoneBytes)
+  size_t I = firstMismatch(RZ, RedzoneBytes, Word);
+  if (I == RedzoneBytes)
     return;
   uint8_t Got = RZ[I];
   // Repair before reporting: a later verification of this object (the
   // free after a realloc-time check, the quarantine drain after a
   // free-time check) must not re-report the same scribble.
-  fillPattern(RZ, I, Config.RedzoneBytes, Word);
+  fillPattern(RZ, I, RedzoneBytes, Word);
   raise(CorruptionKind::RedzoneOverflow, Site, H->UserSize + I,
         patternByte(Word, I), Got, H->UserSize);
 }
@@ -244,16 +232,7 @@ void HardenedAllocator::removeFromLive(ObjHeader *H, void *User,
 }
 
 void *HardenedAllocator::allocate(size_t Size) {
-  if (Guard && ++AllocTick >= Config.GuardSampleEveryN) {
-    AllocTick = 0;
-    if (void *P = Guard->allocate(Size)) {
-      ++HStats.GuardAllocs;
-      noteMalloc(Size, Size);
-      return P;
-    }
-    // Pool exhausted or object too large: fall back to the normal path.
-  }
-  void *Raw = Inner->allocate(HeaderBytes + Size + Config.RedzoneBytes);
+  void *Raw = Inner->allocate(HeaderBytes + Size + RedzoneBytes);
   if (!Raw)
     return nullptr;
   auto *H = static_cast<ObjHeader *>(Raw);
@@ -270,24 +249,6 @@ void *HardenedAllocator::allocate(size_t Size) {
 void HardenedAllocator::deallocate(void *Ptr) {
   if (!Ptr)
     return;
-  if (Guard && Guard->owns(Ptr)) {
-    CorruptionReport R;
-    size_t Size = Guard->usableSize(Ptr);
-    if (!Guard->deallocate(Ptr, R)) {
-      R.Allocator = Inner->name();
-      ++HStats.Reports;
-      ++HStats.ReportsByKind[static_cast<unsigned>(R.Kind)];
-      if (Handler)
-        Handler(R);
-      else
-        fatal(R.describe());
-      if (R.Kind == CorruptionKind::HeaderClobber)
-        return; // Nothing was freed.
-    }
-    noteFree(Size);
-    return;
-  }
-
   ObjHeader *H = headerOf(Ptr);
   switch (classify(H)) {
   case ObjState::Freed:
@@ -302,23 +263,15 @@ void HardenedAllocator::deallocate(void *Ptr) {
 
   // Injected overflow: flip one red-zone byte right before verification,
   // proving the verifier catches it (bench_hardening's detection gate).
-  if (Config.RedzoneBytes > 0 &&
-      faultShouldFail(FaultSite::HeapScribbleOverflow)) {
+  if (faultShouldFail(FaultSite::HeapScribbleOverflow)) {
     auto *RZ = static_cast<uint8_t *>(Ptr) + H->UserSize;
-    RZ[OverflowRot++ % Config.RedzoneBytes] ^= 0xff;
+    RZ[OverflowRot++ % RedzoneBytes] ^= 0xff;
   }
   verifyRedzone(Ptr, "deallocate");
 
   removeFromLive(H, Ptr, "deallocate");
   noteFree(H->UserSize);
   H->Magic = magicFor(H, FreedSalt);
-
-  bool Quarantined = Config.QuarantineSlots > 0 &&
-                     Config.QuarantineMaxBytes > 0;
-  if (!Quarantined) {
-    Inner->deallocate(H);
-    return;
-  }
   poisonObject(Ptr, H->UserSize);
   // Injected use-after-free: flip one poison byte before the entry is
   // parked; the recycle/drain verification must find it. (Scribbling
@@ -332,7 +285,7 @@ void HardenedAllocator::deallocate(void *Ptr) {
   pushQuarantine(Ptr, H->UserSize);
   // Injected double free: free the same pointer again; the freed-state
   // header must be recognized. Only while the entry is still parked — a
-  // tiny ring may have recycled it to the inner allocator already.
+  // free larger than QuarantineMaxBytes recycles itself at once.
   if (!Quarantine.empty() && Quarantine.back() == Ptr &&
       faultShouldFail(FaultSite::HeapDoubleFree))
     deallocate(Ptr);
@@ -342,8 +295,8 @@ void HardenedAllocator::pushQuarantine(void *User, uint64_t UserSize) {
   Quarantine.push_back(User);
   HStats.QuarantinedBytes += UserSize;
   while (!Quarantine.empty() &&
-         (Quarantine.size() > Config.QuarantineSlots ||
-          HStats.QuarantinedBytes > Config.QuarantineMaxBytes))
+         (Quarantine.size() > QuarantineSlots ||
+          HStats.QuarantinedBytes > QuarantineMaxBytes))
     recycleOldest();
 }
 
@@ -373,15 +326,6 @@ void *HardenedAllocator::reallocate(void *Ptr, size_t OldSize,
   ++Stats.ReallocCalls;
   if (!Ptr)
     return allocate(NewSize);
-  if (Guard && Guard->owns(Ptr)) {
-    size_t Have = Guard->usableSize(Ptr);
-    void *Fresh = allocate(NewSize);
-    if (!Fresh)
-      return nullptr;
-    std::memcpy(Fresh, Ptr, Have < NewSize ? Have : NewSize);
-    deallocate(Ptr);
-    return Fresh;
-  }
   ObjHeader *H = headerOf(Ptr);
   switch (classify(H)) {
   case ObjState::Freed:
@@ -423,19 +367,6 @@ void HardenedAllocator::freeAll() {
     verifyPoison(User, "free_all");
   }
   HStats.QuarantinedBytes = 0;
-  if (Guard && Guard->liveSlots() > 0) {
-    CorruptionReport R;
-    unsigned Bad = Guard->freeAllLive(R);
-    if (Bad > 0) {
-      R.Allocator = Inner->name();
-      HStats.Reports += Bad;
-      HStats.ReportsByKind[static_cast<unsigned>(R.Kind)] += Bad;
-      if (Handler)
-        Handler(R);
-      else
-        fatal(R.describe());
-    }
-  }
   Inner->freeAll();
   noteFreeAll();
 }
@@ -443,16 +374,10 @@ void HardenedAllocator::freeAll() {
 size_t HardenedAllocator::usableSize(const void *Ptr) const {
   if (!Ptr)
     return 0;
-  if (Guard && Guard->owns(Ptr))
-    return Guard->usableSize(Ptr);
   const ObjHeader *H = headerOf(const_cast<void *>(Ptr));
   if (classify(H) == ObjState::Live)
     return static_cast<size_t>(H->UserSize);
   return 0;
-}
-
-uint64_t HardenedAllocator::memoryConsumption() const {
-  return Inner->memoryConsumption() + (Guard ? Guard->mappedBytes() : 0);
 }
 
 std::unique_ptr<TxAllocator>
@@ -460,7 +385,7 @@ ddm::hardenAllocator(std::unique_ptr<TxAllocator> Inner,
                      const HardeningConfig &Config) {
   if (!Config.Enabled)
     return Inner;
-  return std::make_unique<HardenedAllocator>(std::move(Inner), Config);
+  return std::make_unique<HardenedAllocator>(std::move(Inner));
 }
 
 HardenedAllocator *ddm::asHardened(TxAllocator *A) {

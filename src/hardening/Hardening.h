@@ -2,22 +2,19 @@
 ///
 /// \file
 /// The heap-hardening layer: a TxAllocator wrapper that detects heap
-/// corruption the way production allocators do (tcmalloc's GWP-ASan,
-/// scudo's header checksums and quarantine) and reports it precisely
-/// instead of letting a scribble propagate. Four cooperating mechanisms:
+/// corruption the way production allocators do (scudo's header checksums
+/// and quarantine) and reports it precisely instead of letting a scribble
+/// propagate. Three cooperating mechanisms:
 ///
-///  1. every object carries a checksummed header and a rear red-zone
-///     canary whose pattern derives from (pointer, seed); both are
-///     verified on free/realloc/freeAll, so buffer overflows, double
+///  1. every object carries a checksummed header and a 16-byte rear
+///     red-zone canary whose pattern derives from (pointer, seed); both
+///     are verified on free/realloc/freeAll, so buffer overflows, double
 ///     frees, and foreign pointers are caught at the free boundary;
 ///  2. freed objects are poison-filled and parked in a bounded quarantine
 ///     ring that delays reuse; the poison is re-verified when the entry is
 ///     recycled (or the heap is bulk-freed), catching use-after-free
 ///     writes;
-///  3. optionally, 1-in-N allocations are placed on dedicated pages with
-///     PROT_NONE neighbors (GuardedPageAllocator) so wild accesses trap
-///     at the faulting instruction — the native path's sampled guard;
-///  4. the free path consults the corruption-injecting fault sites
+///  3. the free path consults the corruption-injecting fault sites
 ///     (heap_scribble_overflow / heap_scribble_uaf / heap_double_free) so
 ///     chaos tests can verify detection coverage deterministically.
 ///
@@ -33,7 +30,6 @@
 #define DDM_HARDENING_HARDENING_H
 
 #include "core/TxAllocator.h"
-#include "hardening/GuardedPageAllocator.h"
 #include "hardening/HardeningConfig.h"
 
 #include <array>
@@ -52,10 +48,9 @@ enum class CorruptionKind : uint8_t {
   UseAfterFree,    ///< Poison byte mismatch: write to a quarantined object.
   DoubleFree,      ///< Free/realloc of an object already freed.
   HeaderClobber,   ///< Header magic mismatch: foreign pointer or wild write.
-  GuardViolation,  ///< Guarded-page slack byte mismatch.
 };
 
-constexpr unsigned NumCorruptionKinds = 5;
+constexpr unsigned NumCorruptionKinds = 4;
 
 /// Human-readable kind ("redzone-overflow", ...).
 const char *corruptionKindName(CorruptionKind Kind);
@@ -87,7 +82,6 @@ struct HardeningStats {
   uint64_t RedzoneChecks = 0;       ///< Red-zone verifications performed.
   uint64_t PoisonChecks = 0;        ///< Quarantine poison verifications.
   uint64_t QuarantineRecycles = 0;  ///< Entries released back to the heap.
-  uint64_t GuardAllocs = 0;         ///< Allocations placed on guard pages.
   uint64_t QuarantinedBytes = 0;    ///< User bytes currently quarantined.
   uint64_t Reports = 0;             ///< Total corruption reports raised.
   std::array<uint64_t, NumCorruptionKinds> ReportsByKind{};
@@ -104,8 +98,23 @@ class HardenedAllocator final : public TxAllocator {
 public:
   using ReportHandler = std::function<void(const CorruptionReport &)>;
 
-  HardenedAllocator(std::unique_ptr<TxAllocator> InnerAllocator,
-                    const HardeningConfig &Config);
+  /// Rear red-zone bytes appended to every object; the pattern is derived
+  /// from (pointer, Seed) and verified on free/realloc/freeAll.
+  static constexpr uint32_t RedzoneBytes = 16;
+  /// Bound on delayed frees in the poison-on-free quarantine ring.
+  static constexpr uint32_t QuarantineSlots = 64;
+  /// Bound on the total user bytes the quarantine may hold; the oldest
+  /// entries are recycled (poison re-verified, then released) to stay
+  /// under it.
+  static constexpr uint64_t QuarantineMaxBytes = 1ull * 1024 * 1024;
+  /// At most this many leading user bytes are poisoned on free and
+  /// re-verified at recycle time, so large objects stay cheap.
+  static constexpr uint32_t PoisonCapBytes = 64;
+  /// Seed of the canary/poison patterns. Mixed with each object's address
+  /// so a fixed scribble value cannot forge a valid pattern.
+  static constexpr uint64_t Seed = 0x6a7d;
+
+  explicit HardenedAllocator(std::unique_ptr<TxAllocator> InnerAllocator);
   ~HardenedAllocator() override;
 
   /// Installs the corruption-report consumer. Without one (the default)
@@ -123,7 +132,6 @@ public:
 
   const HardeningStats &hardeningStats() const { return HStats; }
   TxAllocator &inner() { return *Inner; }
-  const HardeningConfig &hardeningConfig() const { return Config; }
 
   // TxAllocator interface.
   void *allocate(size_t Size) override;
@@ -135,13 +143,13 @@ public:
   }
   bool supportsBulkFree() const override { return Inner->supportsBulkFree(); }
   size_t usableSize(const void *Ptr) const override;
-  bool owns(const void *Ptr) const override {
-    return (Guard && Guard->owns(Ptr)) || Inner->owns(Ptr);
-  }
+  bool owns(const void *Ptr) const override { return Inner->owns(Ptr); }
   /// The inner allocator's name: under --harden every table/JSON keeps the
   /// same allocator keys as the unhardened run.
   const char *name() const override { return Inner->name(); }
-  uint64_t memoryConsumption() const override;
+  uint64_t memoryConsumption() const override {
+    return Inner->memoryConsumption();
+  }
   void attachSink(AccessSink *S) override { Inner->attachSink(S); }
 
 private:
@@ -193,31 +201,25 @@ private:
   void raise(CorruptionKind Kind, const char *Site, uint64_t ByteOffset,
              uint8_t Expected, uint8_t Found, uint64_t UserSize);
 
-  HardeningConfig Config;
   std::unique_ptr<TxAllocator> Inner;
   ReportHandler Handler;
   HardeningStats HStats;
 
-  /// User pointers of live (non-guard) objects, insertion-ordered with
-  /// swap-remove: O(1) maintenance, deterministic iteration for the
-  /// freeAll sweep (no address-dependent ordering — double runs must be
-  /// byte-identical).
+  /// User pointers of live objects, insertion-ordered with swap-remove:
+  /// O(1) maintenance, deterministic iteration for the freeAll sweep (no
+  /// address-dependent ordering — double runs must be byte-identical).
   std::vector<void *> LiveObjects;
   /// FIFO of quarantined user pointers (poisoned, inner-free delayed).
   std::deque<void *> Quarantine;
 
-  /// GWP-ASan-style sampler; null unless Config.GuardSampleEveryN > 0 and
-  /// the pool's pages could be mapped.
-  std::unique_ptr<GuardedPageAllocator> Guard;
-  uint64_t AllocTick = 0;
   /// Rotors picking which byte the corruption-injecting fault sites
   /// damage; deterministic so double runs scribble identically.
   uint32_t OverflowRot = 0;
   uint32_t UafRot = 0;
 };
 
-/// Wraps \p Inner in a HardenedAllocator per \p Config; returns \p Inner
-/// unchanged when hardening is disabled. The factory calls this for every
+/// Wraps \p Inner in a HardenedAllocator when \p Config is enabled;
+/// returns \p Inner unchanged otherwise. The factory calls this for every
 /// allocator when AllocatorOptions::Hardening.Enabled is set.
 std::unique_ptr<TxAllocator>
 hardenAllocator(std::unique_ptr<TxAllocator> Inner,

@@ -1,4 +1,4 @@
-//===- hardening/HardeningConfig.h - Heap-hardening knobs ------*- C++ -*-===//
+//===- hardening/HardeningConfig.h - Heap-hardening switch -----*- C++ -*-===//
 ///
 /// \file
 /// Configuration of the heap-hardening layer (src/hardening). A plain POD
@@ -6,59 +6,23 @@
 /// AllocatorOptions without pulling the hardening implementation into
 /// every core include.
 ///
-/// The defaults are the "--harden" production point: cheap enough to pass
-/// bench_hardening's <= 5% overhead gate, strong enough that every
+/// The layer has one mode, the "--harden" production point: cheap enough
+/// to pass bench_hardening's <= 5% overhead gate, strong enough that every
 /// injected red-zone or quarantine scribble is detected (the 100%
-/// detection gate).
+/// detection gate). Its red-zone, quarantine and poison sizes are
+/// HardenedAllocator constants.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef DDM_HARDENING_HARDENINGCONFIG_H
 #define DDM_HARDENING_HARDENINGCONFIG_H
 
-#include <cstdint>
-
 namespace ddm {
 
-/// Knobs of the HardenedAllocator wrapper and its guarded-page sampler.
+/// Whether the factory wraps allocators in a HardenedAllocator.
 struct HardeningConfig {
-  /// Master switch: when false the factory returns the bare allocator and
-  /// none of the fields below matter.
+  /// When false the factory returns the bare allocator.
   bool Enabled = false;
-
-  /// Rear red-zone bytes appended to every object; the pattern is derived
-  /// from (pointer, Seed) and verified on free/realloc/freeAll. 0 disables
-  /// overflow detection.
-  uint32_t RedzoneBytes = 16;
-
-  /// Bound on delayed frees in the poison-on-free quarantine ring (0
-  /// disables the quarantine: frees release to the inner allocator
-  /// immediately and use-after-free writes go undetected).
-  uint32_t QuarantineSlots = 64;
-
-  /// Bound on the total user bytes the quarantine may hold; the oldest
-  /// entries are recycled (poison re-verified, then released) to stay
-  /// under it.
-  uint64_t QuarantineMaxBytes = 1ull * 1024 * 1024;
-
-  /// At most this many leading user bytes are poisoned on free and
-  /// re-verified at recycle time. Caps the per-free memset so large
-  /// objects stay cheap.
-  uint32_t PoisonCapBytes = 64;
-
-  /// GWP-ASan-style sampling: every Nth allocation is placed on its own
-  /// page with PROT_NONE neighbors so wild accesses trap immediately.
-  /// 0 (the default) disables guard sampling — it is meant for the native
-  /// execution path, not the simulator.
-  uint32_t GuardSampleEveryN = 0;
-
-  /// Guarded-page pool size (objects that can be guard-live at once);
-  /// freed slots stay PROT_NONE until the pool needs them again.
-  uint32_t GuardSlots = 16;
-
-  /// Seed of the canary/poison patterns. Mixed with each object's address
-  /// so a fixed scribble value cannot forge a valid pattern.
-  uint64_t Seed = 0x6a7d;
 };
 
 } // namespace ddm

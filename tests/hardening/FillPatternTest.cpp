@@ -7,9 +7,9 @@
 /// tests compare
 /// every byte the allocator writes against an inline copy of the original
 /// per-byte formula (byte I of the pattern is byte I mod 8 of one mixed
-/// word) for object sizes 1-100, a 64-byte poison cap, and red zones of
-/// 16 and 13 bytes (the latter not a multiple of the 8-byte word), and
-/// check that a scribble is reported with the formula's byte and repaired.
+/// word) for object sizes 1-100, the 64-byte poison cap and the 16-byte
+/// red zone, and check that a scribble is reported with the formula's
+/// byte and repaired.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,21 +46,19 @@ uint8_t referencePoisonByte(const void *User, uint64_t Seed, uint32_t I) {
   return static_cast<uint8_t>(Word >> ((I % 8) * 8));
 }
 
+constexpr uint32_t PoisonCapBytes = HardenedAllocator::PoisonCapBytes;
+constexpr uint64_t Seed = HardenedAllocator::Seed;
+
 struct Fixture {
-  HardeningConfig Config;
+  /// The red-zone width the allocator is expected to write.
+  uint32_t RedzoneBytes;
   std::unique_ptr<TxAllocator> Alloc;
   HardenedAllocator *H = nullptr;
   std::vector<CorruptionReport> Reports;
 
-  explicit Fixture(uint32_t RedzoneBytes) {
+  explicit Fixture(uint32_t RedzoneBytes) : RedzoneBytes(RedzoneBytes) {
     AllocatorOptions Options;
     Options.Hardening.Enabled = true;
-    Options.Hardening.RedzoneBytes = RedzoneBytes;
-    Options.Hardening.PoisonCapBytes = 64;
-    // Every freed object stays parked, so its poison can be read back.
-    Options.Hardening.QuarantineSlots = 1024;
-    Options.Hardening.QuarantineMaxBytes = 1ull << 30;
-    Config = Options.Hardening;
     Alloc = createAllocator(AllocatorKind::Glibc, Options);
     H = asHardened(Alloc.get());
     H->setReportHandler(
@@ -68,15 +66,15 @@ struct Fixture {
   }
 
   void expectRedzone(const uint8_t *P, size_t Size) const {
-    for (uint32_t I = 0; I < Config.RedzoneBytes; ++I)
-      ASSERT_EQ(P[Size + I], referenceRedzoneByte(P, Config.Seed, I))
+    for (uint32_t I = 0; I < RedzoneBytes; ++I)
+      ASSERT_EQ(P[Size + I], referenceRedzoneByte(P, Seed, I))
           << "size " << Size << " red-zone byte " << I;
   }
 
   void expectPoison(const uint8_t *P, size_t Size) const {
-    size_t Span = Size < Config.PoisonCapBytes ? Size : Config.PoisonCapBytes;
+    size_t Span = Size < PoisonCapBytes ? Size : PoisonCapBytes;
     for (uint32_t I = 0; I < Span; ++I)
-      ASSERT_EQ(P[I], referencePoisonByte(P, Config.Seed, I))
+      ASSERT_EQ(P[I], referencePoisonByte(P, Seed, I))
           << "size " << Size << " poison byte " << I;
     // Bytes past the cap are left as the application wrote them.
     for (size_t I = Span; I < Size; ++I)
@@ -87,6 +85,8 @@ struct Fixture {
 class FillPatternTest : public testing::TestWithParam<uint32_t> {};
 
 TEST_P(FillPatternTest, RedzoneAndPoisonMatchThePerByteFormula) {
+  // Each object is checked right after its free, while it is the newest
+  // quarantine entry and so still parked with its poison in place.
   Fixture F(GetParam());
   for (size_t Size = 1; Size <= 100; ++Size) {
     auto *P = static_cast<uint8_t *>(F.Alloc->allocate(Size));
@@ -106,7 +106,7 @@ TEST_P(FillPatternTest, RedzoneAndPoisonMatchThePerByteFormula) {
 TEST_P(FillPatternTest,
        RedzoneScribbleIsReportedWithThePatternByteAndRepaired) {
   Fixture F(GetParam());
-  const uint32_t Last = F.Config.RedzoneBytes - 1;
+  const uint32_t Last = F.RedzoneBytes - 1;
   for (size_t Size : {1u, 7u, 8u, 13u, 64u, 100u}) {
     for (uint32_t At : {0u, 5u, 8u, Last}) {
       SCOPED_TRACE("size " + std::to_string(Size) + " byte " +
@@ -114,7 +114,7 @@ TEST_P(FillPatternTest,
       F.Reports.clear();
       auto *P = static_cast<uint8_t *>(F.Alloc->allocate(Size));
       ASSERT_NE(P, nullptr);
-      uint8_t Want = referenceRedzoneByte(P, F.Config.Seed, At);
+      uint8_t Want = referenceRedzoneByte(P, Seed, At);
       P[Size + At] ^= 0xff;
       if (At != Last)
         P[Size + Last] ^= 0x0f;
@@ -147,7 +147,7 @@ TEST_P(FillPatternTest, PoisonScribbleIsReportedWithThePatternByte) {
       auto *P = static_cast<uint8_t *>(F.Alloc->allocate(Size));
       ASSERT_NE(P, nullptr);
       F.Alloc->deallocate(P);
-      uint8_t Want = referencePoisonByte(P, F.Config.Seed, At);
+      uint8_t Want = referencePoisonByte(P, Seed, At);
       P[At] ^= 0x81;
       // Only the first bad byte is reported.
       if (At != Last)
@@ -164,7 +164,8 @@ TEST_P(FillPatternTest, PoisonScribbleIsReportedWithThePatternByte) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Redzones, FillPatternTest, testing::Values(16u, 13u),
+INSTANTIATE_TEST_SUITE_P(Redzones, FillPatternTest,
+                         testing::Values(HardenedAllocator::RedzoneBytes),
                          [](const testing::TestParamInfo<uint32_t> &Info) {
                            return "Redzone" + std::to_string(Info.param);
                          });

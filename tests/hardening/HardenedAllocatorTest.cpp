@@ -95,6 +95,81 @@ TEST(HardenedAllocatorTest, QuarantinedBytesAreNotLiveBytes) {
   EXPECT_TRUE(F.Reports.empty());
 }
 
+TEST(HardenedAllocatorTest, QuarantineSlotBoundRecyclesTheOldestEntry) {
+  // Each object gets its own size and a dangling write after its free, so
+  // the UseAfterFree report of a recycle names the entry that left.
+  Fixture F;
+  const uint32_t Slots = HardenedAllocator::QuarantineSlots;
+  ASSERT_EQ(Slots, 64u);
+  std::vector<uint8_t *> Ptrs;
+  for (uint32_t I = 0; I <= Slots; ++I)
+    Ptrs.push_back(static_cast<uint8_t *>(F.Alloc->allocate(100 + I)));
+  uint64_t Parked = 0;
+  for (uint32_t I = 0; I < Slots; ++I) {
+    F.Alloc->deallocate(Ptrs[I]);
+    Ptrs[I][0] ^= 0xff;
+    Parked += 100 + I;
+  }
+  EXPECT_EQ(F.H->hardeningStats().QuarantineRecycles, 0u);
+  EXPECT_EQ(F.H->hardeningStats().QuarantinedBytes, Parked);
+  EXPECT_TRUE(F.Reports.empty());
+
+  F.Alloc->deallocate(Ptrs[Slots]);
+  EXPECT_EQ(F.H->hardeningStats().QuarantineRecycles, 1u);
+  EXPECT_EQ(F.H->hardeningStats().QuarantinedBytes,
+            Parked - 100 + (100 + Slots));
+  ASSERT_EQ(F.Reports.size(), 1u);
+  EXPECT_EQ(F.Reports[0].Kind, CorruptionKind::UseAfterFree);
+  EXPECT_EQ(F.Reports[0].Site, "quarantine_recycle");
+  EXPECT_EQ(F.Reports[0].UserSize, 100u);
+}
+
+TEST(HardenedAllocatorTest, QuarantineByteBoundRecyclesOldestFirst) {
+  Fixture F;
+  const uint64_t MaxBytes = HardenedAllocator::QuarantineMaxBytes;
+  ASSERT_EQ(MaxBytes, 1024u * 1024u);
+  // Three of these fit under the bound, four do not.
+  const uint64_t Big = 300 * 1024;
+  const uint64_t Sizes[] = {Big + 1, Big + 2, Big + 3, Big + 4, 700 * 1024};
+  std::vector<uint8_t *> Ptrs;
+  for (uint64_t Size : Sizes)
+    Ptrs.push_back(static_cast<uint8_t *>(F.Alloc->allocate(Size)));
+  auto Free = [&](size_t I) {
+    F.Alloc->deallocate(Ptrs[I]);
+    Ptrs[I][0] ^= 0xff;
+  };
+  auto RecycledSizes = [&F] {
+    std::vector<uint64_t> Out;
+    for (const CorruptionReport &R : F.Reports)
+      Out.push_back(R.UserSize);
+    return Out;
+  };
+  for (size_t I = 0; I < 3; ++I)
+    Free(I);
+  EXPECT_EQ(F.H->hardeningStats().QuarantinedBytes,
+            Sizes[0] + Sizes[1] + Sizes[2]);
+  EXPECT_TRUE(F.Reports.empty());
+
+  // The fourth free crosses the bound; dropping the oldest entry is enough.
+  Free(3);
+  EXPECT_EQ(RecycledSizes(), (std::vector<uint64_t>{Sizes[0]}));
+  EXPECT_EQ(F.H->hardeningStats().QuarantinedBytes,
+            Sizes[1] + Sizes[2] + Sizes[3]);
+
+  // The fifth crosses it by more than one entry: the two oldest go, in
+  // order, and the ring stops as soon as it is back under the bound.
+  Free(4);
+  EXPECT_EQ(RecycledSizes(),
+            (std::vector<uint64_t>{Sizes[0], Sizes[1], Sizes[2]}));
+  EXPECT_EQ(F.H->hardeningStats().QuarantineRecycles, 3u);
+  EXPECT_EQ(F.H->hardeningStats().QuarantinedBytes, Sizes[3] + Sizes[4]);
+  EXPECT_LE(F.H->hardeningStats().QuarantinedBytes, MaxBytes);
+  for (const CorruptionReport &R : F.Reports) {
+    EXPECT_EQ(R.Kind, CorruptionKind::UseAfterFree);
+    EXPECT_EQ(R.Site, "quarantine_recycle");
+  }
+}
+
 TEST(HardenedAllocatorTest, RedzoneOverflowIsDetectedAndAttributed) {
   Fixture F;
   auto *P = static_cast<uint8_t *>(F.Alloc->allocate(40));

@@ -130,7 +130,6 @@ std::string render(const TraceReplayer &Rep, TransactionRuntime &RT) {
     Out += "harden " + std::to_string(S.RedzoneChecks) + " " +
            std::to_string(S.PoisonChecks) + " " +
            std::to_string(S.QuarantineRecycles) + " " +
-           std::to_string(S.GuardAllocs) + " " +
            std::to_string(S.QuarantinedBytes) + " " +
            std::to_string(S.Reports) + "\n";
   }
@@ -216,19 +215,19 @@ const std::map<std::string, std::string> PhpExpected = {
     {"ddmalloc+harden",
      "trace 4 38117 6072 5092 241 0 0 353498 12136 8500 3036000\n"
      "alloc 6313 5333 241 4 383078 0 17787\n"
-     "harden 6554 5333 5077 0 0 0\n"
+     "harden 6554 5333 5077 0 0\n"
      "runtime 4 0 0 0 0 6072 5092 241 0 0 353498 12136 8500 3036000\n"
      "consumption 4 778784 762400 795168\n"},
     {"default+harden",
      "trace 4 38117 6072 5092 241 0 0 353498 12136 8500 3036000\n"
      "alloc 6313 5333 241 4 383078 0 17787\n"
-     "harden 6554 5333 5077 0 0 0\n"
+     "harden 6554 5333 5077 0 0\n"
      "runtime 4 0 0 0 0 6072 5092 241 0 0 353498 12136 8500 3036000\n"
      "consumption 4 262144 262144 262144\n"},
     {"tcmalloc+harden",
      "trace 4 38117 6072 5092 241 0 0 353498 12136 8500 3036000\n"
      "alloc 6313 6313 241 0 383078 0 17787\n"
-     "harden 6554 6249 6249 0 4169 0\n"
+     "harden 6554 6249 6249 4169 0\n"
      "runtime 4 0 0 0 0 6072 5092 241 0 0 353498 12136 8500 3036000\n"
      "consumption 4 1605632 1507328 1638400\n"},
     {"region+buddy",
@@ -297,19 +296,19 @@ const std::map<std::string, std::string> RubyExpected = {
     {"ddmalloc+harden",
      "trace 25 90495 15000 12205 340 0 0 868764 29950 17975 10500000\n"
      "alloc 3062 3055 62 0 184416 394 7583\n"
-     "harden 3117 2991 2991 0 4359 0\n"
+     "harden 3117 2991 2991 4359 0\n"
      "runtime 25 1 0 0 60000000 15000 12205 340 0 0 868764 29950 17975 10500000\n"
      "consumption 25 791235.83999999985 664096 827936\n"},
     {"default+harden",
      "trace 25 90495 15000 12205 340 0 0 868764 29950 17975 10500000\n"
      "alloc 3062 3055 62 0 184416 394 7583\n"
-     "harden 3117 2991 2991 0 4359 0\n"
+     "harden 3117 2991 2991 4359 0\n"
      "runtime 25 1 0 0 60000000 15000 12205 340 0 0 868764 29950 17975 10500000\n"
      "consumption 25 262144 262144 262144\n"},
     {"tcmalloc+harden",
      "trace 25 90495 15000 12205 340 0 0 868764 29950 17975 10500000\n"
      "alloc 3062 3055 62 0 184416 394 7583\n"
-     "harden 3117 2991 2991 0 4359 0\n"
+     "harden 3117 2991 2991 4359 0\n"
      "runtime 25 1 0 0 60000000 15000 12205 340 0 0 868764 29950 17975 10500000\n"
      "consumption 25 1564999.6799999997 1310720 1638400\n"},
     {"region+buddy",
