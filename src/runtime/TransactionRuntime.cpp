@@ -44,13 +44,21 @@ void TransactionRuntime::setWorkload(const WorkloadSpec &W) {
   Workload = W;
 }
 
-TransactionRuntime::ObjectRecord &TransactionRuntime::recordFor(uint32_t Id) {
-  if (Id >= ObjectsInTx) {
-    ObjectsInTx = size_t(Id) + 1;
-    if (ObjectsInTx > Objects.size())
-      Objects.resize(ObjectsInTx);
-  }
-  return Objects[Id];
+void TransactionRuntime::touchCanaryMismatch() {
+  fatal("heap corruption detected: canary mismatch on touch");
+}
+
+void TransactionRuntime::touchLine(const ObjectRecord &Record, bool IsWrite) {
+  uint32_t Offset =
+      Record.Size > 64
+          ? static_cast<uint32_t>(TouchRng.nextBelow(Record.Size - 63)) & ~63u
+          : 0;
+  auto *Addr = static_cast<std::byte *>(Record.Ptr) + Offset;
+  if (IsWrite)
+    SinkHandleView.store(Addr, 8);
+  else
+    SinkHandleView.load(Addr, 8);
+  SinkHandleView.instructions(6);
 }
 
 void TransactionRuntime::resetObjects() {
@@ -203,65 +211,6 @@ void TransactionRuntime::onRealloc(uint32_t Id, size_t OldSize,
   if (NewSize >= sizeof(uint32_t))
     *static_cast<uint32_t *>(Ptr) = Id; // refresh the canary
   SinkHandleView.store(Ptr, sizeof(uint32_t));
-}
-
-void TransactionRuntime::onTouch(uint32_t Id, bool IsWrite) {
-  if (Trace) {
-    TraceEvent E;
-    E.Op = TraceOp::Touch;
-    E.Id = Id;
-    E.IsWrite = IsWrite;
-    Trace->event(E);
-  }
-  if (txAborted())
-    return;
-  ObjectRecord &Record = recordFor(Id);
-  assert(Record.Live && "touching a dead object");
-  if (Record.Size >= sizeof(uint32_t) &&
-      *static_cast<uint32_t *>(Record.Ptr) != Id)
-    fatal("heap corruption detected: canary mismatch on touch");
-  // Touch one line of the object at a random offset.
-  uint32_t Offset =
-      Record.Size > 64
-          ? static_cast<uint32_t>(TouchRng.nextBelow(Record.Size - 63)) & ~63u
-          : 0;
-  auto *Addr = static_cast<std::byte *>(Record.Ptr) + Offset;
-  if (IsWrite)
-    SinkHandleView.store(Addr, 8);
-  else
-    SinkHandleView.load(Addr, 8);
-  SinkHandleView.instructions(6);
-}
-
-void TransactionRuntime::onWork(uint64_t Instructions) {
-  if (Trace) {
-    TraceEvent E;
-    E.Op = TraceOp::Work;
-    E.Size = Instructions;
-    Trace->event(E);
-  }
-  if (txAborted())
-    return;
-  SinkHandleView.instructions(Instructions);
-}
-
-void TransactionRuntime::onStateTouch(uint64_t Offset, bool IsWrite) {
-  if (Trace) {
-    TraceEvent E;
-    E.Op = TraceOp::StateTouch;
-    E.Size = Offset;
-    E.IsWrite = IsWrite;
-    Trace->event(E);
-  }
-  if (txAborted())
-    return;
-  assert(Offset + 64 <= StateArea.size() && "state touch out of range");
-  std::byte *Addr = StateArea.base() + Offset;
-  if (IsWrite)
-    SinkHandleView.store(Addr, 8);
-  else
-    SinkHandleView.load(Addr, 8);
-  SinkHandleView.instructions(3);
 }
 
 void TransactionRuntime::cleanupTransaction() {

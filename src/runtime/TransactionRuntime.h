@@ -20,6 +20,17 @@
 /// the CostDomain set so memory-management and application cycles are
 /// attributed separately (Figures 6 and 11).
 ///
+/// The class is final, and the three handlers that run most often per
+/// event — onTouch, onWork and onStateTouch, with recordFor — are defined
+/// in this header: the trace replayer's loop, instantiated on
+/// TransactionRuntime (TraceReplayer::replayTransaction), binds its calls
+/// statically and inlines them. A touch checks the object's canary
+/// whether or not a sink is attached, but draws its line offset from
+/// TouchRng only for a sink (out of line, in touchLine, so the inlined
+/// handler stays small): the offset feeds nothing but the sink's address,
+/// the sink is fixed at construction, and TouchRng has no other reader,
+/// so skipping the draw changes no output.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DDM_RUNTIME_TRANSACTIONRUNTIME_H
@@ -32,6 +43,8 @@
 #include "trace/TraceEvent.h"
 #include "workload/TraceGenerator.h"
 
+#include <cassert>
+#include <cstddef>
 #include <memory>
 #include <vector>
 
@@ -123,7 +136,7 @@ struct TxOutcome {
 };
 
 /// One simulated runtime process.
-class TransactionRuntime : public TxExecutor {
+class TransactionRuntime final : public TxExecutor {
 public:
   TransactionRuntime(const WorkloadSpec &Workload, const RuntimeConfig &Config,
                      AccessSink *Sink = nullptr);
@@ -213,7 +226,20 @@ private:
   /// routes its reports into noteCorruption.
   void installCorruptionHandler();
   void restartProcess();
-  ObjectRecord &recordFor(uint32_t Id);
+  ObjectRecord &recordFor(uint32_t Id) {
+    if (Id >= ObjectsInTx) {
+      ObjectsInTx = size_t(Id) + 1;
+      if (ObjectsInTx > Objects.size())
+        Objects.resize(ObjectsInTx);
+    }
+    return Objects[Id];
+  }
+  /// Reports a touched object whose canary is gone (fatal; kept out of
+  /// line so the inlined onTouch stays small).
+  [[noreturn]] static void touchCanaryMismatch();
+  /// Mirrors a touch of one line of \p Record, at a random offset, into
+  /// the sink.
+  void touchLine(const ObjectRecord &Record, bool IsWrite);
   /// Ends the transaction's use of Objects: clears the records it touched
   /// and keeps the storage for the next transaction.
   void resetObjects();
@@ -255,6 +281,57 @@ private:
   HardenedAllocator *Hardened = nullptr;
   TxOutcome Outcome;
 };
+
+inline void TransactionRuntime::onTouch(uint32_t Id, bool IsWrite) {
+  if (Trace) {
+    TraceEvent E;
+    E.Op = TraceOp::Touch;
+    E.Id = Id;
+    E.IsWrite = IsWrite;
+    Trace->event(E);
+  }
+  if (txAborted())
+    return;
+  ObjectRecord &Record = recordFor(Id);
+  assert(Record.Live && "touching a dead object");
+  if (Record.Size >= sizeof(uint32_t) &&
+      *static_cast<uint32_t *>(Record.Ptr) != Id)
+    touchCanaryMismatch();
+  // Without a sink there is no line to mirror and no offset to draw.
+  if (SinkHandleView)
+    touchLine(Record, IsWrite);
+}
+
+inline void TransactionRuntime::onWork(uint64_t Instructions) {
+  if (Trace) {
+    TraceEvent E;
+    E.Op = TraceOp::Work;
+    E.Size = Instructions;
+    Trace->event(E);
+  }
+  if (txAborted())
+    return;
+  SinkHandleView.instructions(Instructions);
+}
+
+inline void TransactionRuntime::onStateTouch(uint64_t Offset, bool IsWrite) {
+  if (Trace) {
+    TraceEvent E;
+    E.Op = TraceOp::StateTouch;
+    E.Size = Offset;
+    E.IsWrite = IsWrite;
+    Trace->event(E);
+  }
+  if (txAborted())
+    return;
+  assert(Offset + 64 <= StateArea.size() && "state touch out of range");
+  std::byte *Addr = StateArea.base() + Offset;
+  if (IsWrite)
+    SinkHandleView.store(Addr, 8);
+  else
+    SinkHandleView.load(Addr, 8);
+  SinkHandleView.instructions(3);
+}
 
 } // namespace ddm
 

@@ -129,6 +129,13 @@ public:
   /// Samples a geometric distribution: the number of failures before the
   /// first success with success probability \p P in (0, 1].
   uint64_t nextGeometric(double P) {
+    return nextGeometric(P, std::log1p(-P));
+  }
+
+  /// nextGeometric(P) with \p Log1mP = std::log1p(-P) computed by the
+  /// caller, for loops that draw many samples at one P. Same draws, same
+  /// results.
+  uint64_t nextGeometric(double P, double Log1mP) {
     assert(P > 0.0 && P <= 1.0 && "probability out of range");
     if (P >= 1.0)
       return 0;
@@ -136,7 +143,7 @@ public:
     // Avoid log(0).
     if (U <= 0.0)
       U = 0x1.0p-53;
-    return static_cast<uint64_t>(std::log(U) / std::log1p(-P));
+    return static_cast<uint64_t>(std::log(U) / Log1mP);
   }
 
   /// Samples a (discretized) log-normal distribution with the given

@@ -13,6 +13,23 @@
 /// read() for pipes/FIFOs (see openTraceInput) — so the hot loop costs
 /// one reader call per span, not one per event.
 ///
+/// There is one per-event loop, a template over the executor type
+/// (replayEvents), instantiated three times in TraceReplayer.cpp:
+///  - on TxExecutor, behind replayTransactionInto: the generic path, one
+///    virtual call per event, for any executor;
+///  - on the final TransactionRuntime, behind replayTransaction: the fast
+///    path that replay sweeps, Measure and heatmap use. The calls bind
+///    statically, and the runtime's touch, work and state-touch handlers
+///    (defined in TransactionRuntime.h) inline into the loop;
+///  - on summarizeTrace's final null executor, so the validating scan
+///    pays for no executor call at all.
+/// The loop keeps its span cursor, event and object counts and the
+/// transaction's TraceStats in a local LoopState, where the executor's
+/// calls cannot force them back to memory, and saves them to the members
+/// only at a transaction boundary, at the end of the trace, or just before
+/// it records a failure (failAt) — so every diagnostic keeps its text, byte
+/// offset and event index.
+///
 /// The replayer validates events against its own live-object table before
 /// forwarding them, so a malformed or hand-edited trace produces a
 /// TraceStatus diagnostic (with byte offset and event index) instead of
@@ -47,6 +64,7 @@
 namespace ddm {
 
 class TransactionRuntime;
+struct TraceSummary;
 
 class TraceReplayer {
 public:
@@ -94,7 +112,10 @@ public:
                              uint64_t StateBytesLimit = StateLimitUnknown);
 
   /// Replays one transaction into \p RT and completes it (cleanup,
-  /// metrics, scheduled restart) exactly like executeTransaction().
+  /// metrics, scheduled restart) exactly like executeTransaction(). The
+  /// fast path: the same steps, diagnostics and stats as
+  /// replayTransactionInto followed by completeTransaction, without a
+  /// virtual call per event.
   Step replayTransaction(TransactionRuntime &RT);
 
   /// The diagnostic of the first failure (success-valued otherwise).
@@ -114,13 +135,35 @@ private:
     bool Live = false;
   };
 
-  TraceStatus fail(std::string Message);
+  /// The per-event loop's working state. replayEvents keeps it in a local,
+  /// out of reach of the executor's calls, and saves it to the members on
+  /// every way out.
+  struct LoopState {
+    const TraceEvent *Next;    ///< Next unconsumed event of Span.
+    const TraceEvent *SpanEnd; ///< One past Span's last event.
+    LiveObject *Table;         ///< Objects.data().
+    uint64_t EventsDone;
+    uint64_t EventsInTx;
+    uint64_t ObjectsInTx;
+    TraceStats Stats; ///< The caller's stats plus this call's events.
+  };
+
+  /// The one replay loop (see the file comment for its instantiations).
+  template <typename ExecutorT>
+  Step replayEvents(ExecutorT &Executor, TraceStats &Stats,
+                    uint64_t StateBytesLimit);
   /// The table slot of \p Id if that object is live, else nullptr.
-  LiveObject *liveObject(uint32_t Id) {
-    return Id < ObjectsInTx && Objects[Id].Live ? &Objects[Id] : nullptr;
+  static LiveObject *liveObject(const LoopState &S, uint32_t Id) {
+    return Id < S.ObjectsInTx && S.Table[Id].Live ? &S.Table[Id] : nullptr;
   }
-  /// Advances the span cursor, refilling from the input as needed.
-  TraceInput::Next nextEvent(const TraceEvent *&E);
+  LoopState loadState(const TraceStats &Stats);
+  void saveState(const LoopState &S, TraceStats &Stats);
+  /// Saves \p S, records the diagnostic of the event just consumed and
+  /// returns Step::Error.
+  Step failAt(LoopState S, TraceStats &Stats, std::string Message);
+
+  friend TraceStatus summarizeTrace(const std::string &, TraceSummary &,
+                                    TraceReaderKind);
 
   std::unique_ptr<TraceInput> Input;
   TraceEventSpan Span;     ///< Current batch of decoded events.

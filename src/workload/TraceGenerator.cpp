@@ -129,6 +129,7 @@ TraceStats ddm::runTransaction(const WorkloadSpec &Spec, double Scale, Rng &R,
           ? static_cast<double>(Spec.ReallocCalls) / Spec.MallocCalls
           : 0.0;
   double LifetimeP = 1.0 / (1.0 + Spec.MeanLifetimeSteps);
+  double LifetimeLog1mP = std::log1p(-LifetimeP);
 
   // Size model: a point-mass mixture over the interpreter's favourite
   // sizes plus a log-normal tail, with the tail's mean solved so the
@@ -233,7 +234,7 @@ TraceStats ddm::runTransaction(const WorkloadSpec &Spec, double Scale, Rng &R,
     Stats.AllocatedBytes += Size;
 
     if (R.nextBool(FreeFraction)) {
-      uint64_t Death = Step + 1 + R.nextGeometric(LifetimeP);
+      uint64_t Death = Step + 1 + R.nextGeometric(LifetimeP, LifetimeLog1mP);
       Calendar.schedule(Step, Death, Id);
     }
   }

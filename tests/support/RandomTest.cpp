@@ -138,6 +138,18 @@ TEST(RandomTest, GeometricWithCertainSuccessIsZero) {
     EXPECT_EQ(R.nextGeometric(1.0), 0u);
 }
 
+TEST(RandomTest, GeometricWithPrecomputedLogDrawsTheSameStream) {
+  // The lifetime draw passes log1p(-P) in once per transaction; it must
+  // draw exactly what the one-argument form draws, P = 1 included.
+  for (double P : {0.08, 0.25, 0.9, 1.0}) {
+    Rng A(12), B(12);
+    double Log1mP = std::log1p(-P);
+    for (int I = 0; I < 1000; ++I)
+      ASSERT_EQ(A.nextGeometric(P), B.nextGeometric(P, Log1mP)) << P;
+    EXPECT_EQ(A.next(), B.next()) << P;
+  }
+}
+
 TEST(RandomTest, GaussianMoments) {
   Rng R(11);
   double Sum = 0, SumSq = 0;
