@@ -89,11 +89,11 @@ constexpr size_t HeapReserve = 64ull * 1024 * 1024;
 std::vector<RecordingSink::Access> recordThread(const WorkloadSpec &W,
                                                 uint32_t Thread, bool Coloring,
                                                 double Scale, uint64_t Seed) {
-  DDmallocConfig Config;
-  Config.ProcessId = Thread;
-  Config.MetadataColoring = Coloring;
-  Config.HeapReserveBytes = HeapReserve;
-  DDmallocAllocator Allocator(Config);
+  AllocatorOptions Options;
+  Options.ProcessId = Thread;
+  Options.MetadataColoring = Coloring;
+  Options.HeapReserveBytes = HeapReserve;
+  DDmallocAllocator Allocator(Options);
   RecordingSink Sink;
   Allocator.attachSink(&Sink);
 

@@ -34,6 +34,15 @@ AllocatorKind ddm::choosePlacement(const StreamWindowStats &W) {
 
 namespace {
 
+/// First strategy, before any evidence.
+constexpr AllocatorKind InitialKind = AllocatorKind::Default;
+
+/// Modeled bookkeeping instructions mirrored into the sink per
+/// allocate/deallocate (the wrapper's own cost): the windowed stream
+/// statistics are a handful of counter updates plus one stack-top compare
+/// per op.
+constexpr uint64_t InstrPerOp = 3;
+
 unsigned sizeClassOf(size_t Size) {
   // Power-of-two classes, class 15 collects everything >= 16 KB.
   unsigned Class = 0;
@@ -47,9 +56,10 @@ unsigned sizeClassOf(size_t Size) {
 
 } // namespace
 
-AdaptiveAllocator::AdaptiveAllocator(const AdaptiveConfig &Config)
-    : Config(Config), CurrentKind(Config.InitialKind),
-      LastRecommendation(Config.InitialKind) {
+AdaptiveAllocator::AdaptiveAllocator(const AllocatorOptions &Options)
+    : InnerOptions(Options), CurrentKind(InitialKind),
+      LastRecommendation(InitialKind) {
+  InnerOptions.Hardening = HardeningConfig();
   rebuildInner(CurrentKind);
 }
 
@@ -58,7 +68,7 @@ AdaptiveAllocator::~AdaptiveAllocator() = default;
 void AdaptiveAllocator::rebuildInner(AllocatorKind Kind) {
   Inner.reset(); // Release the old heap before reserving the new one.
   CurrentKind = Kind;
-  Inner = createAllocator(Kind, Config.InnerOptions);
+  Inner = createAllocator(Kind, InnerOptions);
   Inner->attachSink(RawSink);
 }
 
@@ -72,7 +82,7 @@ void *AdaptiveAllocator::allocate(size_t Size) {
   void *Ptr = Inner->allocate(Size);
   if (!Ptr)
     return nullptr;
-  Sink.instructions(Config.InstrPerOp);
+  Sink.instructions(InstrPerOp);
   size_t InnerUsable = Inner->usableSize(Ptr);
   size_t Usable = InnerUsable > Size ? InnerUsable : Size;
   uint64_t Seq = NextSeq++;
@@ -99,7 +109,7 @@ void AdaptiveAllocator::popStaleStackTops() {
 void AdaptiveAllocator::deallocate(void *Ptr) {
   if (!Ptr)
     return;
-  Sink.instructions(Config.InstrPerOp);
+  Sink.instructions(InstrPerOp);
   auto It = Live.find(Ptr);
   if (It == Live.end())
     fatal("AdaptiveAllocator::deallocate: pointer was never allocated here "
@@ -144,7 +154,7 @@ void *AdaptiveAllocator::reallocate(void *Ptr, size_t OldSize,
   void *Fresh = Inner->reallocate(Ptr, OldSize, NewSize);
   if (!Fresh)
     return nullptr;
-  Sink.instructions(Config.InstrPerOp);
+  Sink.instructions(InstrPerOp);
   size_t InnerUsable = Inner->usableSize(Fresh);
   size_t Usable = InnerUsable > NewSize ? InnerUsable : NewSize;
   uint64_t Seq = NextSeq++;
@@ -186,7 +196,7 @@ void AdaptiveAllocator::freeAll() {
 void AdaptiveAllocator::maybeSwitch() {
   assert(Live.empty() && "strategy switch with objects live");
   AllocStack.clear(); // Nothing live: every remaining entry is stale.
-  if (Window.Mallocs < Config.MinWindowMallocs)
+  if (Window.Mallocs < MinWindowMallocs)
     return; // Carry the window forward; too little evidence.
   uint64_t Dominant = 0;
   for (uint64_t Count : ClassMallocs)

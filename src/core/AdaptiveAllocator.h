@@ -68,28 +68,21 @@ struct StreamWindowStats {
 /// otherwise), and strictly LIFO frees are the obstack discipline.
 AllocatorKind choosePlacement(const StreamWindowStats &W);
 
-/// Tuning knobs for the adaptive wrapper.
-struct AdaptiveConfig {
-  AllocatorOptions InnerOptions;
-  /// First strategy, before any evidence.
-  AllocatorKind InitialKind = AllocatorKind::Default;
-  /// Windows shorter than this many mallocs carry over instead of being
-  /// scored (protects against per-transaction noise).
-  uint64_t MinWindowMallocs = 64;
-  /// Modeled bookkeeping instructions mirrored into the sink per
-  /// allocate/deallocate (the wrapper's own cost): the windowed stream
-  /// statistics are a handful of counter updates plus one stack-top
-  /// compare per op.
-  uint64_t InstrPerOp = 3;
-};
-
 /// TxAllocator that delegates to a rebuildable inner allocator chosen by
 /// choosePlacement(). Capabilities: bulk free always (delegated when the
 /// inner supports it, swept through the live-object table otherwise);
 /// per-object free follows the current inner.
 class AdaptiveAllocator final : public TxAllocator {
 public:
-  explicit AdaptiveAllocator(const AdaptiveConfig &Config = AdaptiveConfig());
+  /// Windows shorter than this many mallocs carry over instead of being
+  /// scored (protects against per-transaction noise).
+  static constexpr uint64_t MinWindowMallocs = 64;
+
+  /// Every inner strategy is built from \p Options, minus the hardening
+  /// wrap: the factory hardens the adaptive dispatcher once at the top
+  /// (nesting would double every canary and quarantine).
+  explicit AdaptiveAllocator(
+      const AllocatorOptions &Options = AllocatorOptions());
   ~AdaptiveAllocator() override;
 
   void *allocate(size_t Size) override;
@@ -132,7 +125,7 @@ private:
   /// True when the stack entry still names a live object.
   bool isLiveEntry(const std::pair<const void *, uint64_t> &Entry) const;
 
-  AdaptiveConfig Config;
+  AllocatorOptions InnerOptions;
   AllocatorKind CurrentKind;
   std::unique_ptr<TxAllocator> Inner;
   AccessSink *RawSink = nullptr;

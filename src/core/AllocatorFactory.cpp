@@ -16,6 +16,7 @@
 #include "support/Error.h"
 
 #include <iterator>
+#include <type_traits>
 
 using namespace ddm;
 
@@ -33,14 +34,6 @@ bool probeReservation(size_t Bytes, size_t Align, std::string &Error) {
   return false;
 }
 
-/// Downcasts Options.Shared into \p Out; false if the handle was built
-/// for another kind.
-template <typename Central>
-bool sharedAs(const AllocatorOptions &Options, std::shared_ptr<Central> &Out) {
-  Out = std::dynamic_pointer_cast<Central>(Options.Shared);
-  return Out || !Options.Shared;
-}
-
 /// Builds a mutex-guarded central over Threads * HeapReserveBytes.
 template <typename Central, std::shared_ptr<Central> (*Make)(size_t)>
 std::shared_ptr<SharedHeap> buildCentral(const AllocatorOptions &Options,
@@ -49,35 +42,18 @@ std::shared_ptr<SharedHeap> buildCentral(const AllocatorOptions &Options,
   return probeReservation(Bytes, 4096, Error) ? Make(Bytes) : nullptr;
 }
 
-/// The common constructor: the heap size, the page backend where the
-/// kind takes one, and the shared central where it has one. A shared
-/// handle is foreign to every kind without a central.
-template <typename Allocator, typename Config>
+/// Builds \p Allocator straight from \p Options; null when Options.Shared
+/// is not a \p Central (a kind without a central takes no shared handle).
+template <typename Allocator, typename Central = void>
 std::unique_ptr<TxAllocator> construct(const AllocatorOptions &Options) {
-  Config C;
-  C.HeapReserveBytes = Options.HeapReserveBytes;
-  if constexpr (requires { C.Backend; })
-    C.Backend = Options.Backend;
-  if constexpr (requires { C.Central; }) {
-    if (!sharedAs(Options, C.Central))
+  if constexpr (std::is_void_v<Central>) {
+    if (Options.Shared)
       return nullptr;
-  } else if (Options.Shared) {
+  } else if (Options.Shared &&
+             !dynamic_cast<Central *>(Options.Shared.get())) {
     return nullptr;
   }
-  return std::make_unique<Allocator>(C);
-}
-
-std::unique_ptr<TxAllocator> createDDmalloc(const AllocatorOptions &Options) {
-  DDmallocConfig C;
-  if (!sharedAs(Options, C.Pool))
-    return nullptr;
-  C.SegmentSize = Options.SegmentSize;
-  C.HeapReserveBytes = Options.HeapReserveBytes;
-  C.ProcessId = Options.ProcessId;
-  C.MetadataColoring = Options.MetadataColoring;
-  C.LargePages = Options.LargePages;
-  C.ShardId = Options.ShardId;
-  return std::make_unique<DDmallocAllocator>(C);
+  return std::make_unique<Allocator>(Options);
 }
 
 std::shared_ptr<SharedHeap> buildSegmentPool(const AllocatorOptions &Options,
@@ -88,27 +64,6 @@ std::shared_ptr<SharedHeap> buildSegmentPool(const AllocatorOptions &Options,
   C.ReserveBytes = Options.HeapReserveBytes * Threads;
   C.Stripes = Threads;
   return SharedSegmentPool::tryCreate(C, &Error);
-}
-
-std::unique_ptr<TxAllocator> createRegion(const AllocatorOptions &Options) {
-  if (Options.Shared)
-    return nullptr;
-  RegionConfig C;
-  C.ChunkBytes = Options.RegionChunkBytes;
-  C.Backend = Options.Backend;
-  return std::make_unique<RegionAllocator>(C);
-}
-
-std::unique_ptr<TxAllocator> createAdaptive(const AllocatorOptions &Options) {
-  if (Options.Shared)
-    return nullptr;
-  AdaptiveConfig C;
-  C.InnerOptions = Options;
-  // The adaptive dispatcher is hardened once at the top by
-  // createAllocator; its inner strategies stay bare (nesting would
-  // double every canary and quarantine).
-  C.InnerOptions.Hardening = HardeningConfig();
-  return std::make_unique<AdaptiveAllocator>(C);
 }
 
 constexpr size_t AllocatorOptions::*HeapBytes =
@@ -122,45 +77,48 @@ const AllocatorTraits Table[] = {
     {.Kind = AllocatorKind::DDmalloc, .Name = "ddmalloc", .BulkFree = true,
      .Sharing = "sharded-pool", .ProbeBytes = HeapBytes,
      .ProbeAlign = &AllocatorOptions::SegmentSize,
-     .CodeFootprintBytes = 2.0 * 1024, .Create = createDDmalloc,
+     .CodeFootprintBytes = 2.0 * 1024,
+     .Create = construct<DDmallocAllocator, SharedSegmentPool>,
      .BuildShared = buildSegmentPool},
     {.Kind = AllocatorKind::Region, .Name = "region", .BulkFree = true,
      .PageBackend = true, .Sharing = PrivateHeap,
      .ProbeBytes = &AllocatorOptions::RegionChunkBytes,
-     .CodeFootprintBytes = 0.5 * 1024, .Create = createRegion},
+     .CodeFootprintBytes = 0.5 * 1024,
+     .Create = construct<RegionAllocator>},
     {.Kind = AllocatorKind::Obstack, .Name = "obstack", .BulkFree = true,
      .PageBackend = true, .Sharing = PrivateHeap, .ProbeBytes = HeapBytes,
      .CodeFootprintBytes = 1.0 * 1024,
-     .Create = construct<ObstackAllocator, ObstackConfig>},
+     .Create = construct<ObstackAllocator>},
     {.Kind = AllocatorKind::Default, .Name = "default", .BulkFree = true,
      .PageBackend = true, .Sharing = PrivateHeap, .ProbeBytes = HeapBytes,
      .CodeFootprintBytes = 8.0 * 1024,
-     .Create = construct<ZendDefaultAllocator, ZendConfig>},
+     .Create = construct<ZendDefaultAllocator>},
     {.Kind = AllocatorKind::Glibc, .Name = "glibc", .PageBackend = true,
      .Sharing = PrivateHeap, .ProbeBytes = HeapBytes,
      .CodeFootprintBytes = 8.0 * 1024,
-     .Create = construct<GlibcModelAllocator, GlibcConfig>},
+     .Create = construct<GlibcModelAllocator>},
     {.Kind = AllocatorKind::TCMalloc, .Name = "tcmalloc",
      .Sharing = SharedCentral, .ProbeBytes = HeapBytes,
      .CodeFootprintBytes = 6.0 * 1024,
-     .Create = construct<TCMallocModelAllocator, TCMallocConfig>,
+     .Create = construct<TCMallocModelAllocator, TCMallocCentral>,
      .BuildShared = buildCentral<TCMallocCentral, createTCMallocCentral>},
     {.Kind = AllocatorKind::Hoard, .Name = "hoard", .Sharing = SharedCentral,
      .ProbeBytes = HeapBytes, .CodeFootprintBytes = 5.0 * 1024,
-     .Create = construct<HoardModelAllocator, HoardConfig>,
+     .Create = construct<HoardModelAllocator, HoardCentral>,
      .BuildShared = buildCentral<HoardCentral, createHoardCentral>},
     // Slab: the magazine fast path is tiny; the slab/buddy machinery is
     // cold.
     {.Kind = AllocatorKind::Slab, .Name = "slab", .PageBackend = true,
      .Sharing = SharedCentral, .ProbeBytes = HeapBytes,
      .CodeFootprintBytes = 3.0 * 1024,
-     .Create = construct<SlabAllocator, SlabConfig>,
+     .Create = construct<SlabAllocator, SlabCentral>,
      .BuildShared = buildCentral<SlabCentral, createSlabCentral>},
     // Adaptive: a thin dispatch layer plus whichever strategy is resident;
     // only one inner allocator's hot path is live at a time.
     {.Kind = AllocatorKind::Adaptive, .Name = "adaptive", .BulkFree = true,
      .PageBackend = true, .Sharing = PrivateHeap, .ProbeBytes = HeapBytes,
-     .CodeFootprintBytes = 2.5 * 1024, .Create = createAdaptive},
+     .CodeFootprintBytes = 2.5 * 1024,
+     .Create = construct<AdaptiveAllocator>},
 };
 
 /// The bare allocator with the hardening wrap on top; null (with

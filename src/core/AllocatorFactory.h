@@ -11,7 +11,6 @@
 #define DDM_CORE_ALLOCATORFACTORY_H
 
 #include "core/TxAllocator.h"
-#include "hardening/HardeningConfig.h"
 
 #include <memory>
 #include <optional>
@@ -19,8 +18,6 @@
 #include <vector>
 
 namespace ddm {
-
-class PageBackend;
 
 /// Every allocator the study compares.
 enum class AllocatorKind {
@@ -33,48 +30,6 @@ enum class AllocatorKind {
   Hoard,      ///< Model of Hoard (no bulk free).
   Slab,       ///< Buddy+slab page economy (no bulk free).
   Adaptive,   ///< Phase-adaptive placement over region/obstack/slab/default.
-};
-
-/// Cross-allocator construction knobs. Per-allocator details (segment
-/// size, thresholds) keep their defaults unless overridden here.
-struct AllocatorOptions {
-  /// Runtime process id: feeds DDmalloc's metadata coloring.
-  uint32_t ProcessId = 0;
-  /// Heap reservation for allocators with a single arena.
-  size_t HeapReserveBytes = 256ull * 1024 * 1024;
-  /// DDmalloc segment size.
-  size_t SegmentSize = 32 * 1024;
-  /// DDmalloc metadata coloring (Section 3.3 optimization 1).
-  bool MetadataColoring = true;
-  /// Large-page heap flag, consumed by the machine simulator's TLB model.
-  bool LargePages = false;
-  /// Region allocator chunk size.
-  size_t RegionChunkBytes = 256ull * 1024 * 1024;
-
-  /// \name Native multi-threaded backends (see src/exec).
-  /// @{
-  /// The shared heap built by the kind's AllocatorTraits::BuildShared
-  /// (ddmalloc's segment pool, the tcmalloc/hoard/slab centrals). When
-  /// set, the allocator shares it with its sibling threads instead of
-  /// reserving a private heap; a handle built for another kind is an
-  /// error. Null (the default) keeps every study single-owner.
-  std::shared_ptr<SharedHeap> Shared;
-  /// DDmalloc pooled mode: which pool stripe this allocator refills from
-  /// (one per worker thread).
-  uint32_t ShardId = 0;
-  /// @}
-
-  /// Page backend the region/obstack/default/glibc/slab heaps draw their
-  /// spans from (--backend buddy); null keeps the legacy private arenas.
-  /// Kinds without backend support (ddmalloc, tcmalloc, hoard) ignore it.
-  std::shared_ptr<PageBackend> Backend;
-
-  /// Heap hardening (--harden): when Enabled, the factory wraps the
-  /// allocator in the corruption-detecting HardenedAllocator
-  /// (src/hardening) — checksummed headers, red-zone canaries and a
-  /// poison-on-free quarantine. Applies to every kind; the
-  /// adaptive allocator is wrapped once at the top, not per strategy.
-  HardeningConfig Hardening;
 };
 
 /// Everything the program knows about one allocator kind: one row of the

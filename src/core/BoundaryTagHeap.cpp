@@ -36,7 +36,7 @@ constexpr uint64_t alignUp16(uint64_t Value) { return (Value + 15) & ~15ull; }
 } // namespace
 
 BoundaryTagHeap::BoundaryTagHeap(size_t ArenaBytes,
-                                 std::shared_ptr<PageBackend> Backend)
+                                 std::shared_ptr<BuddyPageBackend> Backend)
     : Heap(BackedSpan::create(ArenaBytes, 4096, std::move(Backend))) {
   Top = Heap.base();
   TopLimit = Heap.base() + Heap.size();

@@ -51,7 +51,7 @@ public:
   /// \p Backend is non-null the reservation is a span drawn from it and
   /// returned on destruction; otherwise a private arena.
   explicit BoundaryTagHeap(size_t ArenaBytes,
-                           std::shared_ptr<PageBackend> Backend = nullptr);
+                           std::shared_ptr<BuddyPageBackend> Backend = nullptr);
 
   BoundaryTagHeap(const BoundaryTagHeap &) = delete;
   BoundaryTagHeap &operator=(const BoundaryTagHeap &) = delete;

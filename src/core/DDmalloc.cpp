@@ -33,24 +33,25 @@ constexpr size_t SegmentRefillBatch = 8;
 
 } // namespace
 
-DDmallocAllocator::DDmallocAllocator(const DDmallocConfig &C)
-    : Config(C), Classes(C.SegmentSize / 2) {
-  assert((C.SegmentSize & (C.SegmentSize - 1)) == 0 &&
+DDmallocAllocator::DDmallocAllocator(const AllocatorOptions &O)
+    : Options(O), Pool(std::dynamic_pointer_cast<SharedSegmentPool>(O.Shared)),
+      Classes(O.SegmentSize / 2) {
+  assert((O.SegmentSize & (O.SegmentSize - 1)) == 0 &&
          "segment size must be a power of two");
-  assert(C.SegmentSize >= 4096 && "segment size too small");
-  SegmentShift = static_cast<unsigned>(__builtin_ctzll(C.SegmentSize));
+  assert(O.SegmentSize >= 4096 && "segment size too small");
+  SegmentShift = static_cast<unsigned>(__builtin_ctzll(O.SegmentSize));
   unsigned NumClasses = Classes.numClasses();
 
-  if (Config.Pool) {
+  if (Pool) {
     // Pooled (native multi-threaded) mode: the heap is the pool's shared
     // arena; this shard's metadata lives off-heap, private to the owning
     // thread, and covers every pool segment (any of which this shard may
     // acquire).
-    if (Config.Pool->segmentSize() != Config.SegmentSize)
+    if (Pool->segmentSize() != Options.SegmentSize)
       fatal("ddmalloc segment size does not match its shared pool");
-    HeapBase = Config.Pool->base();
-    HeapSize = Config.Pool->size();
-    NumSegments = Config.Pool->numSegments();
+    HeapBase = Pool->base();
+    HeapSize = Pool->size();
+    NumSegments = Pool->numSegments();
     FirstUsableSegment = 0;
     MetadataColorOffset = 0; // Off-heap metadata: coloring does not apply.
     uint64_t ArraysBytes = sizeof(uintptr_t) * (2 * NumClasses + 1) +
@@ -67,9 +68,9 @@ DDmallocAllocator::DDmallocAllocator(const DDmallocConfig &C)
     return;
   }
 
-  if (C.HeapReserveBytes < 4 * C.SegmentSize)
+  if (O.HeapReserveBytes < 4 * O.SegmentSize)
     fatal("ddmalloc heap reservation too small: need at least 4 segments");
-  OwnHeap.emplace(C.HeapReserveBytes, C.SegmentSize);
+  OwnHeap.emplace(O.HeapReserveBytes, O.SegmentSize);
   HeapBase = OwnHeap->base();
   HeapSize = OwnHeap->size();
   NumSegments = HeapSize >> SegmentShift;
@@ -83,14 +84,15 @@ DDmallocAllocator::DDmallocAllocator(const DDmallocConfig &C)
   // Stagger by a cache-line-odd stride so consecutive process ids land in
   // different L1/L2 sets.
   constexpr uint64_t ColorStride = 2240; // 35 cache lines.
-  uint64_t MaxColor = Config.SegmentSize / 2;
-  MetadataColorOffset =
-      Config.MetadataColoring ? (Config.ProcessId * ColorStride) % MaxColor : 0;
+  uint64_t MaxColor = Options.SegmentSize / 2;
+  MetadataColorOffset = Options.MetadataColoring
+                            ? (Options.ProcessId * ColorStride) % MaxColor
+                            : 0;
   MetadataColorOffset &= ~static_cast<uint64_t>(63); // keep 64B alignment
   MetadataSize = ArraysBytes;
 
   uint64_t MetaEnd = MetadataColorOffset + ArraysBytes;
-  FirstUsableSegment = (MetaEnd + Config.SegmentSize - 1) >> SegmentShift;
+  FirstUsableSegment = (MetaEnd + Options.SegmentSize - 1) >> SegmentShift;
   if (FirstUsableSegment >= NumSegments)
     fatal("ddmalloc heap reservation too small for its metadata");
 
@@ -106,20 +108,20 @@ DDmallocAllocator::DDmallocAllocator(const DDmallocConfig &C)
 }
 
 DDmallocAllocator::~DDmallocAllocator() {
-  if (Config.Pool) {
+  if (Pool) {
     // Return every acquired segment so a restarted or destroyed shard
     // never strands pool capacity.
     if (!AcquiredSegs.empty())
-      Config.Pool->releaseSegments(Config.ShardId, AcquiredSegs.data(),
+      Pool->releaseSegments(Options.ShardId, AcquiredSegs.data(),
                                    AcquiredSegs.size());
     for (auto [First, Length] : AcquiredRuns)
-      Config.Pool->releaseRun(First, Length);
+      Pool->releaseRun(First, Length);
   }
   Sink.unmapRegion(HeapBase);
 }
 
 void DDmallocAllocator::attachSink(AccessSink *S) {
-  if (Config.Pool && S)
+  if (Pool && S)
     fatal("pooled ddmalloc cannot attach a simulation sink: shards share "
           "one arena");
   TxAllocator::attachSink(S);
@@ -127,7 +129,7 @@ void DDmallocAllocator::attachSink(AccessSink *S) {
 }
 
 std::byte *DDmallocAllocator::takeSegment() {
-  if (!Config.Pool && faultShouldFail(FaultSite::SegmentAcquire))
+  if (!Pool && faultShouldFail(FaultSite::SegmentAcquire))
     return nullptr;
   // Prefer a previously freed segment (from a freed large object, or a
   // pooled refill batch).
@@ -142,12 +144,12 @@ std::byte *DDmallocAllocator::takeSegment() {
     Sink.store(FreeSegHead, sizeof(uintptr_t));
     return Seg;
   }
-  if (Config.Pool) {
+  if (Pool) {
     // Refill from this shard's stripe in a batch; the extras park on the
     // local free-segment list so the stripe lock amortizes over many
     // segment starts. The pool applies the segment_acquire fault site.
     uint32_t Batch[SegmentRefillBatch];
-    size_t Got = Config.Pool->acquireSegments(Config.ShardId, Batch,
+    size_t Got = Pool->acquireSegments(Options.ShardId, Batch,
                                               SegmentRefillBatch);
     if (Got == 0)
       return nullptr;
@@ -200,7 +202,7 @@ void *DDmallocAllocator::allocateSmall(size_t Size) {
     SegClass[Index] = static_cast<uint8_t>(Class + 1);
     Sink.store(&SegClass[Index], 1);
     uint32_t ObjectsPerSegment =
-        static_cast<uint32_t>(Config.SegmentSize / ObjectSize);
+        static_cast<uint32_t>(Options.SegmentSize / ObjectSize);
     *reinterpret_cast<uint32_t *>(Seg) = ObjectsPerSegment;
     Sink.store(Seg, sizeof(uint32_t));
     RunPtr[Class] = reinterpret_cast<uintptr_t>(Seg);
@@ -227,7 +229,7 @@ void *DDmallocAllocator::allocateSmall(size_t Size) {
 }
 
 void *DDmallocAllocator::allocateLarge(size_t Size) {
-  size_t Segments = (Size + Config.SegmentSize - 1) >> SegmentShift;
+  size_t Segments = (Size + Options.SegmentSize - 1) >> SegmentShift;
   std::byte *Start = nullptr;
   size_t StartIndex = 0;
 
@@ -236,10 +238,10 @@ void *DDmallocAllocator::allocateLarge(size_t Size) {
     if (!Start)
       return nullptr;
     StartIndex = segmentIndexFor(Start);
-  } else if (Config.Pool) {
+  } else if (Pool) {
     // Pooled mode: contiguous runs come from the pool's frontier/run list
     // (the pool applies the segment_acquire fault site).
-    uint32_t First = Config.Pool->acquireRun(Segments);
+    uint32_t First = Pool->acquireRun(Segments);
     if (First == UINT32_MAX)
       return nullptr;
     AcquiredRuns.emplace_back(First, static_cast<uint32_t>(Segments));
@@ -286,7 +288,7 @@ void DDmallocAllocator::deallocateLarge(void *Ptr, size_t SegIndex) {
     ++Segments;
 
   noteFree(Segments << SegmentShift);
-  if (Config.Pool && Segments > 1) {
+  if (Pool && Segments > 1) {
     // Pooled mode: return the whole run to the pool (contiguity is
     // valuable there); singles below go to the local free-segment list.
     for (size_t I = 0; I < Segments; ++I)
@@ -296,7 +298,7 @@ void DDmallocAllocator::deallocateLarge(void *Ptr, size_t SegIndex) {
         AcquiredRuns.erase(It);
         break;
       }
-    Config.Pool->releaseRun(static_cast<uint32_t>(SegIndex), Segments);
+    Pool->releaseRun(static_cast<uint32_t>(SegIndex), Segments);
     Sink.instructions(InstrFreeLargePerSegment * Segments);
     (void)Ptr;
     return;
@@ -398,7 +400,7 @@ void *DDmallocAllocator::reallocate(void *Ptr, size_t OldSize, size_t NewSize) {
 void DDmallocAllocator::freeAll() {
   unsigned NumClasses = Classes.numClasses();
 
-  if (Config.Pool) {
+  if (Pool) {
     // Pooled mode: clear this shard's private metadata and hand every
     // acquired segment back to the pool. The cost stays proportional to
     // what the shard actually touched, exactly like the private-heap
@@ -411,12 +413,12 @@ void DDmallocAllocator::freeAll() {
     for (auto [First, Length] : AcquiredRuns)
       std::memset(&SegClass[First], 0, Length);
     if (!AcquiredSegs.empty()) {
-      Config.Pool->releaseSegments(Config.ShardId, AcquiredSegs.data(),
+      Pool->releaseSegments(Options.ShardId, AcquiredSegs.data(),
                                    AcquiredSegs.size());
       AcquiredSegs.clear();
     }
     for (auto [First, Length] : AcquiredRuns)
-      Config.Pool->releaseRun(First, Length);
+      Pool->releaseRun(First, Length);
     AcquiredRuns.clear();
     noteFreeAll();
     return;
@@ -446,7 +448,7 @@ void DDmallocAllocator::freeAll() {
 }
 
 uint64_t DDmallocAllocator::segmentsInUse() const {
-  if (Config.Pool) {
+  if (Pool) {
     uint64_t RunSegments = 0;
     for (auto [First, Length] : AcquiredRuns)
       RunSegments += Length;
@@ -458,5 +460,5 @@ uint64_t DDmallocAllocator::segmentsInUse() const {
 uint64_t DDmallocAllocator::memoryConsumption() const {
   // Paper Figure 9: "the total amount of memory used for allocated segments
   // and the metadata for DDmalloc".
-  return segmentsInUse() * Config.SegmentSize + MetadataSize;
+  return segmentsInUse() * Options.SegmentSize + MetadataSize;
 }

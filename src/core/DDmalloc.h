@@ -42,43 +42,18 @@ namespace ddm {
 
 class SharedSegmentPool;
 
-/// Construction-time tuning knobs for DDmallocAllocator.
-struct DDmallocConfig {
-  /// Segment size in bytes; a power of two. 32 KB is the paper's choice.
-  size_t SegmentSize = 32 * 1024;
-
-  /// Address space reserved for the heap (committed lazily).
-  size_t HeapReserveBytes = 256ull * 1024 * 1024;
-
-  /// Identifier of the owning runtime process; feeds metadata coloring.
-  uint32_t ProcessId = 0;
-
-  /// Paper Section 3.3 optimization 1: stagger the metadata's position in
-  /// the heap by process id so that the metadata of runtimes sharing a
-  /// cache does not collide in the same associativity sets.
-  bool MetadataColoring = true;
-
-  /// Paper Section 3.3 optimization 2: back the heap with large pages.
-  /// This build cannot force hugepages portably, so the flag is recorded
-  /// for the machine simulator (which models the TLB effect).
-  bool LargePages = false;
-
-  /// Native multi-threaded mode: when set, the allocator has no private
-  /// arena — it acquires segments from this shared pool (its SegmentSize
-  /// must match) via the ShardId stripe and keeps its metadata off-heap.
-  /// The malloc/free fast paths are unchanged; only segment refill and
-  /// freeAll touch the pool. Incompatible with a simulation sink.
-  std::shared_ptr<SharedSegmentPool> Pool;
-
-  /// Stripe of the shared pool this allocator refills from (one per
-  /// worker thread).
-  uint32_t ShardId = 0;
-};
-
 /// The defrag-dodging allocator (the paper's DDmalloc).
 class DDmallocAllocator : public TxAllocator {
 public:
-  explicit DDmallocAllocator(const DDmallocConfig &Config = DDmallocConfig());
+  /// Reads SegmentSize, HeapReserveBytes, ProcessId, MetadataColoring
+  /// and, in native multi-threaded mode, Shared and ShardId: with a
+  /// SharedSegmentPool in Shared the allocator has no private arena — it
+  /// acquires segments from the pool (whose segment size must match) via
+  /// the ShardId stripe and keeps its metadata off-heap. The malloc/free
+  /// fast paths are unchanged; only segment refill and freeAll touch the
+  /// pool. Incompatible with a simulation sink.
+  explicit DDmallocAllocator(
+      const AllocatorOptions &Options = AllocatorOptions());
   ~DDmallocAllocator() override;
 
   /// Registers the heap (objects and the in-heap metadata block) with the
@@ -99,7 +74,7 @@ public:
 
   /// \name Introspection for tests and experiments.
   /// @{
-  const DDmallocConfig &config() const { return Config; }
+  const AllocatorOptions &options() const { return Options; }
   const SizeClassMap &sizeClasses() const { return Classes; }
   /// Segments handed out since the last freeAll (excluding metadata).
   uint64_t segmentsInUse() const;
@@ -115,7 +90,7 @@ public:
     return P >= B && P < B + HeapSize;
   }
   /// The shared pool backing this allocator, or nullptr in private mode.
-  SharedSegmentPool *pool() const { return Config.Pool.get(); }
+  SharedSegmentPool *pool() const { return Pool.get(); }
   /// @}
 
 private:
@@ -144,7 +119,9 @@ private:
     return HeapBase + (Index << SegmentShift);
   }
 
-  DDmallocConfig Config;
+  AllocatorOptions Options;
+  /// Options.Shared as the segment pool it must be; null in private mode.
+  std::shared_ptr<SharedSegmentPool> Pool;
   SizeClassMap Classes;
   /// Private-heap mode only; pooled allocators live in the pool's arena.
   std::optional<AlignedArena> OwnHeap;

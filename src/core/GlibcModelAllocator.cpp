@@ -7,8 +7,8 @@
 
 using namespace ddm;
 
-GlibcModelAllocator::GlibcModelAllocator(const GlibcConfig &Config)
-    : Engine(Config.HeapReserveBytes, Config.Backend) {}
+GlibcModelAllocator::GlibcModelAllocator(const AllocatorOptions &Options)
+    : Engine(Options.HeapReserveBytes, Options.Backend) {}
 
 void *GlibcModelAllocator::allocate(size_t Size) {
   void *Ptr = Engine.malloc(Size);

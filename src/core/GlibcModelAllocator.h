@@ -17,17 +17,12 @@
 
 namespace ddm {
 
-/// Construction-time knobs for GlibcModelAllocator.
-struct GlibcConfig {
-  size_t HeapReserveBytes = 512ull * 1024 * 1024;
-  /// Draw the heap span from this page backend; null = private arena.
-  std::shared_ptr<PageBackend> Backend;
-};
-
 /// glibc-malloc model: defragmenting, no bulk free.
 class GlibcModelAllocator : public TxAllocator {
 public:
-  explicit GlibcModelAllocator(const GlibcConfig &Config = GlibcConfig());
+  /// Reads HeapReserveBytes and Backend (null: a private arena).
+  explicit GlibcModelAllocator(
+      const AllocatorOptions &Options = AllocatorOptions());
 
   void *allocate(size_t Size) override;
   void deallocate(void *Ptr) override;

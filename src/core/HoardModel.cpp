@@ -29,13 +29,14 @@ std::shared_ptr<HoardCentral> ddm::createHoardCentral(size_t HeapReserveBytes) {
   return std::make_shared<HoardCentral>(HeapReserveBytes, /*IsShared=*/true);
 }
 
-HoardModelAllocator::HoardModelAllocator(const HoardConfig &C)
-    : Config(C), Classes(16 * 1024) {
+HoardModelAllocator::HoardModelAllocator(const AllocatorOptions &Options)
+    : Classes(16 * 1024),
+      Central(std::dynamic_pointer_cast<HoardCentral>(Options.Shared)) {
   static_assert(sizeof(SuperblockHeader) <= ObjectsOffset,
                 "superblock header must fit in its pad");
-  Central = C.Central ? C.Central
-                      : std::make_shared<HoardCentral>(C.HeapReserveBytes,
-                                                       /*IsShared=*/false);
+  if (!Central)
+    Central = std::make_shared<HoardCentral>(Options.HeapReserveBytes,
+                                             /*IsShared=*/false);
   Available.assign(Classes.numClasses(), nullptr);
 }
 

@@ -69,18 +69,15 @@ struct HoardCentral : SharedHeap {
 /// AlignedArena::tryReserve first for a clean diagnostic).
 std::shared_ptr<HoardCentral> createHoardCentral(size_t HeapReserveBytes);
 
-/// Construction-time knobs for HoardModelAllocator.
-struct HoardConfig {
-  size_t HeapReserveBytes = 512ull * 1024 * 1024;
-  /// Shared superblock arena + empty pool (native multi-threaded mode);
-  /// null means this allocator owns a private, lock-free central.
-  std::shared_ptr<HoardCentral> Central;
-};
-
 /// The Hoard model: per-class superblock lists + a global empty pool.
 class HoardModelAllocator : public TxAllocator {
 public:
-  explicit HoardModelAllocator(const HoardConfig &Config = HoardConfig());
+  /// Reads HeapReserveBytes and Shared: a HoardCentral there is the
+  /// superblock arena + empty pool shared with sibling threads (native
+  /// multi-threaded mode); null means this allocator owns a private,
+  /// lock-free central.
+  explicit HoardModelAllocator(
+      const AllocatorOptions &Options = AllocatorOptions());
 
   ~HoardModelAllocator() override;
 
@@ -143,7 +140,6 @@ private:
     return reinterpret_cast<SuperblockHeader *>(Addr);
   }
 
-  HoardConfig Config;
   SizeClassMap Classes;
   /// Superblock arena + empty pool: private by default, shared in native
   /// runs.

@@ -1,6 +1,7 @@
 //===- core/ObstackAllocator.cpp - GNU-obstack-style regions -------------===//
 
 #include "core/ObstackAllocator.h"
+#include "core/DeadMark.h"
 #include "support/Error.h"
 #include "support/FaultInjection.h"
 
@@ -17,21 +18,16 @@ constexpr uint64_t InstrMallocBump = 14;
 constexpr uint64_t InstrNewChunk = 90;
 constexpr uint64_t InstrFreeAll = 40;
 
-constexpr size_t alignUp8(size_t Size) { return (Size + 7) & ~size_t(7); }
+/// Size of each chunk including its header. GNU obstack defaults to 4 KB.
+constexpr size_t ChunkBytes = 4096;
 
-/// splitmix64 finalizer, for the dead-object mark.
-uint64_t mix64(uint64_t X) {
-  X += 0x9e3779b97f4a7c15ull;
-  X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ull;
-  X = (X ^ (X >> 27)) * 0x94d049bb133111ebull;
-  return X ^ (X >> 31);
-}
+constexpr size_t alignUp8(size_t Size) { return (Size + 7) & ~size_t(7); }
 
 } // namespace
 
-ObstackAllocator::ObstackAllocator(const ObstackConfig &C)
-    : Config(C), Heap(BackedSpan::create(C.HeapReserveBytes, 4096, C.Backend)) {
-  assert(Config.ChunkBytes >= 256 && "chunk too small");
+ObstackAllocator::ObstackAllocator(const AllocatorOptions &Options)
+    : Heap(BackedSpan::create(Options.HeapReserveBytes, 4096, Options.Backend)),
+      FreeAllEpoch(takeFreeAllEpoch()) {
   ArenaNext = Heap.base();
   ChunkIndex = 0;
   bool Ok = startNewChunk(0);
@@ -46,8 +42,8 @@ ObstackAllocator::~ObstackAllocator() {
 }
 
 bool ObstackAllocator::startNewChunk(size_t Rounded) {
-  size_t Payload = Config.ChunkBytes - sizeof(ChunkHeader);
-  size_t ChunkSize = Config.ChunkBytes;
+  size_t Payload = ChunkBytes - sizeof(ChunkHeader);
+  size_t ChunkSize = ChunkBytes;
   if (Rounded > Payload)
     ChunkSize = alignUp8(Rounded + sizeof(ChunkHeader));
   if (ArenaNext + ChunkSize > Heap.base() + Heap.size())
@@ -92,17 +88,12 @@ void ObstackAllocator::deallocate(void *Ptr) {
   // No per-object free (freeAll rewinds), but the call is still validated
   // like the region allocator's: range-check the pointer and stamp an
   // epoch-salted dead mark so double frees abort instead of passing
-  // silently. Addresses recur only after a freeAll, which bumps the epoch.
+  // silently.
   if (!Ptr)
     return;
   if (!owns(Ptr))
     fatal("obstack allocator: freed pointer is not from this heap");
-  auto *Mark = reinterpret_cast<uint64_t *>(Ptr);
-  uint64_t Dead = mix64(reinterpret_cast<uintptr_t>(Ptr) ^
-                        FreeAllEpoch * 0x9e3779b97f4a7c15ull ^ 0xdead0b5eull);
-  if (*Mark == Dead)
-    fatal("heap corruption detected: double free of an obstack object");
-  *Mark = Dead;
+  stampDeadMark(Ptr, FreeAllEpoch, "an obstack object");
   ++Stats.FreeCalls;
 }
 
@@ -136,7 +127,7 @@ void ObstackAllocator::freeAll() {
   assert(Ok && "rewind cannot fail");
   ChunkIndex = 0;
   BytesAllocated = 0;
-  ++FreeAllEpoch;
+  FreeAllEpoch = takeFreeAllEpoch();
   Sink.instructions(InstrFreeAll);
   noteFreeAll();
 }

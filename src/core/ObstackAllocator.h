@@ -4,7 +4,7 @@
 /// A region allocator in the style of GNU obstack, which the paper
 /// evaluated as an alternative region-based allocator (Section 4.1) and
 /// found slower than its own large-chunk region allocator. The differences
-/// this model captures: obstack grows in small chunks (4 KB by default)
+/// this model captures: obstack grows in small chunks (4 KB)
 /// with a per-chunk header, pays an alignment mask plus a chunk-limit check
 /// on every allocation, and crosses chunk boundaries far more often than a
 /// 256 MB region does.
@@ -23,24 +23,14 @@
 
 namespace ddm {
 
-/// Construction-time knobs for ObstackAllocator.
-struct ObstackConfig {
-  /// Size of each chunk including its header. GNU obstack defaults to 4 KB.
-  size_t ChunkBytes = 4096;
-
-  /// Total budget of address space (the backing arena).
-  size_t HeapReserveBytes = 512ull * 1024 * 1024;
-
-  /// Draw the backing span from this page backend instead of a private
-  /// arena; null keeps the legacy private reservation.
-  std::shared_ptr<PageBackend> Backend;
-};
-
 /// Obstack-style region allocator: chunked bump allocation, no per-object
 /// free, freeAll rewinds to the first chunk.
 class ObstackAllocator : public TxAllocator {
 public:
-  explicit ObstackAllocator(const ObstackConfig &Config = ObstackConfig());
+  /// Reads HeapReserveBytes (the backing span's size) and Backend (null:
+  /// a private arena).
+  explicit ObstackAllocator(
+      const AllocatorOptions &Options = AllocatorOptions());
   ~ObstackAllocator() override;
 
   void *allocate(size_t Size) override;
@@ -75,7 +65,6 @@ private:
   /// Moves to a fresh chunk big enough for \p Rounded payload bytes.
   bool startNewChunk(size_t Rounded);
 
-  ObstackConfig Config;
   BackedSpan Heap;
   std::byte *ArenaNext = nullptr; ///< Bump within the backing arena.
   ChunkHeader *Current = nullptr;
@@ -83,9 +72,8 @@ private:
   std::byte *Limit = nullptr;
   size_t ChunkIndex = 0;
   uint64_t BytesAllocated = 0; ///< Since the last freeAll.
-  /// Incremented by every freeAll; salts the double-free dead mark (see
-  /// deallocate()) so marks from earlier epochs never false-positive.
-  uint64_t FreeAllEpoch = 0;
+  /// Salts the double-free dead marks (see core/DeadMark.h).
+  uint64_t FreeAllEpoch;
 };
 
 } // namespace ddm

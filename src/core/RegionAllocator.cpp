@@ -1,10 +1,10 @@
 //===- core/RegionAllocator.cpp - Bump-pointer region allocator ----------===//
 
 #include "core/RegionAllocator.h"
+#include "core/DeadMark.h"
 #include "support/Error.h"
 #include "support/FaultInjection.h"
 
-#include <atomic>
 #include <cassert>
 #include <cstring>
 #include <optional>
@@ -20,29 +20,13 @@ constexpr uint64_t InstrFreeAll = 24;
 
 constexpr size_t alignUp8(size_t Size) { return (Size + 7) & ~size_t(7); }
 
-/// splitmix64 finalizer, for the dead-object mark.
-uint64_t mix64(uint64_t X) {
-  X += 0x9e3779b97f4a7c15ull;
-  X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ull;
-  X = (X ^ (X >> 27)) * 0x94d049bb133111ebull;
-  return X ^ (X >> 31);
-}
-
-/// Source of every region heap's free epochs. One counter for the whole
-/// process means no two epochs are ever equal, even between a dead heap
-/// and a new one built on the same recycled backend pages.
-std::atomic<uint64_t> NextFreeAllEpoch{0};
-
-uint64_t takeFreeAllEpoch() { return NextFreeAllEpoch++; }
-
 } // namespace
 
-RegionAllocator::RegionAllocator(const RegionConfig &C)
-    : Config(C), FreeAllEpoch(takeFreeAllEpoch()) {
-  assert(Config.ChunkBytes >= 4096 && "chunk too small");
-  assert(Config.MaxChunks >= 1 && "need at least one chunk");
-  Chunks.push_back(
-      BackedSpan::create(Config.ChunkBytes, 4096, Config.Backend));
+RegionAllocator::RegionAllocator(const AllocatorOptions &Options)
+    : ChunkBytes(Options.RegionChunkBytes), Backend(Options.Backend),
+      FreeAllEpoch(takeFreeAllEpoch()) {
+  assert(ChunkBytes >= 4096 && "chunk too small");
+  Chunks.push_back(BackedSpan::create(ChunkBytes, 4096, Backend));
   Next = Chunks[0].base();
   Limit = Next + Chunks[0].size();
 }
@@ -58,14 +42,14 @@ void *RegionAllocator::allocate(size_t Size) {
   // The bump pointer is the only metadata; mirror its update.
   Sink.load(&Next, sizeof(Next));
   if (Next + Rounded > Limit) {
-    if (Rounded > Config.ChunkBytes)
+    if (Rounded > ChunkBytes)
       return nullptr;
     if (CurrentChunk + 1 == Chunks.size()) {
-      if (Chunks.size() >= Config.MaxChunks ||
+      if (Chunks.size() >= MaxChunks ||
           faultShouldFail(FaultSite::ChunkAcquire))
         return nullptr;
       std::optional<BackedSpan> Chunk =
-          BackedSpan::tryCreate(Config.ChunkBytes, 4096, Config.Backend);
+          BackedSpan::tryCreate(ChunkBytes, 4096, Backend);
       if (!Chunk)
         return nullptr;
       Chunks.push_back(std::move(*Chunk));
@@ -95,11 +79,6 @@ bool RegionAllocator::owns(const void *Ptr) const {
   return false;
 }
 
-uint64_t RegionAllocator::deadMark(const void *Ptr) const {
-  return mix64(reinterpret_cast<uintptr_t>(Ptr) ^
-               FreeAllEpoch * 0x9e3779b97f4a7c15ull ^ 0xdead0b5eull);
-}
-
 void RegionAllocator::deallocate(void *Ptr) {
   // No per-object free: dead objects are reclaimed only by freeAll. The
   // paper's adaptation removes the runtime's free calls entirely, so no
@@ -114,11 +93,7 @@ void RegionAllocator::deallocate(void *Ptr) {
     return;
   if (!owns(Ptr))
     fatal("region allocator: freed pointer is not from this heap");
-  auto *Mark = reinterpret_cast<uint64_t *>(Ptr);
-  uint64_t Dead = deadMark(Ptr);
-  if (*Mark == Dead)
-    fatal("heap corruption detected: double free of a region object");
-  *Mark = Dead;
+  stampDeadMark(Ptr, FreeAllEpoch, "a region object");
   ++Stats.FreeCalls;
 }
 
@@ -143,7 +118,7 @@ void *RegionAllocator::reallocate(void *Ptr, size_t OldSize, size_t NewSize) {
 void RegionAllocator::freeAll() {
   // Under a page backend the growth chunks go back to the page economy so
   // reclaim is measurable; the legacy private chunks stay reserved.
-  if (Config.Backend) {
+  if (Backend) {
     while (Chunks.size() > 1) {
       Sink.unmapRegion(Chunks.back().base());
       Chunks.pop_back();

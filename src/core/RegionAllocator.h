@@ -24,25 +24,18 @@
 
 namespace ddm {
 
-/// Construction-time knobs for RegionAllocator.
-struct RegionConfig {
-  /// Size of each chunk obtained from the OS. The paper uses 256 MB.
-  size_t ChunkBytes = 256ull * 1024 * 1024;
-
-  /// Upper bound on chunks; exceeding it makes allocate return nullptr.
-  size_t MaxChunks = 8;
-
-  /// Draw chunks from this page backend instead of private arenas. With a
-  /// backend, freeAll also returns every chunk beyond the first to the
-  /// page economy (the legacy private chunks stay reserved), which is what
-  /// makes region reclaim measurable per restart period.
-  std::shared_ptr<PageBackend> Backend;
-};
-
 /// The non-freeing region-based allocator.
 class RegionAllocator : public TxAllocator {
 public:
-  explicit RegionAllocator(const RegionConfig &Config = RegionConfig());
+  /// Upper bound on chunks; exceeding it makes allocate return nullptr.
+  static constexpr size_t MaxChunks = 8;
+
+  /// Reads RegionChunkBytes and Backend. With a backend, chunks are drawn
+  /// from it and freeAll also returns every chunk beyond the first to the
+  /// page economy (the legacy private chunks stay reserved), which is
+  /// what makes region reclaim measurable per restart period.
+  explicit RegionAllocator(
+      const AllocatorOptions &Options = AllocatorOptions());
   ~RegionAllocator() override;
 
   void *allocate(size_t Size) override;
@@ -71,11 +64,9 @@ public:
 private:
   /// True if \p Ptr lies inside one of the region's chunks.
   bool owns(const void *Ptr) const override;
-  /// The free-epoch stamp written into a dead object's first word; see
-  /// deallocate().
-  uint64_t deadMark(const void *Ptr) const;
 
-  RegionConfig Config;
+  size_t ChunkBytes;
+  std::shared_ptr<BuddyPageBackend> Backend;
   std::vector<BackedSpan> Chunks;
   size_t CurrentChunk = 0;
   /// Next free byte within the current chunk.
@@ -85,10 +76,7 @@ private:
   /// Bytes bump-allocated in all full chunks before the current one,
   /// counted since the last freeAll.
   uint64_t BytesInFullChunks = 0;
-  /// Drawn from a process-wide counter at construction and by every
-  /// freeAll: dead marks stamped in any other epoch — an earlier one of
-  /// this heap, or one of a heap that used the same pages before — can
-  /// never be mistaken for this epoch's (deadMark is injective in it).
+  /// Salts the double-free dead marks (see core/DeadMark.h).
   uint64_t FreeAllEpoch;
 };
 

@@ -21,6 +21,9 @@ constexpr uint64_t InstrScavengePerObject = 6;
 constexpr uint64_t InstrLargeAlloc = 80;
 constexpr uint64_t InstrLargeFree = 70;
 
+/// Objects moved from a central list to the thread cache per refill.
+constexpr unsigned RefillBatch = 32;
+
 } // namespace
 
 TCMallocCentral::TCMallocCentral(size_t HeapReserveBytes, unsigned NumClasses,
@@ -39,16 +42,16 @@ ddm::createTCMallocCentral(size_t HeapReserveBytes) {
                                            Classes.numClasses(), true);
 }
 
-TCMallocModelAllocator::TCMallocModelAllocator(const TCMallocConfig &C)
-    : Config(C), Classes(16 * 1024) {
+TCMallocModelAllocator::TCMallocModelAllocator(const AllocatorOptions &Options)
+    : Classes(16 * 1024),
+      Central(std::dynamic_pointer_cast<TCMallocCentral>(Options.Shared)) {
   unsigned NumClasses = Classes.numClasses();
-  if (C.Central) {
-    Central = C.Central;
+  if (Central) {
     if (Central->CentralHead.size() != NumClasses)
       fatal("tcmalloc shared central was built for a different class map");
   } else {
     Central =
-        std::make_shared<TCMallocCentral>(C.HeapReserveBytes, NumClasses,
+        std::make_shared<TCMallocCentral>(Options.HeapReserveBytes, NumClasses,
                                           /*IsShared=*/false);
   }
   CacheHead.assign(NumClasses, 0);
@@ -144,7 +147,7 @@ void TCMallocModelAllocator::refillCache(unsigned Class) {
 
   // Move a batch from the central list if it has stock.
   unsigned Moved = 0;
-  while (Central->CentralCount[Class] > 0 && Moved < Config.RefillBatch) {
+  while (Central->CentralCount[Class] > 0 && Moved < RefillBatch) {
     uintptr_t Node = Central->CentralHead[Class];
     Sink.load(reinterpret_cast<void *>(Node), sizeof(uintptr_t));
     Central->CentralHead[Class] = *reinterpret_cast<uintptr_t *>(Node);
@@ -299,7 +302,7 @@ void TCMallocModelAllocator::deallocate(void *Ptr) {
   Sink.instructions(InstrFreeFast);
   noteFree(ObjectSize);
 
-  if (CacheBytes > Config.ScavengeThresholdBytes)
+  if (CacheBytes > ScavengeThresholdBytes)
     scavenge();
 }
 

@@ -79,24 +79,15 @@ struct TCMallocCentral : SharedHeap {
 /// clean diagnostic).
 std::shared_ptr<TCMallocCentral> createTCMallocCentral(size_t HeapReserveBytes);
 
-/// Construction-time knobs for TCMallocModelAllocator.
-struct TCMallocConfig {
-  size_t HeapReserveBytes = 512ull * 1024 * 1024;
-  /// Thread-cache size that triggers a scavenge. TCmalloc's classic
-  /// default is 2 MB.
-  size_t ScavengeThresholdBytes = 2 * 1024 * 1024;
-  /// Objects moved from a central list to the thread cache per refill.
-  unsigned RefillBatch = 32;
-  /// Shared page heap + central lists (native multi-threaded mode); null
-  /// means this allocator owns a private, lock-free central.
-  std::shared_ptr<TCMallocCentral> Central;
-};
-
 /// The TCmalloc model: thread cache + central lists + page heap.
 class TCMallocModelAllocator : public TxAllocator {
 public:
+  /// Reads HeapReserveBytes and Shared: a TCMallocCentral there is the
+  /// page heap + central lists shared with sibling threads (native
+  /// multi-threaded mode); null means this allocator owns a private,
+  /// lock-free central.
   explicit TCMallocModelAllocator(
-      const TCMallocConfig &Config = TCMallocConfig());
+      const AllocatorOptions &Options = AllocatorOptions());
 
   ~TCMallocModelAllocator() override;
 
@@ -117,6 +108,10 @@ public:
   size_t usableSize(const void *Ptr) const override;
   const char *name() const override { return "tcmalloc"; }
   uint64_t memoryConsumption() const override;
+
+  /// Thread-cache size that triggers a scavenge. TCmalloc's classic
+  /// default is 2 MB.
+  static constexpr size_t ScavengeThresholdBytes = 2 * 1024 * 1024;
 
   /// \name Introspection for tests.
   /// @{
@@ -164,7 +159,6 @@ private:
     return Central->Heap.base() + Index * PageSize;
   }
 
-  TCMallocConfig Config;
   SizeClassMap Classes;
   /// Page heap + central lists: private by default, shared in native runs.
   std::shared_ptr<TCMallocCentral> Central;

@@ -19,11 +19,15 @@
 #define DDM_CORE_TXALLOCATOR_H
 
 #include "core/AccessSink.h"
+#include "hardening/HardeningConfig.h"
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 
 namespace ddm {
+
+class BuddyPageBackend;
 
 /// Counters every allocator maintains. BytesRequested sums the raw request
 /// sizes; the live counters track usable (rounded) bytes, so internal
@@ -45,6 +49,52 @@ struct AllocatorStats {
 class SharedHeap {
 public:
   virtual ~SharedHeap() = default;
+};
+
+/// The one description of how to build an allocator of any kind. Each
+/// allocator reads the fields it needs; the knobs no program varies are
+/// constants in the allocator's own file.
+struct AllocatorOptions {
+  /// Runtime process id: feeds DDmalloc's metadata coloring.
+  uint32_t ProcessId = 0;
+  /// Heap reservation for allocators with a single arena (committed
+  /// lazily).
+  size_t HeapReserveBytes = 256ull * 1024 * 1024;
+  /// DDmalloc segment size; a power of two >= 4096. 32 KB is the paper's
+  /// choice.
+  size_t SegmentSize = 32 * 1024;
+  /// DDmalloc metadata coloring (Section 3.3 optimization 1): stagger the
+  /// metadata's position in the heap by process id so that the metadata
+  /// of runtimes sharing a cache does not collide in the same
+  /// associativity sets.
+  bool MetadataColoring = true;
+  /// Region allocator chunk size. The paper uses 256 MB.
+  size_t RegionChunkBytes = 256ull * 1024 * 1024;
+
+  /// \name Native multi-threaded backends (see src/exec).
+  /// @{
+  /// The shared heap built by the kind's AllocatorTraits::BuildShared
+  /// (ddmalloc's segment pool, the tcmalloc/hoard/slab centrals). When
+  /// set, the allocator shares it with its sibling threads instead of
+  /// reserving a private heap; the factory rejects a handle built for
+  /// another kind. Null (the default) keeps every study single-owner.
+  std::shared_ptr<SharedHeap> Shared;
+  /// DDmalloc pooled mode: which pool stripe this allocator refills from
+  /// (one per worker thread).
+  uint32_t ShardId = 0;
+  /// @}
+
+  /// Page backend the region/obstack/default/glibc/slab heaps draw their
+  /// spans from (--backend buddy); null keeps the legacy private arenas.
+  /// Kinds without backend support (ddmalloc, tcmalloc, hoard) ignore it.
+  std::shared_ptr<BuddyPageBackend> Backend;
+
+  /// Heap hardening (--harden): when Enabled, the factory wraps the
+  /// allocator in the corruption-detecting HardenedAllocator
+  /// (src/hardening) — checksummed headers, red-zone canaries and a
+  /// poison-on-free quarantine. Applies to every kind; the
+  /// adaptive allocator is wrapped once at the top, not per strategy.
+  HardeningConfig Hardening;
 };
 
 /// Abstract allocator for transaction-scoped objects.

@@ -6,8 +6,8 @@
 
 using namespace ddm;
 
-ZendDefaultAllocator::ZendDefaultAllocator(const ZendConfig &Config)
-    : Engine(Config.HeapReserveBytes, Config.Backend) {}
+ZendDefaultAllocator::ZendDefaultAllocator(const AllocatorOptions &Options)
+    : Engine(Options.HeapReserveBytes, Options.Backend) {}
 
 void *ZendDefaultAllocator::allocate(size_t Size) {
   void *Ptr = Engine.malloc(Size);

@@ -20,17 +20,12 @@
 
 namespace ddm {
 
-/// Construction-time knobs for ZendDefaultAllocator.
-struct ZendConfig {
-  size_t HeapReserveBytes = 256ull * 1024 * 1024;
-  /// Draw the heap span from this page backend; null = private arena.
-  std::shared_ptr<PageBackend> Backend;
-};
-
 /// The defragmenting default allocator of the PHP runtime.
 class ZendDefaultAllocator : public TxAllocator {
 public:
-  explicit ZendDefaultAllocator(const ZendConfig &Config = ZendConfig());
+  /// Reads HeapReserveBytes and Backend (null: a private arena).
+  explicit ZendDefaultAllocator(
+      const AllocatorOptions &Options = AllocatorOptions());
 
   void *allocate(size_t Size) override;
   void deallocate(void *Ptr) override;

@@ -45,14 +45,13 @@ void runOneTransaction(TransactionRuntime &Runtime,
 /// decisions) line up with the recorded process.
 RuntimeConfig runtimeConfig(RuntimeConfig Config,
                             const SimulationOptions &Options,
-                            const std::shared_ptr<PageBackend> &Backend) {
+                            const std::shared_ptr<BuddyPageBackend> &Backend) {
   Config.Scale = Options.Scale;
   Config.Seed = Options.Seed;
   // The runtime process id feeds DDmalloc's metadata coloring; derive a
   // stable id from the seed so multi-process experiments differ.
   if (Config.AllocOptions.ProcessId == 0)
     Config.AllocOptions.ProcessId = static_cast<uint32_t>(Options.Seed % 64);
-  Config.AllocOptions.LargePages = Options.LargePages;
   if (Options.Hardening.Enabled && !Config.AllocOptions.Hardening.Enabled)
     Config.AllocOptions.Hardening = Options.Hardening;
   if (Backend)
@@ -129,11 +128,9 @@ public:
       Point.SamplerRegions = Sampler->regions();
     // Cold give-back: the monitor decides whether reclaim fires. Without
     // a sampler the give-back is unconditional (madvise everything free).
-    if (Options.ColdGiveBack && Backend) {
-      if (auto *Buddy = dynamic_cast<BuddyPageBackend *>(Backend.get()))
-        if (!Sampler || Sampler->coldBytes() > 0)
-          Point.AdvisedOutBytes = Buddy->adviseOut();
-    }
+    if (Options.ColdGiveBack && Backend &&
+        (!Sampler || Sampler->coldBytes() > 0))
+      Point.AdvisedOutBytes = Backend->adviseOut();
     Point.Events = events(MeasuredTx);
     Point.Perf = evaluatePerformance(P, Point.Events, ActiveCores);
     Point.MeanConsumptionBytes = Runtime.metrics().ConsumptionBytes.mean();
@@ -164,7 +161,7 @@ private:
   unsigned ActiveCores;
   double AppCodeFootprintBytes;
   SimSink Sink;
-  std::shared_ptr<PageBackend> Backend;
+  std::shared_ptr<BuddyPageBackend> Backend;
   std::unique_ptr<AccessSampler> Sampler;
   AccessSink *Top;
   TransactionRuntime Runtime;

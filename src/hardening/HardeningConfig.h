@@ -2,7 +2,7 @@
 ///
 /// \file
 /// Configuration of the heap-hardening layer (src/hardening). A plain POD
-/// with no dependencies so that core/AllocatorFactory.h can embed it in
+/// with no dependencies so that core/TxAllocator.h can embed it in
 /// AllocatorOptions without pulling the hardening implementation into
 /// every core include.
 ///

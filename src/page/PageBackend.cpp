@@ -1,4 +1,4 @@
-//===- page/PageBackend.cpp - Pluggable page-granular backing store -------===//
+//===- page/PageBackend.cpp - Shared page-granular backing store ----------===//
 
 #include "page/PageBackend.h"
 #include "support/Error.h"
@@ -7,8 +7,6 @@
 #include <cassert>
 
 using namespace ddm;
-
-PageBackend::~PageBackend() = default;
 
 namespace {
 
@@ -40,11 +38,10 @@ size_t checkedPageBytes(size_t PageBytes) {
 
 } // namespace
 
-BuddyPageBackend::BuddyPageBackend(const BuddyBackendConfig &Config)
-    : PageBytes(checkedPageBytes(Config.PageBytes)),
-      Arena(Config.ReserveBytes,
-            Config.ReserveBytes >= MaxAlignment ? MaxAlignment
-                                                : Config.PageBytes),
+BuddyPageBackend::BuddyPageBackend(size_t ReserveBytes, size_t PageSize)
+    : PageBytes(checkedPageBytes(PageSize)),
+      Arena(ReserveBytes,
+            ReserveBytes >= MaxAlignment ? MaxAlignment : PageSize),
       Buddy(Arena.size() / PageBytes, maxOrderFor(Arena.size() / PageBytes)),
       LivePage(Arena.size() / PageBytes, 0),
       ResidentPage(Arena.size() / PageBytes, 0) {}
@@ -136,10 +133,7 @@ PageBackendStats BuddyPageBackend::stats() const {
 
 std::shared_ptr<BuddyPageBackend>
 ddm::createBuddyBackend(size_t ReserveBytes, size_t PageBytes) {
-  BuddyBackendConfig Config;
-  Config.ReserveBytes = ReserveBytes;
-  Config.PageBytes = PageBytes;
-  return std::make_shared<BuddyPageBackend>(Config);
+  return std::make_shared<BuddyPageBackend>(ReserveBytes, PageBytes);
 }
 
 BackedSpan::~BackedSpan() {
@@ -170,8 +164,9 @@ BackedSpan &BackedSpan::operator=(BackedSpan &&Other) noexcept {
   return *this;
 }
 
-BackedSpan BackedSpan::create(size_t Bytes, size_t Alignment,
-                              const std::shared_ptr<PageBackend> &Backend) {
+BackedSpan
+BackedSpan::create(size_t Bytes, size_t Alignment,
+                   const std::shared_ptr<BuddyPageBackend> &Backend) {
   std::string Error;
   std::optional<BackedSpan> Span = tryCreate(Bytes, Alignment, Backend,
                                              &Error);
@@ -182,16 +177,15 @@ BackedSpan BackedSpan::create(size_t Bytes, size_t Alignment,
 
 std::optional<BackedSpan>
 BackedSpan::tryCreate(size_t Bytes, size_t Alignment,
-                      const std::shared_ptr<PageBackend> &Backend,
+                      const std::shared_ptr<BuddyPageBackend> &Backend,
                       std::string *ErrorOut) {
   BackedSpan Span;
   if (Backend) {
     std::byte *Base = Backend->acquire(Bytes, Alignment);
     if (!Base) {
       if (ErrorOut)
-        *ErrorOut = std::string(Backend->name()) +
-                    " page backend exhausted (or page_acquire fired) for " +
-                    std::to_string(Bytes) + " bytes";
+        *ErrorOut = "buddy page backend exhausted (or page_acquire fired) "
+                    "for " + std::to_string(Bytes) + " bytes";
       return std::nullopt;
     }
     Span.Backend = Backend;

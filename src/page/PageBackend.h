@@ -1,16 +1,16 @@
-//===- page/PageBackend.h - Pluggable page-granular backing store -*- C++ -*-===//
+//===- page/PageBackend.h - Shared page-granular backing store -*- C++ -*-===//
 ///
 /// \file
-/// The page economy beneath the allocator zoo. A PageBackend hands out
-/// page-granular spans of real memory; allocators that normally reserve a
-/// private AlignedArena can instead draw their heaps, chunks, or segment
-/// arenas from a shared backend (--backend buddy on the benches), which
-/// makes external fragmentation, page reclaim, and contiguous-allocation
-/// pressure measurable per allocator.
+/// The page economy beneath the allocator zoo. A BuddyPageBackend hands
+/// out page-granular spans of real memory; allocators that normally
+/// reserve a private AlignedArena can instead draw their heaps, chunks, or
+/// segment arenas from a shared backend (--backend buddy on the benches),
+/// which makes external fragmentation, page reclaim, and
+/// contiguous-allocation pressure measurable per allocator.
 ///
-/// BuddyPageBackend is the kernel-style implementation: one arena carved
-/// by a binary BuddyAllocator, a mutex for native multi-threaded use, and
-/// the `page_acquire` fault-injection site on every acquisition.
+/// The backend is kernel-style: one arena carved by a binary
+/// BuddyAllocator, a mutex for native multi-threaded use, and the
+/// `page_acquire` fault-injection site on every acquisition.
 ///
 /// BackedSpan is the RAII bridge: a span that came either from a backend
 /// (released to it on destruction) or from a private AlignedArena (the
@@ -68,44 +68,27 @@ struct PageBackendStats {
   }
 };
 
-/// Abstract page-granular backing store.
-class PageBackend {
-public:
-  virtual ~PageBackend();
-
-  /// Acquires at least \p Bytes of contiguous memory whose base is aligned
-  /// to \p Alignment. Returns nullptr when the backend is exhausted or the
-  /// `page_acquire` fault site fires. \p Alignment must be a power of two.
-  virtual std::byte *acquire(size_t Bytes, size_t Alignment) = 0;
-
-  /// Returns the span previously acquired with exactly these \p Bytes.
-  virtual void release(std::byte *Ptr, size_t Bytes) = 0;
-
-  virtual PageBackendStats stats() const = 0;
-  virtual const char *name() const = 0;
-};
-
-/// Construction knobs for BuddyPageBackend.
-struct BuddyBackendConfig {
-  size_t ReserveBytes = 1ull << 30;
-  size_t PageBytes = 4096;
-};
-
 /// A binary-buddy page backend over one aligned arena. Thread-safe: every
 /// acquire/release takes the backend mutex (native workers share one
 /// backend the way processes share a kernel).
-class BuddyPageBackend : public PageBackend {
+class BuddyPageBackend {
 public:
   /// The largest base alignment callers may request from acquire().
   static constexpr size_t MaxAlignment = 1ull << 20;
 
-  explicit BuddyPageBackend(const BuddyBackendConfig &Config =
-                                BuddyBackendConfig());
+  /// Reserves \p ReserveBytes carved into pages of \p PageSize bytes (a
+  /// power of two >= 256). Aborts via fatal() on reservation failure.
+  explicit BuddyPageBackend(size_t ReserveBytes, size_t PageSize = 4096);
 
-  std::byte *acquire(size_t Bytes, size_t Alignment) override;
-  void release(std::byte *Ptr, size_t Bytes) override;
-  PageBackendStats stats() const override;
-  const char *name() const override { return "buddy"; }
+  /// Acquires at least \p Bytes of contiguous memory whose base is aligned
+  /// to \p Alignment. Returns nullptr when the backend is exhausted or the
+  /// `page_acquire` fault site fires. \p Alignment must be a power of two.
+  std::byte *acquire(size_t Bytes, size_t Alignment);
+
+  /// Returns the span previously acquired with exactly these \p Bytes.
+  void release(std::byte *Ptr, size_t Bytes);
+
+  PageBackendStats stats() const;
 
   /// Models madvise(MADV_DONTNEED) on every free-but-resident page: the
   /// cold-region give-back driven by the access sampler. Returns the
@@ -139,8 +122,8 @@ private:
 std::shared_ptr<BuddyPageBackend>
 createBuddyBackend(size_t ReserveBytes, size_t PageBytes = 4096);
 
-/// A span of memory that is either a slice of a PageBackend or a private
-/// AlignedArena, released to its origin on destruction. Move-only.
+/// A span of memory that is either a slice of a BuddyPageBackend or a
+/// private AlignedArena, released to its origin on destruction. Move-only.
 class BackedSpan {
 public:
   BackedSpan() = default;
@@ -154,14 +137,14 @@ public:
   /// fresh private arena when \p Backend is null. Aborts via fatal() on
   /// failure.
   static BackedSpan create(size_t Bytes, size_t Alignment,
-                           const std::shared_ptr<PageBackend> &Backend);
+                           const std::shared_ptr<BuddyPageBackend> &Backend);
 
   /// Non-fatal variant: std::nullopt with \p ErrorOut (if non-null) set on
   /// exhaustion, mmap failure, or a fired fault site (`page_acquire` for a
   /// backend span, `arena_map` for a private arena).
   static std::optional<BackedSpan>
   tryCreate(size_t Bytes, size_t Alignment,
-            const std::shared_ptr<PageBackend> &Backend,
+            const std::shared_ptr<BuddyPageBackend> &Backend,
             std::string *ErrorOut = nullptr);
 
   std::byte *base() const { return Base; }
@@ -173,8 +156,8 @@ public:
   }
 
 private:
-  std::optional<AlignedArena> Arena;  ///< Private path.
-  std::shared_ptr<PageBackend> Backend; ///< Backend path.
+  std::optional<AlignedArena> Arena;         ///< Private path.
+  std::shared_ptr<BuddyPageBackend> Backend; ///< Backend path.
   std::byte *Base = nullptr;
   size_t Bytes = 0;
 };

@@ -47,7 +47,7 @@ void notePagesReturned(SlabCentral &C, uint64_t Pages) {
 
 SlabCentral::SlabCentral(size_t HeapReserveBytes, unsigned NumClasses,
                          bool IsShared,
-                         const std::shared_ptr<PageBackend> &Backend)
+                         const std::shared_ptr<BuddyPageBackend> &Backend)
     : Heap(BackedSpan::create(HeapReserveBytes, PageBytes, Backend)),
       NumPages(Heap.size() / PageBytes),
       Buddy(NumPages, buddyOrderFor(NumPages)), Shared(IsShared) {
@@ -82,24 +82,19 @@ std::shared_ptr<SlabCentral> ddm::createSlabCentral(size_t HeapReserveBytes) {
                                        /*IsShared=*/true);
 }
 
-SlabAllocator::SlabAllocator(const SlabConfig &C)
-    : Config(C), Classes(MaxSmallBytes) {
+SlabAllocator::SlabAllocator(const AllocatorOptions &Options)
+    : Classes(MaxSmallBytes),
+      Central(std::dynamic_pointer_cast<SlabCentral>(Options.Shared)) {
   unsigned NumClasses = Classes.numClasses();
-  if (C.Central) {
-    Central = C.Central;
+  if (Central) {
     if (Central->PartialHead.size() != NumClasses)
       fatal("slab shared central was built for a different class map");
   } else {
-    Central = std::make_shared<SlabCentral>(C.HeapReserveBytes, NumClasses,
-                                            /*IsShared=*/false, C.Backend);
+    Central = std::make_shared<SlabCentral>(Options.HeapReserveBytes,
+                                            NumClasses, /*IsShared=*/false,
+                                            Options.Backend);
   }
-  if (Config.MagazineCapacity < 2)
-    Config.MagazineCapacity = 2;
-  if (Config.RefillBatch == 0)
-    Config.RefillBatch = 1;
-  if (Config.RefillBatch > Config.MagazineCapacity)
-    Config.RefillBatch = Config.MagazineCapacity;
-  MagSlots.assign(size_t(NumClasses) * Config.MagazineCapacity, 0);
+  MagSlots.assign(size_t(NumClasses) * MagazineCapacity, 0);
   MagCount.assign(NumClasses, 0);
 }
 
@@ -112,7 +107,7 @@ SlabAllocator::~SlabAllocator() {
     std::lock_guard<std::mutex> Lock(Central->M);
     for (unsigned Class = 0, End = Classes.numClasses(); Class != End;
          ++Class) {
-      uintptr_t *Slots = &MagSlots[size_t(Class) * Config.MagazineCapacity];
+      uintptr_t *Slots = &MagSlots[size_t(Class) * MagazineCapacity];
       while (MagCount[Class] > 0) {
         --MagCount[Class];
         auto *Object = reinterpret_cast<std::byte *>(Slots[MagCount[Class]]);
@@ -270,9 +265,9 @@ void SlabAllocator::centralFree(std::byte *Object, uint32_t HeadPage,
 
 void SlabAllocator::refillMagazine(unsigned Class) {
   auto Lock = centralLock();
-  uintptr_t *Slots = &MagSlots[size_t(Class) * Config.MagazineCapacity];
+  uintptr_t *Slots = &MagSlots[size_t(Class) * MagazineCapacity];
   unsigned Got = 0;
-  while (Got < Config.RefillBatch) {
+  while (Got < RefillBatch) {
     std::byte *Object = takeObject(Class);
     if (!Object)
       break;
@@ -287,7 +282,7 @@ void SlabAllocator::refillMagazine(unsigned Class) {
 
 void SlabAllocator::flushMagazine(unsigned Class, unsigned Keep) {
   auto Lock = centralLock();
-  uintptr_t *Slots = &MagSlots[size_t(Class) * Config.MagazineCapacity];
+  uintptr_t *Slots = &MagSlots[size_t(Class) * MagazineCapacity];
   uint64_t Moved = 0;
   while (MagCount[Class] > Keep) {
     --MagCount[Class];
@@ -310,7 +305,7 @@ void *SlabAllocator::allocateSmall(size_t Size) {
   }
   --MagCount[Class];
   uintptr_t *Slot =
-      &MagSlots[size_t(Class) * Config.MagazineCapacity + MagCount[Class]];
+      &MagSlots[size_t(Class) * MagazineCapacity + MagCount[Class]];
   Sink.load(Slot, sizeof(uintptr_t));
   Sink.store(&MagCount[Class], sizeof(uint32_t));
   Sink.instructions(InstrMagazineAlloc);
@@ -390,17 +385,17 @@ void SlabAllocator::deallocate(void *Ptr) {
       Mark == PageSlabCont ? slabHeadFor(Page) : static_cast<uint32_t>(Page);
   unsigned Class = Central->PageKind[Head];
   size_t ObjectSize = Classes.classSize(Class);
-  if (MagCount[Class] == Config.MagazineCapacity)
-    flushMagazine(Class, Config.MagazineCapacity / 2);
+  if (MagCount[Class] == MagazineCapacity)
+    flushMagazine(Class, MagazineCapacity / 2);
   // Catch the common double free for one compare: an immediate re-free
   // finds itself on top of the magazine.
   if (MagCount[Class] > 0 &&
-      MagSlots[size_t(Class) * Config.MagazineCapacity + MagCount[Class] -
+      MagSlots[size_t(Class) * MagazineCapacity + MagCount[Class] -
                1] == reinterpret_cast<uintptr_t>(Ptr))
     fatal("heap corruption detected: double free (object already tops its "
           "slab magazine)");
   uintptr_t *Slot =
-      &MagSlots[size_t(Class) * Config.MagazineCapacity + MagCount[Class]];
+      &MagSlots[size_t(Class) * MagazineCapacity + MagCount[Class]];
   *Slot = reinterpret_cast<uintptr_t>(Ptr);
   Sink.store(Slot, sizeof(uintptr_t));
   ++MagCount[Class];

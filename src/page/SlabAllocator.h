@@ -65,7 +65,7 @@ struct SlabCentral : SharedHeap {
   /// \p Backend, when non-null, supplies the heap span (and sees it again
   /// when the central dies — a restarted process returning its pages).
   SlabCentral(size_t HeapReserveBytes, unsigned NumClasses, bool IsShared,
-              const std::shared_ptr<PageBackend> &Backend = nullptr);
+              const std::shared_ptr<BuddyPageBackend> &Backend = nullptr);
 
   BackedSpan Heap;
   size_t NumPages;
@@ -99,25 +99,20 @@ struct SlabCentral : SharedHeap {
 /// failure (probe with AlignedArena::tryReserve first).
 std::shared_ptr<SlabCentral> createSlabCentral(size_t HeapReserveBytes);
 
-/// Construction-time knobs for SlabAllocator.
-struct SlabConfig {
-  size_t HeapReserveBytes = 256ull * 1024 * 1024;
-  /// Objects a magazine holds before a free flushes half of it.
-  unsigned MagazineCapacity = 64;
-  /// Objects pulled from the central per refill.
-  unsigned RefillBatch = 16;
-  /// Shared buddy heap + slab lists (native multi-threaded mode); null
-  /// means this allocator owns a private, lock-free central.
-  std::shared_ptr<SlabCentral> Central;
-  /// Draw the (private) central's heap span from this page backend instead
-  /// of a private arena. Ignored when Central is set.
-  std::shared_ptr<PageBackend> Backend;
-};
-
 /// The slab allocator: per-class magazines over a buddy-backed slab heap.
 class SlabAllocator : public TxAllocator {
 public:
-  explicit SlabAllocator(const SlabConfig &Config = SlabConfig());
+  /// Objects a magazine holds before a free flushes half of it.
+  static constexpr unsigned MagazineCapacity = 64;
+  /// Objects pulled from the central per refill.
+  static constexpr unsigned RefillBatch = 16;
+
+  /// Reads HeapReserveBytes, Backend and Shared: a SlabCentral there is
+  /// the buddy heap + slab lists shared with sibling threads (native
+  /// multi-threaded mode); null means this allocator owns a private,
+  /// lock-free central whose heap span comes from Backend (null: a
+  /// private arena).
+  explicit SlabAllocator(const AllocatorOptions &Options = AllocatorOptions());
 
   ~SlabAllocator() override;
 
@@ -215,7 +210,6 @@ private:
     return reinterpret_cast<SlabHeader *>(pageBase(HeadPage));
   }
 
-  SlabConfig Config;
   SizeClassMap Classes;
   std::shared_ptr<SlabCentral> Central;
 

@@ -1,11 +1,9 @@
-//===- support/Stats.cpp - Streaming statistics and histograms -----------===//
+//===- support/Stats.cpp - Streaming statistics ---------------------------===/
 
 #include "support/Stats.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
-#include <cstdio>
 
 using namespace ddm;
 
@@ -43,62 +41,3 @@ void RunningStat::merge(const RunningStat &Other) {
 }
 
 double RunningStat::stddev() const { return std::sqrt(variance()); }
-
-unsigned Log2Histogram::bucketIndex(uint64_t Value) {
-  if (Value == 0)
-    return 0;
-  return 64 - static_cast<unsigned>(__builtin_clzll(Value));
-}
-
-void Log2Histogram::add(uint64_t Value, uint64_t Weight) {
-  unsigned Index = bucketIndex(Value);
-  if (Index >= Buckets.size())
-    Buckets.resize(Index + 1, 0);
-  Buckets[Index] += Weight;
-  Total += Weight;
-}
-
-uint64_t Log2Histogram::countFor(uint64_t Value) const {
-  unsigned Index = bucketIndex(Value);
-  return Index < Buckets.size() ? Buckets[Index] : 0;
-}
-
-uint64_t Log2Histogram::percentileUpperBound(double Fraction) const {
-  assert(Fraction >= 0.0 && Fraction <= 1.0 && "fraction out of range");
-  if (Total == 0)
-    return 0;
-  uint64_t Target =
-      static_cast<uint64_t>(std::ceil(Fraction * static_cast<double>(Total)));
-  uint64_t Seen = 0;
-  for (unsigned I = 0, E = Buckets.size(); I != E; ++I) {
-    Seen += Buckets[I];
-    if (Seen >= Target)
-      return I == 0 ? 1 : (1ull << I);
-  }
-  return 1ull << Buckets.size();
-}
-
-std::string Log2Histogram::render(unsigned MaxBarWidth) const {
-  std::string Out;
-  if (Total == 0)
-    return "(empty)\n";
-  uint64_t Peak = *std::max_element(Buckets.begin(), Buckets.end());
-  for (unsigned I = 0, E = Buckets.size(); I != E; ++I) {
-    if (Buckets[I] == 0)
-      continue;
-    uint64_t Lo = I == 0 ? 0 : (1ull << (I - 1));
-    uint64_t Hi = I == 0 ? 1 : (1ull << I);
-    char Line[96];
-    std::snprintf(Line, sizeof(Line), "[%10llu, %10llu) %10llu ",
-                  static_cast<unsigned long long>(Lo),
-                  static_cast<unsigned long long>(Hi),
-                  static_cast<unsigned long long>(Buckets[I]));
-    Out += Line;
-    unsigned Width = static_cast<unsigned>(
-        (static_cast<double>(Buckets[I]) / static_cast<double>(Peak)) *
-        MaxBarWidth);
-    Out.append(Width, '#');
-    Out += '\n';
-  }
-  return Out;
-}

@@ -1,10 +1,9 @@
-//===- support/Stats.h - Streaming statistics and histograms ---*- C++ -*-===//
+//===- support/Stats.h - Streaming statistics ------------------*- C++ -*-===//
 ///
 /// \file
-/// Streaming mean/variance accumulation (Welford) and a log2-bucketed
-/// histogram. Used by the workload generators to verify that generated
-/// traces match the paper's Table 3 statistics, and by the experiment
-/// harness for reporting.
+/// Streaming mean/variance accumulation (Welford). Used by the workload
+/// generators to verify that generated traces match the paper's Table 3
+/// statistics, and by the experiment harness for reporting.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -12,8 +11,6 @@
 #define DDM_SUPPORT_STATS_H
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 namespace ddm {
 
@@ -42,33 +39,6 @@ private:
   double M2 = 0.0;
   double Min = 0.0;
   double Max = 0.0;
-};
-
-/// Histogram over nonnegative integers with power-of-two buckets:
-/// [0,1), [1,2), [2,4), [4,8), ...
-class Log2Histogram {
-public:
-  /// Adds one sample with weight \p Weight.
-  void add(uint64_t Value, uint64_t Weight = 1);
-
-  uint64_t totalCount() const { return Total; }
-
-  /// Returns the number of samples in the bucket whose range contains
-  /// \p Value.
-  uint64_t countFor(uint64_t Value) const;
-
-  /// Smallest value V such that at least \p Fraction of the samples are
-  /// <= V, resolved to the (exclusive) upper bound of its bucket.
-  uint64_t percentileUpperBound(double Fraction) const;
-
-  /// Renders a textual bar chart, one line per nonempty bucket.
-  std::string render(unsigned MaxBarWidth = 40) const;
-
-private:
-  static unsigned bucketIndex(uint64_t Value);
-
-  std::vector<uint64_t> Buckets;
-  uint64_t Total = 0;
 };
 
 } // namespace ddm

@@ -41,14 +41,11 @@ TEST(ChoosePlacementTest, FollowsThePaperTaxonomy) {
   EXPECT_EQ(choosePlacement(window(100, 25, 0, 0)), AllocatorKind::Default);
 }
 
-AdaptiveConfig smallWindows() {
-  AdaptiveConfig Config;
-  Config.MinWindowMallocs = 8;
-  return Config;
-}
+/// Mallocs per test window: exactly enough to be scored.
+constexpr unsigned Window = AdaptiveAllocator::MinWindowMallocs;
 
 TEST(AdaptiveAllocatorTest, StartsOnTheInitialKindAndDelegates) {
-  AdaptiveAllocator A(smallWindows());
+  AdaptiveAllocator A;
   EXPECT_STREQ(A.name(), "adaptive");
   EXPECT_EQ(A.currentStrategy(), AllocatorKind::Default);
   EXPECT_EQ(A.strategySwitches(), 0u);
@@ -64,12 +61,12 @@ TEST(AdaptiveAllocatorTest, StartsOnTheInitialKindAndDelegates) {
 }
 
 TEST(AdaptiveAllocatorTest, TwoAgreeingWindowsSwitchTheStrategy) {
-  AdaptiveAllocator A(smallWindows());
+  AdaptiveAllocator A;
 
   // Two transaction-scoped windows (allocate, never free, bulk reclaim):
   // the first only records the recommendation, the second acts on it.
-  for (unsigned Window = 0; Window < 2; ++Window) {
-    for (unsigned I = 0; I < 8; ++I)
+  for (unsigned Round = 0; Round < 2; ++Round) {
+    for (unsigned I = 0; I < Window; ++I)
       ASSERT_NE(A.allocate(100 + I * 40), nullptr);
     A.freeAll();
   }
@@ -78,9 +75,9 @@ TEST(AdaptiveAllocatorTest, TwoAgreeingWindowsSwitchTheStrategy) {
 
   // Two churny single-size windows (free everything, per object): the
   // safe point is the deallocate that empties the live table.
-  for (unsigned Window = 0; Window < 2; ++Window) {
+  for (unsigned Round = 0; Round < 2; ++Round) {
     std::vector<void *> Ptrs;
-    for (unsigned I = 0; I < 8; ++I) {
+    for (unsigned I = 0; I < Window; ++I) {
       void *P = A.allocate(64);
       ASSERT_NE(P, nullptr);
       Ptrs.push_back(P);
@@ -100,20 +97,20 @@ TEST(AdaptiveAllocatorTest, TwoAgreeingWindowsSwitchTheStrategy) {
 }
 
 TEST(AdaptiveAllocatorTest, OneDissentingWindowResetsTheVote) {
-  AdaptiveAllocator A(smallWindows());
+  AdaptiveAllocator A;
   // Region-shaped window, then a churny one, then region again: no two
   // consecutive windows agree, so the strategy never moves.
-  for (unsigned I = 0; I < 8; ++I)
+  for (unsigned I = 0; I < Window; ++I)
     ASSERT_NE(A.allocate(100 + I * 40), nullptr);
   A.freeAll();
   {
     std::vector<void *> Ptrs;
-    for (unsigned I = 0; I < 8; ++I)
+    for (unsigned I = 0; I < Window; ++I)
       Ptrs.push_back(A.allocate(64));
     for (void *P : Ptrs)
       A.deallocate(P);
   }
-  for (unsigned I = 0; I < 8; ++I)
+  for (unsigned I = 0; I < Window; ++I)
     ASSERT_NE(A.allocate(100 + I * 40), nullptr);
   A.freeAll();
   EXPECT_EQ(A.currentStrategy(), AllocatorKind::Default);
@@ -121,9 +118,7 @@ TEST(AdaptiveAllocatorTest, OneDissentingWindowResetsTheVote) {
 }
 
 TEST(AdaptiveAllocatorTest, ShortWindowsCarryForwardInsteadOfScoring) {
-  AdaptiveConfig Config;
-  Config.MinWindowMallocs = 64;
-  AdaptiveAllocator A(Config);
+  AdaptiveAllocator A;
   for (unsigned Round = 0; Round < 3; ++Round) {
     for (unsigned I = 0; I < 8; ++I)
       ASSERT_NE(A.allocate(48), nullptr);
@@ -136,11 +131,11 @@ TEST(AdaptiveAllocatorTest, ShortWindowsCarryForwardInsteadOfScoring) {
 }
 
 TEST(AdaptiveAllocatorTest, LifoFreesAreRecognizedAsObstack) {
-  AdaptiveAllocator A(smallWindows());
+  AdaptiveAllocator A;
   // Mostly-bulk windows whose few frees always hit the newest object —
   // the obstack grow/trim discipline.
-  for (unsigned Window = 0; Window < 2; ++Window) {
-    for (unsigned I = 0; I < 10; ++I) {
+  for (unsigned Round = 0; Round < 2; ++Round) {
+    for (unsigned I = 0; I < 80; ++I) {
       void *P = A.allocate(96);
       ASSERT_NE(P, nullptr);
       if (I % 5 == 4)
@@ -156,7 +151,7 @@ TEST(AdaptiveAllocatorTest, NestedLifoFreesAllCountAsLifo) {
   // The LIFO detector tracks a stack of live allocations, not just the
   // single newest one: alloc a, alloc b; free b, free a is strictly
   // LIFO and both frees must count.
-  AdaptiveAllocator A(smallWindows());
+  AdaptiveAllocator A;
   void *P = A.allocate(96);
   void *Q = A.allocate(96);
   ASSERT_NE(P, nullptr);
@@ -183,16 +178,16 @@ TEST(AdaptiveAllocatorTest, StackShapedTrimsReachObstack) {
   // the real obstack grow/trim shape — must score lifoRatio 1 and reach
   // the obstack recommendation (the single-pointer detector scored this
   // 0.5 and could never get there).
-  AdaptiveAllocator A(smallWindows());
-  for (unsigned Window = 0; Window < 2; ++Window) {
+  AdaptiveAllocator A;
+  for (unsigned Round = 0; Round < 2; ++Round) {
     std::vector<void *> Ptrs;
-    for (unsigned I = 0; I < 10; ++I) {
+    for (unsigned I = 0; I < Window; ++I) {
       void *P = A.allocate(96);
       ASSERT_NE(P, nullptr);
       Ptrs.push_back(P);
     }
-    A.deallocate(Ptrs[9]); // Trim the top two, nested.
-    A.deallocate(Ptrs[8]);
+    A.deallocate(Ptrs[Window - 1]); // Trim the top two, nested.
+    A.deallocate(Ptrs[Window - 2]);
     A.freeAll();
   }
   EXPECT_EQ(A.currentStrategy(), AllocatorKind::Obstack);
@@ -200,7 +195,7 @@ TEST(AdaptiveAllocatorTest, StackShapedTrimsReachObstack) {
 }
 
 TEST(AdaptiveAllocatorTest, ReallocKeepsTheLiveTableCoherent) {
-  AdaptiveAllocator A(smallWindows());
+  AdaptiveAllocator A;
   void *P = A.allocate(32);
   ASSERT_NE(P, nullptr);
   void *Q = A.reallocate(P, 32, 128);

@@ -159,8 +159,8 @@ TEST(AllocatorFactoryTest, OptionsReachDDmalloc) {
   auto A = createAllocator(AllocatorKind::DDmalloc, Options);
   auto *DDm = dynamic_cast<DDmallocAllocator *>(A.get());
   ASSERT_NE(DDm, nullptr);
-  EXPECT_EQ(DDm->config().SegmentSize, 16u * 1024);
-  EXPECT_EQ(DDm->config().ProcessId, 7u);
+  EXPECT_EQ(DDm->options().SegmentSize, 16u * 1024);
+  EXPECT_EQ(DDm->options().ProcessId, 7u);
   EXPECT_GT(DDm->metadataOffset(), 0u);
 }
 

@@ -26,8 +26,8 @@ protected:
   size_t segmentSize() const { return std::get<0>(GetParam()); }
   uint64_t seed() const { return std::get<1>(GetParam()); }
 
-  DDmallocConfig config() const {
-    DDmallocConfig Config;
+  AllocatorOptions config() const {
+    AllocatorOptions Config;
     Config.SegmentSize = segmentSize();
     Config.HeapReserveBytes = 64ull * 1024 * 1024;
     return Config;
@@ -137,9 +137,9 @@ TEST_P(DDmallocParamTest, ConsumptionIsSegmentGranular) {
 
 TEST_P(DDmallocParamTest, SmallerSegmentsConsumeLessForSparseClasses) {
   // One object per class: consumption = classes-touched * segment size.
-  DDmallocConfig Small = config();
+  AllocatorOptions Small = config();
   Small.SegmentSize = 8 * 1024;
-  DDmallocConfig Large = config();
+  AllocatorOptions Large = config();
   Large.SegmentSize = 64 * 1024;
   DDmallocAllocator As(Small), Al(Large);
   for (size_t Size = 8; Size <= 512; Size += 8) {
@@ -161,7 +161,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(DDmallocColoringTest, OffsetsCycleWithinHalfASegment) {
   for (uint32_t Pid = 0; Pid < 64; ++Pid) {
-    DDmallocConfig Config;
+    AllocatorOptions Config;
     Config.ProcessId = Pid;
     Config.HeapReserveBytes = 16ull * 1024 * 1024;
     DDmallocAllocator A(Config);
@@ -178,7 +178,7 @@ TEST(DDmallocColoringTest, OffsetsCycleWithinHalfASegment) {
 TEST(DDmallocColoringTest, NeighbouringPidsLandInDifferentSets) {
   // Two adjacent process ids must not map their metadata to the same
   // 64-byte-line offset (that is the point of the coloring).
-  DDmallocConfig C0, C1;
+  AllocatorOptions C0, C1;
   C0.ProcessId = 0;
   C1.ProcessId = 1;
   C0.HeapReserveBytes = C1.HeapReserveBytes = 16ull * 1024 * 1024;

@@ -13,10 +13,10 @@ using namespace ddm;
 
 namespace {
 
-DDmallocConfig smallHeapConfig() {
-  DDmallocConfig Config;
-  Config.HeapReserveBytes = 16ull * 1024 * 1024;
-  return Config;
+AllocatorOptions smallHeapConfig() {
+  AllocatorOptions Options;
+  Options.HeapReserveBytes = 16ull * 1024 * 1024;
+  return Options;
 }
 
 } // namespace
@@ -39,7 +39,7 @@ TEST(DDmallocTest, LazySegmentCarving) {
   auto *Second = static_cast<std::byte *>(A.allocate(100));
   EXPECT_EQ(Second, First + 104);
   // The first object of a segment starts at the segment base.
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(First) % A.config().SegmentSize, 0u);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(First) % A.options().SegmentSize, 0u);
 }
 
 TEST(DDmallocTest, FreedObjectsReusedInLifoOrder) {
@@ -85,7 +85,7 @@ TEST(DDmallocTest, UsableSizeIsClassSize) {
 
 TEST(DDmallocTest, LargeObjectsTakeWholeSegments) {
   DDmallocAllocator A(smallHeapConfig());
-  size_t SegmentSize = A.config().SegmentSize;
+  size_t SegmentSize = A.options().SegmentSize;
   void *P = A.allocate(SegmentSize / 2 + 1); // just over the threshold
   ASSERT_NE(P, nullptr);
   EXPECT_EQ(reinterpret_cast<uintptr_t>(P) % SegmentSize, 0u);
@@ -100,7 +100,7 @@ TEST(DDmallocTest, LargeObjectsTakeWholeSegments) {
 
 TEST(DDmallocTest, FreedLargeSegmentsAreReused) {
   DDmallocAllocator A(smallHeapConfig());
-  size_t SegmentSize = A.config().SegmentSize;
+  size_t SegmentSize = A.options().SegmentSize;
   void *P = A.allocate(SegmentSize);
   uint64_t UsedAfterFirst = A.segmentsInUse();
   A.deallocate(P);
@@ -168,11 +168,11 @@ TEST(DDmallocTest, ReallocNullActsAsMalloc) {
 }
 
 TEST(DDmallocTest, MetadataColoringDependsOnProcessId) {
-  DDmallocConfig C0 = smallHeapConfig();
+  AllocatorOptions C0 = smallHeapConfig();
   C0.ProcessId = 0;
-  DDmallocConfig C1 = smallHeapConfig();
+  AllocatorOptions C1 = smallHeapConfig();
   C1.ProcessId = 1;
-  DDmallocConfig C9 = smallHeapConfig();
+  AllocatorOptions C9 = smallHeapConfig();
   C9.ProcessId = 9;
   DDmallocAllocator A0(C0), A1(C1), A9(C9);
   EXPECT_EQ(A0.metadataOffset(), 0u);
@@ -181,7 +181,7 @@ TEST(DDmallocTest, MetadataColoringDependsOnProcessId) {
   EXPECT_EQ(A1.metadataOffset() % 64, 0u);
   EXPECT_LT(A1.metadataOffset(), C1.SegmentSize / 2);
 
-  DDmallocConfig NoColor = smallHeapConfig();
+  AllocatorOptions NoColor = smallHeapConfig();
   NoColor.ProcessId = 5;
   NoColor.MetadataColoring = false;
   DDmallocAllocator Plain(NoColor);
@@ -193,15 +193,15 @@ TEST(DDmallocTest, MemoryConsumptionCountsSegmentsAndMetadata) {
   uint64_t Baseline = A.memoryConsumption();
   EXPECT_EQ(Baseline, A.metadataBytes());
   A.allocate(64);
-  EXPECT_EQ(A.memoryConsumption(), Baseline + A.config().SegmentSize);
+  EXPECT_EQ(A.memoryConsumption(), Baseline + A.options().SegmentSize);
   A.allocate(64); // same segment: no growth
-  EXPECT_EQ(A.memoryConsumption(), Baseline + A.config().SegmentSize);
+  EXPECT_EQ(A.memoryConsumption(), Baseline + A.options().SegmentSize);
   A.allocate(300); // different class: one more segment
-  EXPECT_EQ(A.memoryConsumption(), Baseline + 2 * A.config().SegmentSize);
+  EXPECT_EQ(A.memoryConsumption(), Baseline + 2 * A.options().SegmentSize);
 }
 
 TEST(DDmallocTest, ExhaustionReturnsNull) {
-  DDmallocConfig Config;
+  AllocatorOptions Config;
   Config.HeapReserveBytes = 1 * 1024 * 1024;
   DDmallocAllocator A(Config);
   std::vector<void *> Objects;
@@ -234,7 +234,7 @@ TEST(DDmallocTest, StatsTrackCallsAndBytes) {
 }
 
 TEST(DDmallocTest, SmallerSegmentSizeWorks) {
-  DDmallocConfig Config;
+  AllocatorOptions Config;
   Config.SegmentSize = 8 * 1024;
   Config.HeapReserveBytes = 8ull * 1024 * 1024;
   DDmallocAllocator A(Config);

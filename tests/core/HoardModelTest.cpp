@@ -12,10 +12,10 @@ using namespace ddm;
 
 namespace {
 
-HoardConfig smallConfig() {
-  HoardConfig Config;
-  Config.HeapReserveBytes = 64ull * 1024 * 1024;
-  return Config;
+AllocatorOptions smallConfig() {
+  AllocatorOptions Options;
+  Options.HeapReserveBytes = 64ull * 1024 * 1024;
+  return Options;
 }
 
 /// Objects a 64 KB superblock can hold after its 64-byte header pad.

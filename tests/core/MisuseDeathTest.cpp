@@ -20,10 +20,10 @@ using namespace ddm;
 
 namespace {
 
-DDmallocConfig smallConfig() {
-  DDmallocConfig Config;
-  Config.HeapReserveBytes = 8ull * 1024 * 1024;
-  return Config;
+AllocatorOptions smallConfig() {
+  AllocatorOptions Options;
+  Options.HeapReserveBytes = 8ull * 1024 * 1024;
+  return Options;
 }
 
 } // namespace
@@ -58,7 +58,7 @@ TEST(MisuseDeathTest, DDmallocFreeIntoUnusedSegmentAsserts) {
   DDmallocAllocator A(smallConfig());
   // An address inside the heap but in a never-allocated segment.
   void *P = A.allocate(64);
-  auto Addr = reinterpret_cast<uintptr_t>(P) + 4 * A.config().SegmentSize;
+  auto Addr = reinterpret_cast<uintptr_t>(P) + 4 * A.options().SegmentSize;
   EXPECT_DEATH(A.deallocate(reinterpret_cast<void *>(Addr)),
                "unused segment");
 }

@@ -12,11 +12,16 @@ using namespace ddm;
 
 namespace {
 
-RegionConfig smallRegion() {
-  RegionConfig Config;
-  Config.ChunkBytes = 1 * 1024 * 1024;
-  Config.MaxChunks = 3;
-  return Config;
+AllocatorOptions smallRegion() {
+  AllocatorOptions Options;
+  Options.RegionChunkBytes = 1 * 1024 * 1024;
+  return Options;
+}
+
+AllocatorOptions smallObstack() {
+  AllocatorOptions Options;
+  Options.HeapReserveBytes = 4 * 1024 * 1024;
+  return Options;
 }
 
 } // namespace
@@ -84,7 +89,7 @@ TEST(RegionAllocatorTest, OverflowsIntoNextChunk) {
 
 TEST(RegionAllocatorTest, ExhaustionReturnsNull) {
   RegionAllocator A(smallRegion());
-  for (int I = 0; I < 3; ++I)
+  for (size_t I = 0; I < RegionAllocator::MaxChunks; ++I)
     ASSERT_NE(A.allocate(1024 * 1024 - 64), nullptr);
   EXPECT_EQ(A.allocate(1024 * 1024 - 64), nullptr);
   // An over-chunk-size request can never be served.
@@ -128,7 +133,7 @@ TEST(RegionAllocatorTest, RestartOnRecycledBuddyPagesSeesNoStaleDeadMarks) {
   // one gave back. Nothing overwrites a 1-3 byte object, so the dead
   // heap's free marks are still there when the new heap hands the same
   // addresses out again; freeing them must not read as a double free.
-  RegionConfig Config = smallRegion();
+  AllocatorOptions Config = smallRegion();
   Config.Backend = createBuddyBackend(16 * 1024 * 1024);
   std::vector<void *> Addresses;
   {
@@ -151,10 +156,7 @@ TEST(RegionAllocatorTest, RestartOnRecycledBuddyPagesSeesNoStaleDeadMarks) {
 }
 
 TEST(ObstackAllocatorTest, BumpAndChunkGrowth) {
-  ObstackConfig Config;
-  Config.ChunkBytes = 4096;
-  Config.HeapReserveBytes = 4 * 1024 * 1024;
-  ObstackAllocator A(Config);
+  ObstackAllocator A(smallObstack());
   EXPECT_EQ(A.numChunksUsed(), 1u);
   // ~4 KB chunks fill after a handful of 1 KB objects.
   for (int I = 0; I < 8; ++I)
@@ -163,10 +165,7 @@ TEST(ObstackAllocatorTest, BumpAndChunkGrowth) {
 }
 
 TEST(ObstackAllocatorTest, OversizedObjectGetsItsOwnChunk) {
-  ObstackConfig Config;
-  Config.ChunkBytes = 4096;
-  Config.HeapReserveBytes = 4 * 1024 * 1024;
-  ObstackAllocator A(Config);
+  ObstackAllocator A(smallObstack());
   void *P = A.allocate(100000);
   ASSERT_NE(P, nullptr);
   auto *Q = static_cast<unsigned char *>(P);
@@ -175,10 +174,7 @@ TEST(ObstackAllocatorTest, OversizedObjectGetsItsOwnChunk) {
 }
 
 TEST(ObstackAllocatorTest, FreeAllRewinds) {
-  ObstackConfig Config;
-  Config.ChunkBytes = 4096;
-  Config.HeapReserveBytes = 4 * 1024 * 1024;
-  ObstackAllocator A(Config);
+  ObstackAllocator A(smallObstack());
   void *First = A.allocate(64);
   for (int I = 0; I < 100; ++I)
     A.allocate(512);
@@ -193,4 +189,30 @@ TEST(ObstackAllocatorTest, NoPerObjectFree) {
   void *P1 = A.allocate(64);
   A.deallocate(P1);
   EXPECT_NE(A.allocate(64), P1);
+}
+
+TEST(ObstackAllocatorTest, RestartOnRecycledBuddyPagesSeesNoStaleDeadMarks) {
+  // The obstack twin of the region test above: a new obstack heap on the
+  // pages its dead predecessor gave back must not read the dead heap's
+  // free marks on 1-3 byte objects as double frees.
+  AllocatorOptions Config = smallObstack();
+  Config.Backend = createBuddyBackend(16 * 1024 * 1024);
+  std::vector<void *> Addresses;
+  {
+    ObstackAllocator Dead(Config);
+    for (int I = 0; I < 30; ++I)
+      Addresses.push_back(Dead.allocate(1 + I % 3));
+    for (void *P : Addresses)
+      Dead.deallocate(P);
+  }
+  ObstackAllocator Fresh(Config);
+  for (int I = 0; I < 30; ++I) {
+    void *P = Fresh.allocate(1 + I % 3);
+    ASSERT_EQ(P, Addresses[I]) << "the new heap did not reuse the pages";
+    Fresh.deallocate(P);
+  }
+  EXPECT_EQ(Fresh.stats().FreeCalls, 30u);
+  // A real double free in the new heap is still caught.
+  EXPECT_DEATH(Fresh.deallocate(Addresses[0]),
+               "double free of an obstack object");
 }

@@ -12,11 +12,13 @@ using namespace ddm;
 
 namespace {
 
-TCMallocConfig smallConfig() {
-  TCMallocConfig Config;
-  Config.HeapReserveBytes = 64ull * 1024 * 1024;
-  return Config;
+AllocatorOptions smallConfig() {
+  AllocatorOptions Options;
+  Options.HeapReserveBytes = 64ull * 1024 * 1024;
+  return Options;
 }
+
+constexpr size_t Threshold = TCMallocModelAllocator::ScavengeThresholdBytes;
 
 } // namespace
 
@@ -39,35 +41,32 @@ TEST(TCMallocModelTest, CacheBytesTrackFrees) {
 }
 
 TEST(TCMallocModelTest, ScavengeTriggersExactlyAtThreshold) {
-  TCMallocConfig Config = smallConfig();
-  Config.ScavengeThresholdBytes = 64 * 1024;
-  TCMallocModelAllocator A(Config);
+  TCMallocModelAllocator A(smallConfig());
   // Allocate enough objects, then free them all: the cache grows past the
   // threshold and must scavenge (the paper's "delayed defragmentation").
   std::vector<void *> Ptrs;
-  for (int I = 0; I < 2000; ++I)
+  for (size_t I = 0; I < Threshold / 128 + 2000; ++I)
     Ptrs.push_back(A.allocate(128));
   EXPECT_EQ(A.scavengeCount(), 0u);
   for (void *P : Ptrs)
     A.deallocate(P);
   EXPECT_GT(A.scavengeCount(), 0u);
   // After a scavenge the cache shrank back under the threshold.
-  EXPECT_LE(A.threadCacheBytes(), Config.ScavengeThresholdBytes);
+  EXPECT_LE(A.threadCacheBytes(), Threshold);
 }
 
 TEST(TCMallocModelTest, RefillPullsFromCentralAfterScavenge) {
-  TCMallocConfig Config = smallConfig();
-  Config.ScavengeThresholdBytes = 32 * 1024;
-  TCMallocModelAllocator A(Config);
+  TCMallocModelAllocator A(smallConfig());
+  const size_t Objects = Threshold / 64 + 1000;
   std::vector<void *> Ptrs;
-  for (int I = 0; I < 1000; ++I)
+  for (size_t I = 0; I < Objects; ++I)
     Ptrs.push_back(A.allocate(64));
   for (void *P : Ptrs)
     A.deallocate(P);
   ASSERT_GT(A.scavengeCount(), 0u);
   uint64_t ConsumptionAfter = A.memoryConsumption();
   // Re-allocating must reuse central stock, not grow the heap.
-  for (int I = 0; I < 1000; ++I)
+  for (size_t I = 0; I < Objects; ++I)
     ASSERT_NE(A.allocate(64), nullptr);
   EXPECT_EQ(A.memoryConsumption(), ConsumptionAfter);
 }

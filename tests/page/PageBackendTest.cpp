@@ -14,9 +14,7 @@ using namespace ddm;
 namespace {
 
 std::shared_ptr<BuddyPageBackend> smallBackend(size_t Pages = 64) {
-  BuddyBackendConfig Config;
-  Config.ReserveBytes = Pages * 4096;
-  return std::make_shared<BuddyPageBackend>(Config);
+  return std::make_shared<BuddyPageBackend>(Pages * 4096);
 }
 
 TEST(PageBackendTest, AcquireReleaseRoundTripUpdatesStats) {
@@ -48,9 +46,7 @@ TEST(PageBackendTest, AcquireReleaseRoundTripUpdatesStats) {
 }
 
 TEST(PageBackendTest, AlignmentIsHonored) {
-  BuddyBackendConfig Config;
-  Config.ReserveBytes = 4ull * 1024 * 1024;
-  BuddyPageBackend Backend(Config);
+  BuddyPageBackend Backend(4ull * 1024 * 1024);
   for (size_t Alignment : {size_t(4096), size_t(64) * 1024,
                            size_t(1024) * 1024}) {
     std::byte *Span = Backend.acquire(4096, Alignment);

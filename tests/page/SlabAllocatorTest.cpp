@@ -18,17 +18,24 @@ namespace {
 
 constexpr size_t TestHeapBytes = 8ull * 1024 * 1024;
 
-SlabConfig smallMagazines() {
-  SlabConfig C;
-  C.HeapReserveBytes = TestHeapBytes;
-  // Tiny magazines so tests reach the central after a couple of operations.
-  C.MagazineCapacity = 2;
-  C.RefillBatch = 1;
-  return C;
+AllocatorOptions smallHeap() {
+  AllocatorOptions Options;
+  Options.HeapReserveBytes = TestHeapBytes;
+  return Options;
+}
+
+/// Arms a plan that fails every new slab, so a magazine refill stops at
+/// the end of the slab it is draining.
+void blockSlabGrowth() {
+  FaultPlan Plan;
+  std::string Error;
+  ASSERT_TRUE(FaultPlan::parse("seed=1,slab_grow:every=1", Plan, Error))
+      << Error;
+  FaultInjector::instance().arm(Plan);
 }
 
 TEST(SlabAllocatorTest, RoundTripSmallObject) {
-  SlabAllocator A(smallMagazines());
+  SlabAllocator A(smallHeap());
   void *P = A.allocate(64);
   ASSERT_NE(P, nullptr);
   EXPECT_TRUE(A.owns(P));
@@ -51,9 +58,9 @@ TEST(SlabAllocatorTest, LifecyclePartialFullEmptyReap) {
   ASSERT_GE(Cap, 8u);
 
   {
-    SlabConfig C = smallMagazines();
-    C.Central = Central;
-    SlabAllocator A(C);
+    AllocatorOptions Options = smallHeap();
+    Options.Shared = Central;
+    SlabAllocator A(Options);
     EXPECT_EQ(A.partialSlabCount(Class), 0u);
     EXPECT_FALSE(A.hasEmptyReserve(Class));
 
@@ -62,11 +69,17 @@ TEST(SlabAllocatorTest, LifecyclePartialFullEmptyReap) {
     ASSERT_NE(Objects.back(), nullptr);
     EXPECT_EQ(A.partialSlabCount(Class), 1u); // Fresh slab: partial.
 
-    // Drain the first slab completely: it leaves the partial list.
+    // Drain the first slab completely: it leaves the partial list. A
+    // refill takes RefillBatch objects, which does not divide Cap, so
+    // growth is blocked meanwhile: the last refill stops at the slab's
+    // end and the magazine runs dry exactly at the Cap-th allocation.
+    blockSlabGrowth();
     while (Objects.size() < Cap) {
       Objects.push_back(A.allocate(64));
       ASSERT_NE(Objects.back(), nullptr);
     }
+    FaultInjector::instance().disarm();
+    EXPECT_EQ(A.magazineCount(Class), 0u);
     EXPECT_EQ(A.partialSlabCount(Class), 0u);
     EXPECT_EQ(Central->SlabsCreated, 1u);
 
@@ -85,9 +98,9 @@ TEST(SlabAllocatorTest, LifecyclePartialFullEmptyReap) {
   }
 
   // One empty slab stays as the class reserve; the other two were reaped.
-  SlabConfig C2;
-  C2.Central = Central;
-  SlabAllocator B(C2);
+  AllocatorOptions Shared;
+  Shared.Shared = Central;
+  SlabAllocator B(Shared);
   EXPECT_TRUE(B.hasEmptyReserve(Class));
   EXPECT_EQ(B.partialSlabCount(Class), 0u);
   EXPECT_EQ(Central->SlabsReaped, 2u);
@@ -104,11 +117,7 @@ TEST(SlabAllocatorTest, LifecyclePartialFullEmptyReap) {
 }
 
 TEST(SlabAllocatorTest, MagazinesBatchCentralTraffic) {
-  SlabConfig C;
-  C.HeapReserveBytes = TestHeapBytes;
-  C.MagazineCapacity = 64;
-  C.RefillBatch = 16;
-  SlabAllocator A(C);
+  SlabAllocator A(smallHeap());
   SizeClassMap Map(8 * 1024);
   const unsigned Class = Map.classFor(128);
 
@@ -126,9 +135,7 @@ TEST(SlabAllocatorTest, MagazinesBatchCentralTraffic) {
 }
 
 TEST(SlabAllocatorTest, LargeObjectsTakeWholeBuddyBlocks) {
-  SlabConfig C;
-  C.HeapReserveBytes = TestHeapBytes;
-  SlabAllocator A(C);
+  SlabAllocator A(smallHeap());
   const uint64_t LiveBefore = A.pageStats().PagesLive;
 
   void *P = A.allocate(100 * 1024);
@@ -146,7 +153,7 @@ TEST(SlabAllocatorTest, LargeObjectsTakeWholeBuddyBlocks) {
 }
 
 TEST(SlabAllocatorTest, ReallocatePreservesContentAndReusesInPlace) {
-  SlabAllocator A(smallMagazines());
+  SlabAllocator A(smallHeap());
   void *P = A.allocate(40);
   ASSERT_NE(P, nullptr);
   EXPECT_EQ(A.usableSize(P), 40u);
@@ -165,9 +172,9 @@ TEST(SlabAllocatorTest, ReallocatePreservesContentAndReusesInPlace) {
 }
 
 TEST(SlabAllocatorTest, ExhaustionReturnsNullptrAndRecovers) {
-  SlabConfig C = smallMagazines();
-  C.HeapReserveBytes = 256 * 1024; // 64 pages.
-  SlabAllocator A(C);
+  AllocatorOptions Options;
+  Options.HeapReserveBytes = 256 * 1024; // 64 pages.
+  SlabAllocator A(Options);
 
   std::vector<void *> Objects;
   for (;;) {
@@ -188,7 +195,7 @@ TEST(SlabAllocatorTest, ExhaustionReturnsNullptrAndRecovers) {
 }
 
 TEST(SlabAllocatorTest, SlabGrowFaultSiteFires) {
-  SlabAllocator A(smallMagazines());
+  SlabAllocator A(smallHeap());
   FaultPlan Plan;
   std::string Error;
   ASSERT_TRUE(FaultPlan::parse("seed=1,slab_grow:every=1", Plan, Error))
@@ -207,9 +214,9 @@ TEST(SlabAllocatorTest, PrivateCentralDrawsFromAPageBackend) {
   auto Backend = createBuddyBackend(32ull * 1024 * 1024);
   const uint64_t HeapPages = TestHeapBytes / 4096;
   {
-    SlabConfig C = smallMagazines();
-    C.Backend = Backend;
-    SlabAllocator A(C);
+    AllocatorOptions Options = smallHeap();
+    Options.Backend = Backend;
+    SlabAllocator A(Options);
     void *P = A.allocate(64);
     ASSERT_NE(P, nullptr);
     EXPECT_TRUE(Backend->contains(P));
@@ -235,9 +242,9 @@ TEST(SlabAllocatorTest, SharedCentralConcurrentSoak) {
   std::vector<std::thread> Workers;
   for (unsigned T = 0; T < Threads; ++T)
     Workers.emplace_back([&, T] {
-      SlabConfig C;
-      C.Central = Central;
-      SlabAllocator A(C);
+      AllocatorOptions Options;
+      Options.Shared = Central;
+      SlabAllocator A(Options);
       const size_t Sizes[] = {16, 64, 256, 1024, 6000};
       std::vector<std::pair<void *, uint64_t>> Held;
       for (unsigned R = 0; R < Rounds; ++R) {
@@ -271,16 +278,16 @@ TEST(SlabAllocatorTest, SharedCentralConcurrentSoak) {
   // Every magazine flushed on destruction: nothing stays live except the
   // per-class empty reserves (five size classes touched, slabs of at most
   // 2^MaxSlabOrder pages each).
-  SlabConfig C;
-  C.Central = Central;
-  SlabAllocator Probe(C);
+  AllocatorOptions Options;
+  Options.Shared = Central;
+  SlabAllocator Probe(Options);
   PageBackendStats S = Probe.pageStats();
   EXPECT_EQ(S.PagesAcquired - S.PagesReclaimed, S.PagesLive);
   EXPECT_LE(S.PagesLive, 5u * (1u << SlabCentral::MaxSlabOrder));
 }
 
 TEST(SlabAllocatorDeathTest, FreeAllAborts) {
-  SlabAllocator A(smallMagazines());
+  SlabAllocator A(smallHeap());
   EXPECT_DEATH(A.freeAll(), "no bulk free");
 }
 

@@ -65,47 +65,3 @@ TEST(RunningStatTest, MergeWithEmptyIsIdentity) {
   EXPECT_EQ(Empty.count(), 2u);
   EXPECT_DOUBLE_EQ(Empty.mean(), 2.0);
 }
-
-TEST(Log2HistogramTest, BucketBoundaries) {
-  Log2Histogram H;
-  H.add(0);
-  H.add(1);
-  H.add(2);
-  H.add(3);
-  H.add(4);
-  EXPECT_EQ(H.totalCount(), 5u);
-  EXPECT_EQ(H.countFor(0), 1u); // [0,1)
-  EXPECT_EQ(H.countFor(1), 1u); // [1,2)
-  EXPECT_EQ(H.countFor(2), 2u); // [2,4): 2 and 3
-  EXPECT_EQ(H.countFor(3), 2u);
-  EXPECT_EQ(H.countFor(4), 1u); // [4,8)
-  EXPECT_EQ(H.countFor(100), 0u);
-}
-
-TEST(Log2HistogramTest, WeightedAdd) {
-  Log2Histogram H;
-  H.add(10, 5);
-  EXPECT_EQ(H.totalCount(), 5u);
-  EXPECT_EQ(H.countFor(10), 5u);
-}
-
-TEST(Log2HistogramTest, Percentile) {
-  Log2Histogram H;
-  for (int I = 0; I < 90; ++I)
-    H.add(3); // bucket [2,4)
-  for (int I = 0; I < 10; ++I)
-    H.add(1000); // bucket [512,1024)
-  EXPECT_EQ(H.percentileUpperBound(0.5), 4u);
-  EXPECT_EQ(H.percentileUpperBound(0.9), 4u);
-  EXPECT_EQ(H.percentileUpperBound(0.95), 1024u);
-}
-
-TEST(Log2HistogramTest, RenderShowsBuckets) {
-  Log2Histogram H;
-  H.add(3, 10);
-  std::string Text = H.render();
-  EXPECT_NE(Text.find("10"), std::string::npos);
-  EXPECT_NE(Text.find('#'), std::string::npos);
-  Log2Histogram Empty;
-  EXPECT_EQ(Empty.render(), "(empty)\n");
-}
