@@ -188,7 +188,7 @@ SimPoint ddm::simulate(const WorkloadSpec &Workload, AllocatorKind Kind,
                        const SimulationOptions &Options) {
   RuntimeConfig Config;
   Config.Kind = Kind;
-  Config.UseBulkFree = true;
+  Config.UseBulkFree = allocatorSupportsBulkFree(Kind);
   return simulateRuntime(Workload, Config, P, ActiveCores, Options);
 }
 

@@ -139,8 +139,9 @@ SimPoint simulateRuntime(const WorkloadSpec &Workload,
                          const RuntimeConfig &Runtime, const Platform &P,
                          unsigned ActiveCores, const SimulationOptions &Options);
 
-/// Convenience wrapper for the PHP study: bulk-free runtime with default
-/// allocator options.
+/// Convenience wrapper for the PHP study: default allocator options, and
+/// bulk free at each transaction end where the kind has it (a per-object
+/// sweep otherwise; allocatorSupportsBulkFree).
 SimPoint simulate(const WorkloadSpec &Workload, AllocatorKind Kind,
                   const Platform &P, unsigned ActiveCores,
                   const SimulationOptions &Options);

@@ -5,7 +5,7 @@
 #include "support/Error.h"
 #include "support/FaultInjection.h"
 
-#include <array>
+#include <bit>
 #include <cassert>
 #include <cstring>
 
@@ -29,35 +29,88 @@ uint8_t patternByte(uint64_t Word, size_t I) {
   return static_cast<uint8_t>(Word >> ((I % 8) * 8));
 }
 
-/// The eight bytes one period of \p Word's fill consists of.
-std::array<uint8_t, 8> patternBytes(uint64_t Word) {
-  std::array<uint8_t, 8> Bytes;
-  for (size_t K = 0; K < 8; ++K)
-    Bytes[K] = patternByte(Word, K);
-  return Bytes;
+// A word stored or loaded in memory order is the fill's next eight bytes.
+static_assert(std::endian::native == std::endian::little,
+              "the word-wise fill assumes a little-endian host");
+
+uint64_t load64(const uint8_t *Src) {
+  uint64_t V;
+  std::memcpy(&V, Src, 8);
+  return V;
 }
 
-/// Writes fill bytes [From, To) of \p Word to the same offsets of \p Dst.
-void fillPattern(uint8_t *Dst, size_t From, size_t To, uint64_t Word) {
-  std::array<uint8_t, 8> Bytes = patternBytes(Word);
-  size_t I = From;
-  for (; I < To && I % 8 != 0; ++I)
-    Dst[I] = Bytes[I % 8];
-  for (; I + 8 <= To; I += 8)
-    std::memcpy(Dst + I, Bytes.data(), 8);
-  for (; I < To; ++I)
-    Dst[I] = Bytes[I % 8];
+void store64(uint8_t *Dst, uint64_t V) { std::memcpy(Dst, &V, 8); }
+
+/// The word whose memory-order bytes are fill bytes [N - 8, N) of \p Word
+/// (fill byte I is byte I mod 8 of the word): the last word of a span of
+/// N bytes, and of any 8-byte piece that ends where it ends.
+uint64_t tailWord(uint64_t Word, size_t N) {
+  return std::rotr(Word, static_cast<int>((N % 8) * 8));
+}
+
+/// Sixteen fill bytes: two copies of a pattern word, moved with one
+/// unaligned vector load or store where the target has them.
+using WordPair = uint64_t __attribute__((vector_size(16)));
+
+/// Calls \p Visit(Offset, Expected) for 16-byte pieces that together cover
+/// fill bytes [0, \p N) of \p Word, 16 <= N <= 64: whole pieces from
+/// offset 0, then the piece that ends at N, which expects the same bytes
+/// where it overlaps a whole one. A span costs at most four pieces and two
+/// branches on its size class, not a loop whose trip count follows each
+/// object's size.
+template <typename VisitFn>
+void forEachPatternPair(size_t N, uint64_t Word, VisitFn Visit) {
+  Visit(0, WordPair{Word, Word});
+  if (N > 32)
+    Visit(16, WordPair{Word, Word});
+  if (N > 48)
+    Visit(32, WordPair{Word, Word});
+  uint64_t Tail = tailWord(Word, N);
+  Visit(N - 16, WordPair{Tail, Tail});
+}
+
+/// Writes fill bytes [0, \p N) of \p Word to \p Dst, N <= 64.
+inline void fillPattern(uint8_t *Dst, size_t N, uint64_t Word) {
+  if (N >= 16) {
+    forEachPatternPair(N, Word, [Dst](size_t At, WordPair P) {
+      std::memcpy(Dst + At, &P, sizeof(P));
+    });
+  } else if (N >= 8) {
+    store64(Dst, Word);
+    store64(Dst + N - 8, tailWord(Word, N));
+  } else {
+    for (size_t I = 0; I < N; ++I)
+      Dst[I] = patternByte(Word, I);
+  }
+}
+
+/// Whether \p Src's \p N bytes all equal \p Word's fill, N <= 64: the OR
+/// of every piece's difference, with no per-byte branch.
+inline bool matchesPattern(const uint8_t *Src, size_t N, uint64_t Word) {
+  if (N >= 16) {
+    WordPair Diff = {0, 0};
+    forEachPatternPair(N, Word, [Src, &Diff](size_t At, WordPair P) {
+      WordPair Got;
+      std::memcpy(&Got, Src + At, sizeof(Got));
+      Diff |= Got ^ P;
+    });
+    return (Diff[0] | Diff[1]) == 0;
+  }
+  uint64_t Diff = 0;
+  if (N >= 8) {
+    Diff = (load64(Src) ^ Word) | (load64(Src + N - 8) ^ tailWord(Word, N));
+  } else {
+    for (size_t I = 0; I < N; ++I)
+      Diff |= Src[I] ^ patternByte(Word, I);
+  }
+  return Diff == 0;
 }
 
 /// Offset of the first of \p Src's \p N bytes that differs from \p Word's
-/// fill, or \p N if all match.
+/// fill, or \p N if all match. Only called once matchesPattern failed.
 size_t firstMismatch(const uint8_t *Src, size_t N, uint64_t Word) {
-  std::array<uint8_t, 8> Bytes = patternBytes(Word);
-  size_t I = 0;
-  while (I + 8 <= N && std::memcmp(Src + I, Bytes.data(), 8) == 0)
-    I += 8;
-  for (; I < N; ++I)
-    if (Src[I] != Bytes[I % 8])
+  for (size_t I = 0; I < N; ++I)
+    if (Src[I] != patternByte(Word, I))
       return I;
   return N;
 }
@@ -119,15 +172,12 @@ uint64_t HardenedAllocator::magicFor(const ObjHeader *H,
                (H->UserSize * 0x9e3779b97f4a7c15ull) ^ StateSalt);
 }
 
-HardenedAllocator::ObjState
-HardenedAllocator::classify(const ObjHeader *H) const {
-  if (!Inner->owns(H))
-    return ObjState::Unknown;
-  if (H->Magic == magicFor(H, LiveSalt))
-    return ObjState::Live;
-  if (H->Magic == magicFor(H, FreedSalt))
-    return ObjState::Freed;
-  return ObjState::Unknown;
+bool HardenedAllocator::inState(const ObjHeader *H, uint64_t StateSalt) const {
+  return Inner->owns(H) && H->Magic == magicFor(H, StateSalt);
+}
+
+bool HardenedAllocator::stillFreed(const ObjHeader *H) const {
+  return H->Magic == magicFor(H, FreedSalt);
 }
 
 uint64_t HardenedAllocator::redzoneWord(const void *User) const {
@@ -163,45 +213,66 @@ void HardenedAllocator::raise(CorruptionKind Kind, const char *Site,
 }
 
 void HardenedAllocator::writeRedzone(void *User, uint64_t UserSize) {
-  fillPattern(static_cast<uint8_t *>(User) + UserSize, 0, RedzoneBytes,
+  fillPattern(static_cast<uint8_t *>(User) + UserSize, RedzoneBytes,
               redzoneWord(User));
+}
+
+void HardenedAllocator::reportMismatch(CorruptionKind Kind, const char *Site,
+                                       uint8_t *Span, size_t N, uint64_t Word,
+                                       uint64_t SpanOffset, uint64_t UserSize) {
+  size_t I = firstMismatch(Span, N, Word);
+  uint8_t Got = Span[I];
+  // Repair before reporting: a later verification of this object (the
+  // free after a realloc-time check, the quarantine drain after a
+  // free-time check) must not re-report the same scribble.
+  fillPattern(Span, N, Word);
+  raise(Kind, Site, SpanOffset + I, patternByte(Word, I), Got, UserSize);
 }
 
 void HardenedAllocator::verifyRedzone(void *User, const char *Site) {
   ++HStats.RedzoneChecks;
-  ObjHeader *H = headerOf(User);
-  auto *RZ = static_cast<uint8_t *>(User) + H->UserSize;
+  uint64_t Size = headerOf(User)->UserSize;
+  auto *RZ = static_cast<uint8_t *>(User) + Size;
   uint64_t Word = redzoneWord(User);
-  size_t I = firstMismatch(RZ, RedzoneBytes, Word);
-  if (I == RedzoneBytes)
-    return;
-  uint8_t Got = RZ[I];
-  // Repair before reporting: a later verification of this object (the
-  // free after a realloc-time check, the quarantine drain after a
-  // free-time check) must not re-report the same scribble.
-  fillPattern(RZ, I, RedzoneBytes, Word);
-  raise(CorruptionKind::RedzoneOverflow, Site, H->UserSize + I,
-        patternByte(Word, I), Got, H->UserSize);
+  if (__builtin_expect(!matchesPattern(RZ, RedzoneBytes, Word), 0))
+    reportMismatch(CorruptionKind::RedzoneOverflow, Site, RZ, RedzoneBytes,
+                   Word, Size, Size);
+}
+
+bool HardenedAllocator::checkFree(void *User, const char *Site,
+                                  bool MayScribble) {
+  ObjHeader *H = headerOf(User);
+  if (!inState(H, LiveSalt)) {
+    if (inState(H, FreedSalt))
+      raise(CorruptionKind::DoubleFree, Site, 0, 0, 0, H->UserSize);
+    else
+      raise(CorruptionKind::HeaderClobber, Site, 0, 0, 0, 0);
+    return false;
+  }
+  // Injected overflow: flip one red-zone byte right before verification,
+  // proving the verifier catches it (bench_hardening's detection gate).
+  if (MayScribble && faultShouldFail(FaultSite::HeapScribbleOverflow)) {
+    auto *RZ = static_cast<uint8_t *>(User) + H->UserSize;
+    RZ[OverflowRot++ % RedzoneBytes] ^= 0xff;
+  }
+  verifyRedzone(User, Site);
+  return true;
 }
 
 void HardenedAllocator::poisonObject(void *User, uint64_t UserSize) {
-  fillPattern(static_cast<uint8_t *>(User), 0, poisonSpan(UserSize),
+  fillPattern(static_cast<uint8_t *>(User), poisonSpan(UserSize),
               poisonWord(User));
 }
 
 void HardenedAllocator::verifyPoison(void *User, const char *Site) {
   ++HStats.PoisonChecks;
-  ObjHeader *H = headerOf(User);
+  uint64_t Size = headerOf(User)->UserSize;
   auto *P = static_cast<uint8_t *>(User);
-  size_t Span = poisonSpan(H->UserSize);
+  size_t Span = poisonSpan(Size);
   uint64_t Word = poisonWord(User);
-  size_t I = firstMismatch(P, Span, Word);
-  if (I == Span)
-    return;
-  uint8_t Got = P[I];
-  fillPattern(P, I, Span, Word);
-  raise(CorruptionKind::UseAfterFree, Site, I, patternByte(Word, I), Got,
-        H->UserSize);
+  if (__builtin_expect(!matchesPattern(P, Span, Word), 0))
+    reportMismatch(CorruptionKind::UseAfterFree, Site, P, Span, Word, 0,
+                   Size);
 }
 
 void HardenedAllocator::removeFromLive(ObjHeader *H, void *User,
@@ -249,26 +320,9 @@ void *HardenedAllocator::allocate(size_t Size) {
 void HardenedAllocator::deallocate(void *Ptr) {
   if (!Ptr)
     return;
+  if (!checkFree(Ptr, "deallocate", /*MayScribble=*/true))
+    return;
   ObjHeader *H = headerOf(Ptr);
-  switch (classify(H)) {
-  case ObjState::Freed:
-    raise(CorruptionKind::DoubleFree, "deallocate", 0, 0, 0, H->UserSize);
-    return;
-  case ObjState::Unknown:
-    raise(CorruptionKind::HeaderClobber, "deallocate", 0, 0, 0, 0);
-    return;
-  case ObjState::Live:
-    break;
-  }
-
-  // Injected overflow: flip one red-zone byte right before verification,
-  // proving the verifier catches it (bench_hardening's detection gate).
-  if (faultShouldFail(FaultSite::HeapScribbleOverflow)) {
-    auto *RZ = static_cast<uint8_t *>(Ptr) + H->UserSize;
-    RZ[OverflowRot++ % RedzoneBytes] ^= 0xff;
-  }
-  verifyRedzone(Ptr, "deallocate");
-
   removeFromLive(H, Ptr, "deallocate");
   noteFree(H->UserSize);
   H->Magic = magicFor(H, FreedSalt);
@@ -285,26 +339,36 @@ void HardenedAllocator::deallocate(void *Ptr) {
   pushQuarantine(Ptr, H->UserSize);
   // Injected double free: free the same pointer again; the freed-state
   // header must be recognized. Only while the entry is still parked — a
-  // free larger than QuarantineMaxBytes recycles itself at once.
-  if (!Quarantine.empty() && Quarantine.back() == Ptr &&
-      faultShouldFail(FaultSite::HeapDoubleFree))
+  // free larger than QuarantineMaxBytes recycles itself at once, and it
+  // leaves the ring only after every older entry has.
+  if (QuarantineCount > 0 && faultShouldFail(FaultSite::HeapDoubleFree))
     deallocate(Ptr);
 }
 
 void HardenedAllocator::pushQuarantine(void *User, uint64_t UserSize) {
-  Quarantine.push_back(User);
+  uint32_t Tail = QuarantineHead + QuarantineCount;
+  Quarantine[Tail < Quarantine.size() ? Tail : Tail - Quarantine.size()] =
+      User;
+  ++QuarantineCount;
   HStats.QuarantinedBytes += UserSize;
-  while (!Quarantine.empty() &&
-         (Quarantine.size() > QuarantineSlots ||
+  while (QuarantineCount > 0 &&
+         (QuarantineCount > QuarantineSlots ||
           HStats.QuarantinedBytes > QuarantineMaxBytes))
     recycleOldest();
 }
 
+void *HardenedAllocator::popQuarantine() {
+  void *User = Quarantine[QuarantineHead];
+  if (++QuarantineHead == Quarantine.size())
+    QuarantineHead = 0;
+  --QuarantineCount;
+  return User;
+}
+
 void HardenedAllocator::recycleOldest() {
-  void *User = Quarantine.front();
-  Quarantine.pop_front();
+  void *User = popQuarantine();
   ObjHeader *H = headerOf(User);
-  if (classify(H) != ObjState::Freed) {
+  if (!stillFreed(H)) {
     // A quarantined entry must still look freed; anything else means its
     // header was scribbled while parked.
     raise(CorruptionKind::HeaderClobber, "quarantine_recycle", 0, 0, 0, 0);
@@ -317,7 +381,7 @@ void HardenedAllocator::recycleOldest() {
 }
 
 void HardenedAllocator::drainQuarantine() {
-  while (!Quarantine.empty())
+  while (QuarantineCount > 0)
     recycleOldest();
 }
 
@@ -326,20 +390,10 @@ void *HardenedAllocator::reallocate(void *Ptr, size_t OldSize,
   ++Stats.ReallocCalls;
   if (!Ptr)
     return allocate(NewSize);
-  ObjHeader *H = headerOf(Ptr);
-  switch (classify(H)) {
-  case ObjState::Freed:
-    raise(CorruptionKind::DoubleFree, "reallocate", 0, 0, 0, H->UserSize);
-    return nullptr;
-  case ObjState::Unknown:
-    raise(CorruptionKind::HeaderClobber, "reallocate", 0, 0, 0, 0);
-    return nullptr;
-  case ObjState::Live:
-    break;
-  }
   (void)OldSize; // The header, not the caller, knows the true size.
-  verifyRedzone(Ptr, "reallocate");
-  uint64_t Have = H->UserSize;
+  if (!checkFree(Ptr, "reallocate", /*MayScribble=*/false))
+    return nullptr;
+  uint64_t Have = headerOf(Ptr)->UserSize;
   void *Fresh = allocate(NewSize);
   if (!Fresh)
     return nullptr; // The old object stays live (realloc contract).
@@ -356,11 +410,9 @@ void HardenedAllocator::freeAll() {
   LiveObjects.clear();
   // Quarantined entries are re-verified, then dropped — the inner bulk
   // free reclaims their blocks along with everything else.
-  while (!Quarantine.empty()) {
-    void *User = Quarantine.front();
-    Quarantine.pop_front();
-    ObjHeader *H = headerOf(User);
-    if (classify(H) != ObjState::Freed) {
+  while (QuarantineCount > 0) {
+    void *User = popQuarantine();
+    if (!stillFreed(headerOf(User))) {
       raise(CorruptionKind::HeaderClobber, "free_all", 0, 0, 0, 0);
       continue;
     }
@@ -375,9 +427,7 @@ size_t HardenedAllocator::usableSize(const void *Ptr) const {
   if (!Ptr)
     return 0;
   const ObjHeader *H = headerOf(const_cast<void *>(Ptr));
-  if (classify(H) == ObjState::Live)
-    return static_cast<size_t>(H->UserSize);
-  return 0;
+  return inState(H, LiveSalt) ? static_cast<size_t>(H->UserSize) : 0;
 }
 
 std::unique_ptr<TxAllocator>

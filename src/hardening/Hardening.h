@@ -34,7 +34,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -167,37 +166,66 @@ private:
   };
   static constexpr size_t HeaderBytes = sizeof(ObjHeader);
 
-  enum class ObjState { Live, Freed, Unknown };
-
   static ObjHeader *headerOf(void *Ptr) {
     return reinterpret_cast<ObjHeader *>(static_cast<std::byte *>(Ptr) -
                                          HeaderBytes);
   }
   static void *userOf(ObjHeader *H) { return H + 1; }
 
-  uint64_t magicFor(const ObjHeader *H, uint64_t StateSalt) const;
-  /// Asks the inner allocator whether \p H is its memory before reading
-  /// the header: a foreign pointer's "header" may not be readable at all.
-  ObjState classify(const ObjHeader *H) const;
+  // The helpers of the allocate and free paths are declared inline so that
+  // each path compiles to one body. HardenedAllocator.cpp, the only file
+  // that calls them, defines them.
+  inline uint64_t magicFor(const ObjHeader *H, uint64_t StateSalt) const;
+  /// Whether \p H is the inner allocator's memory and holds the magic of
+  /// the state \p StateSalt names: one mix per test. Ownership is asked
+  /// first: a foreign pointer's "header" may not be readable at all.
+  inline bool inState(const ObjHeader *H, uint64_t StateSalt) const;
+  /// Whether a quarantine entry's header still holds the freed magic. No
+  /// ownership test: the entry passed one when it was freed, and the inner
+  /// heap keeps its block until the entry is recycled or swept.
+  inline bool stillFreed(const ObjHeader *H) const;
   /// The words whose repeated bytes fill an object's red zone (from user
   /// offset UserSize on) and its poison span (from offset 0): byte I of
   /// the fill is byte I mod 8 of the word. One mix per object, not per
-  /// byte.
-  uint64_t redzoneWord(const void *User) const;
-  uint64_t poisonWord(const void *User) const;
-  size_t poisonSpan(uint64_t UserSize) const;
+  /// byte. Fills store the word in 8- and 16-byte pieces and checks OR the
+  /// pieces' differences; only a failed check looks at single bytes.
+  inline uint64_t redzoneWord(const void *User) const;
+  inline uint64_t poisonWord(const void *User) const;
+  inline size_t poisonSpan(uint64_t UserSize) const;
 
-  void writeRedzone(void *User, uint64_t UserSize);
+  inline void writeRedzone(void *User, uint64_t UserSize);
   /// Verifies the rear red-zone; on mismatch raises one report and then
   /// repairs the pattern so a later verification of the same object does
   /// not double-report a single scribble.
-  void verifyRedzone(void *User, const char *Site);
-  void poisonObject(void *User, uint64_t UserSize);
-  void verifyPoison(void *User, const char *Site);
+  inline void verifyRedzone(void *User, const char *Site);
+  /// The slow path of a failed red-zone or poison check: finds the first
+  /// of \p Span's \p N bytes that differs from \p Word's fill, repairs
+  /// the span, and raises \p Kind for that byte (its user offset is
+  /// \p SpanOffset plus its index).
+  void reportMismatch(CorruptionKind Kind, const char *Site, uint8_t *Span,
+                      size_t N, uint64_t Word, uint64_t SpanOffset,
+                      uint64_t UserSize);
+  /// The check at free (deallocate, and reallocate's check of the old
+  /// object), one pass over the header and then the red zone: unless the
+  /// header holds the live magic, raises DoubleFree (it holds the freed
+  /// magic) or HeaderClobber and returns false; otherwise verifies the red
+  /// zone. The freed magic is only computed when the live one missed.
+  /// \p MayScribble lets the overflow fault site flip a red-zone byte
+  /// first.
+  inline bool checkFree(void *User, const char *Site, bool MayScribble);
+  inline void poisonObject(void *User, uint64_t UserSize);
+  inline void verifyPoison(void *User, const char *Site);
 
-  void removeFromLive(ObjHeader *H, void *User, const char *Site);
-  void pushQuarantine(void *User, uint64_t UserSize);
-  void recycleOldest();
+  inline void removeFromLive(ObjHeader *H, void *User, const char *Site);
+  /// Parks \p User as the newest entry, then recycles the oldest entries
+  /// until the ring holds at most QuarantineSlots entries and
+  /// QuarantineMaxBytes bytes.
+  inline void pushQuarantine(void *User, uint64_t UserSize);
+  /// Takes the oldest entry off the ring.
+  inline void *popQuarantine();
+  /// Pops the oldest entry; if its header still holds the freed magic,
+  /// verifies its poison and releases it to the inner allocator.
+  inline void recycleOldest();
   void raise(CorruptionKind Kind, const char *Site, uint64_t ByteOffset,
              uint8_t Expected, uint8_t Found, uint64_t UserSize);
 
@@ -209,8 +237,13 @@ private:
   /// O(1) maintenance, deterministic iteration for the freeAll sweep (no
   /// address-dependent ordering — double runs must be byte-identical).
   std::vector<void *> LiveObjects;
-  /// FIFO of quarantined user pointers (poisoned, inner-free delayed).
-  std::deque<void *> Quarantine;
+  /// FIFO of quarantined user pointers (poisoned, inner-free delayed): a
+  /// fixed ring, QuarantineCount entries from QuarantineHead on. One slot
+  /// more than QuarantineSlots, because a free parks its entry before the
+  /// oldest one is recycled.
+  std::array<void *, QuarantineSlots + 1> Quarantine{};
+  uint32_t QuarantineHead = 0;
+  uint32_t QuarantineCount = 0;
 
   /// Rotors picking which byte the corruption-injecting fault sites
   /// damage; deterministic so double runs scribble identically.

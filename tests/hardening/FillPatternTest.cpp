@@ -9,7 +9,11 @@
 /// per-byte formula (byte I of the pattern is byte I mod 8 of one mixed
 /// word) for object sizes 1-100, the 64-byte poison cap and the 16-byte
 /// red zone, and check that a scribble is reported with the formula's
-/// byte and repaired.
+/// byte and repaired. The allocator fills and checks 8- and 16-byte
+/// pieces, so the byte-for-byte cases flip every single red-zone and
+/// poison byte of every object size 0-100 (every alignment of the span
+/// end), and scribble two bytes at once to pin that the first one is
+/// reported.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +24,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -56,10 +61,12 @@ struct Fixture {
   HardenedAllocator *H = nullptr;
   std::vector<CorruptionReport> Reports;
 
-  explicit Fixture(uint32_t RedzoneBytes) : RedzoneBytes(RedzoneBytes) {
+  explicit Fixture(uint32_t RedzoneBytes,
+                   AllocatorKind Kind = AllocatorKind::Glibc)
+      : RedzoneBytes(RedzoneBytes) {
     AllocatorOptions Options;
     Options.Hardening.Enabled = true;
-    Alloc = createAllocator(AllocatorKind::Glibc, Options);
+    Alloc = createAllocator(Kind, Options);
     H = asHardened(Alloc.get());
     H->setReportHandler(
         [this](const CorruptionReport &R) { Reports.push_back(R); });
@@ -80,6 +87,58 @@ struct Fixture {
     for (size_t I = Span; I < Size; ++I)
       ASSERT_EQ(P[I], 0x5a) << "size " << Size << " byte " << I;
   }
+
+  /// Flips the red-zone bytes \p At (ascending) of a fresh \p Size-byte
+  /// object and frees it: the free must raise one report naming the first
+  /// flipped byte with the formula's value, and repair the red zone.
+  void scribbleRedzone(size_t Size, std::initializer_list<uint32_t> At) {
+    Reports.clear();
+    auto *P = static_cast<uint8_t *>(Alloc->allocate(Size));
+    ASSERT_NE(P, nullptr);
+    uint32_t First = *At.begin();
+    uint8_t Want = referenceRedzoneByte(P, Seed, First);
+    for (uint32_t I : At)
+      P[Size + I] ^= FlipMask;
+    Alloc->deallocate(P);
+    ASSERT_EQ(Reports.size(), 1u);
+    EXPECT_EQ(Reports[0].Kind, CorruptionKind::RedzoneOverflow);
+    EXPECT_EQ(Reports[0].Site, "deallocate");
+    EXPECT_EQ(Reports[0].ByteOffset, Size + First);
+    EXPECT_EQ(Reports[0].Expected, Want);
+    EXPECT_EQ(Reports[0].Found, uint8_t(Want ^ FlipMask));
+    EXPECT_EQ(Reports[0].UserSize, Size);
+    // The object is the newest quarantine entry, so its red zone is still
+    // the allocator's to inspect.
+    expectRedzone(P, Size);
+  }
+
+  /// Frees a fresh \p Size-byte object, flips its poison bytes \p At
+  /// (ascending) and drains the quarantine: the recycle must raise one
+  /// report naming the first flipped byte with the formula's value, and
+  /// repair the poison. Needs an inner allocator whose free leaves the
+  /// user bytes alone (region's stamps only the header's first word).
+  void scribblePoison(size_t Size, std::initializer_list<uint32_t> At) {
+    Reports.clear();
+    auto *P = static_cast<uint8_t *>(Alloc->allocate(Size));
+    ASSERT_NE(P, nullptr);
+    std::fill(P, P + Size, uint8_t(0x5a));
+    Alloc->deallocate(P);
+    uint32_t First = *At.begin();
+    uint8_t Want = referencePoisonByte(P, Seed, First);
+    for (uint32_t I : At)
+      P[I] ^= FlipMask;
+    H->drainQuarantine();
+    ASSERT_EQ(Reports.size(), 1u);
+    EXPECT_EQ(Reports[0].Kind, CorruptionKind::UseAfterFree);
+    EXPECT_EQ(Reports[0].Site, "quarantine_recycle");
+    EXPECT_EQ(Reports[0].ByteOffset, First);
+    EXPECT_EQ(Reports[0].Expected, Want);
+    EXPECT_EQ(Reports[0].Found, uint8_t(Want ^ FlipMask));
+    EXPECT_EQ(Reports[0].UserSize, Size);
+    expectPoison(P, Size);
+  }
+
+  static constexpr uint8_t FlipMask = 0xa5;
 };
 
 class FillPatternTest : public testing::TestWithParam<uint32_t> {};
@@ -161,6 +220,55 @@ TEST_P(FillPatternTest, PoisonScribbleIsReportedWithThePatternByte) {
       EXPECT_EQ(F.Reports[0].Found, uint8_t(Want ^ 0x81));
       EXPECT_EQ(F.Reports[0].UserSize, Size);
     }
+  }
+}
+
+TEST_P(FillPatternTest, EveryRedzoneByteFlipIsReportedAndRepaired) {
+  Fixture F(GetParam());
+  for (size_t Size = 0; Size <= 100; ++Size)
+    for (uint32_t At = 0; At < F.RedzoneBytes; ++At) {
+      SCOPED_TRACE("size " + std::to_string(Size) + " byte " +
+                   std::to_string(At));
+      F.scribbleRedzone(Size, {At});
+    }
+  EXPECT_EQ(F.H->hardeningStats().Reports, 101u * F.RedzoneBytes);
+}
+
+TEST_P(FillPatternTest, EveryPoisonByteFlipIsReportedAndRepaired) {
+  Fixture F(GetParam(), AllocatorKind::Region);
+  for (size_t Size = 1; Size <= 100; ++Size) {
+    const size_t Span = std::min<size_t>(Size, PoisonCapBytes);
+    for (uint32_t At = 0; At < Span; ++At) {
+      SCOPED_TRACE("size " + std::to_string(Size) + " byte " +
+                   std::to_string(At));
+      F.scribblePoison(Size, {At});
+    }
+    F.Alloc->freeAll();
+  }
+}
+
+TEST_P(FillPatternTest, TwoByteScribbleReportsTheFirstByte) {
+  // Every pair of bytes: in one piece, in neighbouring pieces, and in the
+  // overlapping tail piece of a span whose end is not piece-aligned.
+  Fixture Redzone(GetParam());
+  for (size_t Size = 0; Size <= 100; ++Size)
+    for (uint32_t A = 0; A < Redzone.RedzoneBytes; ++A)
+      for (uint32_t B = A + 1; B < Redzone.RedzoneBytes; ++B) {
+        SCOPED_TRACE("red zone size " + std::to_string(Size) + " bytes " +
+                     std::to_string(A) + "," + std::to_string(B));
+        Redzone.scribbleRedzone(Size, {A, B});
+      }
+
+  Fixture Poison(GetParam(), AllocatorKind::Region);
+  for (size_t Size = 2; Size <= 100; ++Size) {
+    const size_t Span = std::min<size_t>(Size, PoisonCapBytes);
+    for (uint32_t A = 0; A < Span; ++A)
+      for (uint32_t B = A + 1; B < Span; ++B) {
+        SCOPED_TRACE("poison size " + std::to_string(Size) + " bytes " +
+                     std::to_string(A) + "," + std::to_string(B));
+        Poison.scribblePoison(Size, {A, B});
+      }
+    Poison.Alloc->freeAll();
   }
 }
 

@@ -170,6 +170,75 @@ TEST(HardenedAllocatorTest, QuarantineByteBoundRecyclesOldestFirst) {
   }
 }
 
+TEST(HardenedAllocatorTest, QuarantineRingIsFifoOverSeveralLaps) {
+  // Free 3 x QuarantineSlots + 5 objects, each with its own size and a
+  // dangling write after its free, so the reports name the recycled
+  // entries in the order they left the ring.
+  Fixture F;
+  const uint32_t Slots = HardenedAllocator::QuarantineSlots;
+  const uint32_t N = 3 * Slots + 5;
+  auto SizeOf = [](uint32_t I) { return uint64_t(16 + I); };
+  std::vector<uint8_t *> Ptrs;
+  for (uint32_t I = 0; I < N; ++I)
+    Ptrs.push_back(static_cast<uint8_t *>(F.Alloc->allocate(SizeOf(I))));
+  auto RecycledSizes = [&F] {
+    std::vector<uint64_t> Out;
+    for (const CorruptionReport &R : F.Reports) {
+      EXPECT_EQ(R.Kind, CorruptionKind::UseAfterFree);
+      Out.push_back(R.UserSize);
+    }
+    return Out;
+  };
+  auto SizesOf = [&](uint32_t Begin, uint32_t End) {
+    std::vector<uint64_t> Out;
+    for (uint32_t I = Begin; I < End; ++I)
+      Out.push_back(SizeOf(I));
+    return Out;
+  };
+  auto BytesOf = [&](uint32_t Begin, uint32_t End) {
+    uint64_t Sum = 0;
+    for (uint32_t I = Begin; I < End; ++I)
+      Sum += SizeOf(I);
+    return Sum;
+  };
+  for (uint32_t I = 0; I < N; ++I) {
+    F.Alloc->deallocate(Ptrs[I]);
+    Ptrs[I][0] ^= 0xff;
+    // Entries [Oldest, I] are parked; everything older has been recycled.
+    const uint32_t Oldest = I + 1 > Slots ? I + 1 - Slots : 0;
+    ASSERT_EQ(F.H->hardeningStats().QuarantineRecycles, Oldest) << I;
+    ASSERT_EQ(F.H->hardeningStats().QuarantinedBytes, BytesOf(Oldest, I + 1))
+        << I;
+  }
+  EXPECT_EQ(RecycledSizes(), SizesOf(0, N - Slots));
+
+  // Draining empties the ring oldest first.
+  F.H->drainQuarantine();
+  EXPECT_EQ(RecycledSizes(), SizesOf(0, N));
+  EXPECT_EQ(F.H->hardeningStats().QuarantineRecycles, N);
+  EXPECT_EQ(F.H->hardeningStats().QuarantinedBytes, 0u);
+  F.H->drainQuarantine();
+  EXPECT_EQ(F.H->hardeningStats().QuarantineRecycles, N);
+
+  // A free larger than QuarantineMaxBytes pushes every parked entry out,
+  // oldest first, and then recycles itself at once.
+  F.Reports.clear();
+  std::vector<uint8_t *> Small;
+  for (uint32_t I = 0; I < 5; ++I)
+    Small.push_back(static_cast<uint8_t *>(F.Alloc->allocate(SizeOf(I))));
+  for (uint8_t *P : Small) {
+    F.Alloc->deallocate(P);
+    P[0] ^= 0xff;
+  }
+  void *Big = F.Alloc->allocate(HardenedAllocator::QuarantineMaxBytes + 1);
+  ASSERT_NE(Big, nullptr);
+  F.Alloc->deallocate(Big);
+  EXPECT_EQ(RecycledSizes(), SizesOf(0, 5));
+  EXPECT_EQ(F.H->hardeningStats().QuarantineRecycles, N + 5 + 1);
+  EXPECT_EQ(F.H->hardeningStats().QuarantinedBytes, 0u);
+  EXPECT_EQ(F.Alloc->stats().UsableBytesLive, 0u);
+}
+
 TEST(HardenedAllocatorTest, RedzoneOverflowIsDetectedAndAttributed) {
   Fixture F;
   auto *P = static_cast<uint8_t *>(F.Alloc->allocate(40));
