@@ -33,6 +33,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 namespace ddm {
 
@@ -208,26 +209,32 @@ public:
       Sink->flush();
   }
 
-  /// Mirrors a byte-range copy (used by realloc): one load and one store
-  /// per cache-line-sized piece.
-  void copy(const void *From, const void *To, uint64_t Bytes) const {
-    if (!Sink)
-      return;
-    auto Src = reinterpret_cast<uintptr_t>(From);
-    auto Dst = reinterpret_cast<uintptr_t>(To);
-    while (Bytes > 0) {
-      uint32_t Piece = Bytes > 64 ? 64 : static_cast<uint32_t>(Bytes);
-      Sink->pushEvent(AccessKind::Load, Src, Piece);
-      Sink->pushEvent(AccessKind::Store, Dst, Piece);
-      Src += Piece;
-      Dst += Piece;
-      Bytes -= Piece;
-    }
-  }
-
 private:
   AccessSink *Sink = nullptr;
 };
+
+/// Realloc's move, shared by every kind that moves a block: copies \p Bytes
+/// from \p From to \p To and mirrors the copy into \p Sink as one load and
+/// one store per cache-line-sized piece, charged Bytes / 16 + 8
+/// instructions.
+inline void reallocCopy(const SinkHandle &Sink, void *To, const void *From,
+                        size_t Bytes) {
+  std::memcpy(To, From, Bytes);
+  AccessSink *S = Sink.get();
+  if (!S)
+    return;
+  auto Src = reinterpret_cast<uintptr_t>(From);
+  auto Dst = reinterpret_cast<uintptr_t>(To);
+  for (uint64_t Left = Bytes; Left > 0;) {
+    uint32_t Piece = Left > 64 ? 64 : static_cast<uint32_t>(Left);
+    S->pushEvent(AccessKind::Load, Src, Piece);
+    S->pushEvent(AccessKind::Store, Dst, Piece);
+    Src += Piece;
+    Dst += Piece;
+    Left -= Piece;
+  }
+  S->pushEvent(AccessKind::Instructions, Bytes / 16 + 8, 0);
+}
 
 } // namespace ddm
 

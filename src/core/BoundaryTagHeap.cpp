@@ -5,7 +5,6 @@
 
 #include <cassert>
 #include <cstdio>
-#include <cstring>
 #include <unordered_set>
 
 using namespace ddm;
@@ -367,10 +366,7 @@ void *BoundaryTagHeap::realloc(void *Ptr, size_t NewSize) {
   void *Fresh = malloc(NewSize);
   if (!Fresh)
     return nullptr;
-  size_t CopyBytes = Size - 8 < NewSize ? Size - 8 : NewSize;
-  std::memcpy(Fresh, Ptr, CopyBytes);
-  Sink.copy(Ptr, Fresh, CopyBytes);
-  Sink.instructions(CopyBytes / 16 + 8);
+  reallocCopy(Sink, Fresh, Ptr, Size - 8 < NewSize ? Size - 8 : NewSize);
   free(Ptr);
   return Fresh;
 }

@@ -1,6 +1,7 @@
 //===- core/DDmalloc.cpp - The defrag-dodging allocator ------------------===//
 
 #include "core/DDmalloc.h"
+#include "core/PageMap.h"
 #include "core/SegmentPool.h"
 #include "support/Error.h"
 #include "support/FaultInjection.h"
@@ -282,10 +283,8 @@ void *DDmallocAllocator::allocate(size_t Size) {
 }
 
 void DDmallocAllocator::deallocateLarge(void *Ptr, size_t SegIndex) {
-  size_t Segments = 1;
-  while (SegIndex + Segments < NumSegments &&
-         SegClass[SegIndex + Segments] == SegLargeCont)
-    ++Segments;
+  size_t Segments =
+      PageMap::runLength(SegClass, NumSegments, SegIndex, SegLargeCont);
 
   noteFree(Segments << SegmentShift);
   if (Pool && Segments > 1) {
@@ -362,39 +361,16 @@ size_t DDmallocAllocator::usableSize(const void *Ptr) const {
   size_t SegIndex = segmentIndexFor(Ptr);
   uint8_t Mark = SegClass[SegIndex];
   assert(Mark != SegUnused && Mark != SegLargeCont && "not an object start");
-  if (Mark == SegLargeStart) {
-    size_t Segments = 1;
-    while (SegIndex + Segments < NumSegments &&
-           SegClass[SegIndex + Segments] == SegLargeCont)
-      ++Segments;
-    return Segments << SegmentShift;
-  }
+  if (Mark == SegLargeStart)
+    return PageMap::runLength(SegClass, NumSegments, SegIndex, SegLargeCont)
+           << SegmentShift;
   return Classes.classSize(Mark - 1);
 }
 
 void *DDmallocAllocator::reallocate(void *Ptr, size_t OldSize, size_t NewSize) {
-  ++Stats.ReallocCalls;
-  if (!Ptr)
-    return allocate(NewSize);
-  size_t OldUsable = usableSize(Ptr);
-  assert(OldSize <= OldUsable && "old size exceeds the object's capacity");
-  (void)OldSize;
   // Growing within the same size class (or shrinking) is free.
-  if (NewSize <= OldUsable &&
-      (!Classes.isSmall(NewSize) ||
-       Classes.roundedSize(NewSize) == OldUsable)) {
-    Sink.instructions(InstrMallocFromFreeList);
-    return Ptr;
-  }
-  void *Fresh = allocate(NewSize);
-  if (!Fresh)
-    return nullptr;
-  size_t CopyBytes = OldUsable < NewSize ? OldUsable : NewSize;
-  std::memcpy(Fresh, Ptr, CopyBytes);
-  Sink.copy(Ptr, Fresh, CopyBytes);
-  Sink.instructions(CopyBytes / 16 + 8);
-  deallocate(Ptr);
-  return Fresh;
+  return reallocateInClass(Ptr, OldSize, NewSize, Classes,
+                           InstrMallocFromFreeList);
 }
 
 void DDmallocAllocator::freeAll() {

@@ -4,7 +4,6 @@
 #include "support/Error.h"
 
 #include <cassert>
-#include <cstring>
 
 using namespace ddm;
 
@@ -16,14 +15,15 @@ constexpr uint64_t InstrAcquireSuperblock = 70;
 constexpr uint64_t InstrListMove = 12;
 constexpr uint64_t InstrLargeAlloc = 80;
 constexpr uint64_t InstrLargeFree = 70;
+/// Per free run the large-object first-fit search scans.
+constexpr uint64_t InstrRunScan = 4;
 
 } // namespace
 
 HoardCentral::HoardCentral(size_t HeapReserveBytes, bool IsShared)
-    : Heap(HeapReserveBytes, SuperblockBytes), Shared(IsShared) {
-  NumSuperblocks = Heap.size() / SuperblockBytes;
-  SbMap.assign(NumSuperblocks, 0);
-}
+    : SharedCentral(IsShared), Heap(HeapReserveBytes, SuperblockBytes),
+      Runs(Heap.size() / SuperblockBytes),
+      Map(Heap.base(), SuperblockBytes, Heap.size() / SuperblockBytes) {}
 
 std::shared_ptr<HoardCentral> ddm::createHoardCentral(size_t HeapReserveBytes) {
   return std::make_shared<HoardCentral>(HeapReserveBytes, /*IsShared=*/true);
@@ -45,7 +45,7 @@ HoardModelAllocator::~HoardModelAllocator() {
     // A destroyed heap (e.g. a Ruby-style process restart) donates its
     // fully empty superblocks to the global pool; partially used ones
     // stay lost, like the pages of a really-restarted process.
-    auto Lock = centralLock();
+    auto Lock = Central->lock();
     for (SuperblockHeader *&Head : Available) {
       SuperblockHeader *Sb = Head;
       while (Sb) {
@@ -58,19 +58,18 @@ HoardModelAllocator::~HoardModelAllocator() {
       }
     }
   }
-  Sink.unmapRegion(Central->SbMap.data());
+  Sink.unmapRegion(Central->Map.data());
   Sink.unmapRegion(Available.data());
   Sink.unmapRegion(Central->Heap.base());
 }
 
 void HoardModelAllocator::attachSink(AccessSink *S) {
-  if (Central->Shared && S)
-    fatal("hoard heaps on a shared central cannot attach a simulation sink");
+  Central->checkSink(S, "hoard heaps");
   TxAllocator::attachSink(S);
   Sink.mapRegion(Central->Heap.base(), Central->Heap.size());
   Sink.mapRegion(Available.data(),
                  Available.size() * sizeof(SuperblockHeader *));
-  Sink.mapRegion(Central->SbMap.data(), Central->SbMap.size());
+  Sink.mapRegion(Central->Map.data(), Central->Map.size());
 }
 
 void HoardModelAllocator::listPush(SuperblockHeader *&Head,
@@ -100,20 +99,17 @@ HoardModelAllocator::SuperblockHeader *
 HoardModelAllocator::acquireSuperblock(unsigned Class) {
   SuperblockHeader *Sb;
   {
-    auto Lock = centralLock();
+    auto Lock = Central->lock();
     Sb = Central->EmptyPool;
     if (Sb) {
       listRemove(Central->EmptyPool, Sb);
     } else {
-      if (Central->Frontier >= Central->NumSuperblocks)
+      // Frontier only: freed large runs are never re-purposed here.
+      size_t Index = Central->Runs.takeFresh(1).First;
+      if (Index == FreeRunList::NoRun)
         return nullptr;
-      Sb = reinterpret_cast<SuperblockHeader *>(
-          Central->Heap.base() + Central->Frontier * SuperblockBytes);
-      Central->SbMap[Central->Frontier] = SbSmall;
-      Sink.store(&Central->SbMap[Central->Frontier], 1);
-      ++Central->Frontier;
-      if (Central->Frontier > Central->HighWaterSuperblocks)
-        Central->HighWaterSuperblocks = Central->Frontier;
+      Sb = reinterpret_cast<SuperblockHeader *>(Central->Map.pageBase(Index));
+      Central->Map.mark(Index, 1, SbSmall, SbSmall, Sink);
     }
   }
   size_t ObjectSize = Classes.classSize(Class);
@@ -170,38 +166,16 @@ void *HoardModelAllocator::allocate(size_t Size) {
 
 void *HoardModelAllocator::allocateLarge(size_t Size) {
   size_t Blocks = (Size + SuperblockBytes - 1) / SuperblockBytes;
-  auto Lock = centralLock();
-  auto &FreeRuns = Central->FreeRuns;
-  auto &SbMap = Central->SbMap;
-  size_t First = SIZE_MAX;
-  for (auto It = FreeRuns.begin(), End = FreeRuns.end(); It != End; ++It) {
-    Sink.instructions(4);
-    if (It->second < Blocks)
-      continue;
-    First = It->first;
-    size_t RunLength = It->second;
-    FreeRuns.erase(It);
-    if (RunLength > Blocks)
-      FreeRuns.emplace(First + Blocks, RunLength - Blocks);
-    break;
-  }
-  if (First == SIZE_MAX) {
-    if (Central->Frontier + Blocks > Central->NumSuperblocks)
-      return nullptr;
-    First = Central->Frontier;
-    Central->Frontier += Blocks;
-    if (Central->Frontier > Central->HighWaterSuperblocks)
-      Central->HighWaterSuperblocks = Central->Frontier;
-  }
-  SbMap[First] = SbLargeStart;
-  Sink.store(&SbMap[First], 1);
-  for (size_t I = 1; I < Blocks; ++I) {
-    SbMap[First + I] = SbLargeCont;
-    Sink.store(&SbMap[First + I], 1);
-  }
+  auto Lock = Central->lock();
+  FreeRunList::Take T = Central->Runs.take(Blocks);
+  if (T.Scanned)
+    Sink.instructions(InstrRunScan * T.Scanned);
+  if (T.First == FreeRunList::NoRun)
+    return nullptr;
+  Central->Map.markLarge(T.First, Blocks, Sink);
   Sink.instructions(InstrLargeAlloc);
   noteMalloc(Size, Blocks * SuperblockBytes);
-  return Central->Heap.base() + First * SuperblockBytes;
+  return Central->Map.pageBase(T.First);
 }
 
 void HoardModelAllocator::deallocate(void *Ptr) {
@@ -211,46 +185,19 @@ void HoardModelAllocator::deallocate(void *Ptr) {
   // lists silently, so the checks hold in every build type.
   if (!owns(Ptr))
     fatal("hoard model: freed pointer not from this heap");
-  size_t Index = sbIndexFor(Ptr);
+  size_t Index = Central->Map.pageOf(Ptr);
   // A live object's map entry cannot change concurrently; see the
   // TCmalloc model's deallocate for the ordering argument.
-  uint8_t Mark = Central->SbMap[Index];
-  Sink.load(&Central->SbMap[Index], 1);
-  if (Mark == SbUnused || Mark == SbLargeCont)
-    fatal("hoard model: bad free (double free of a large object or "
-          "pointer into unallocated superblocks)");
+  uint8_t Mark = Central->Map.markForFree(Index, Sink, "hoard model");
 
-  if (Mark == SbLargeStart) {
-    // The boundary scan reads one entry past the run, so the whole large
-    // path locks on a shared central.
-    auto Lock = centralLock();
-    auto &SbMap = Central->SbMap;
-    auto &FreeRuns = Central->FreeRuns;
-    size_t Blocks = 1;
-    while (Index + Blocks < Central->NumSuperblocks &&
-           SbMap[Index + Blocks] == SbLargeCont)
-      ++Blocks;
+  if (Mark == PageMap::LargeStart) {
+    // The boundary scan needs the lock (PageMap::largeRunPages), so the
+    // whole large path locks.
+    auto Lock = Central->lock();
+    size_t Blocks = Central->Map.largeRunPages(Index);
     noteFree(Blocks * SuperblockBytes);
-    for (size_t I = 0; I < Blocks; ++I) {
-      SbMap[Index + I] = SbUnused;
-      Sink.store(&SbMap[Index + I], 1);
-    }
-    // Coalesce large runs like the page heap does.
-    size_t First = Index;
-    auto After = FreeRuns.lower_bound(First);
-    if (After != FreeRuns.end() && After->first == First + Blocks) {
-      Blocks += After->second;
-      After = FreeRuns.erase(After);
-    }
-    if (After != FreeRuns.begin()) {
-      auto Before = std::prev(After);
-      if (Before->first + Before->second == First) {
-        First = Before->first;
-        Blocks += Before->second;
-        FreeRuns.erase(Before);
-      }
-    }
-    FreeRuns.emplace(First, Blocks);
+    Central->Map.clear(Index, Blocks, Sink);
+    Central->Runs.release(Index, Blocks); // Merges are not charged here.
     Sink.instructions(InstrLargeFree);
     return;
   }
@@ -281,49 +228,27 @@ void HoardModelAllocator::deallocate(void *Ptr) {
     // pool and can be re-purposed for any class (by any thread; the lock
     // release publishes this thread's writes to the next owner).
     listRemove(Available[Class], Sb);
-    auto Lock = centralLock();
+    auto Lock = Central->lock();
     listPush(Central->EmptyPool, Sb);
   }
 }
 
 size_t HoardModelAllocator::usableSize(const void *Ptr) const {
   assert(Ptr && owns(Ptr) && "bad pointer");
-  size_t Index = sbIndexFor(Ptr);
-  uint8_t Mark = Central->SbMap[Index];
-  assert(Mark != SbUnused && Mark != SbLargeCont && "not an object");
-  if (Mark == SbLargeStart) {
-    auto Lock = centralLock(); // Boundary scan; see deallocate().
-    size_t Blocks = 1;
-    while (Index + Blocks < Central->NumSuperblocks &&
-           Central->SbMap[Index + Blocks] == SbLargeCont)
-      ++Blocks;
-    return Blocks * SuperblockBytes;
+  size_t Index = Central->Map.pageOf(Ptr);
+  uint8_t Mark = Central->Map[Index];
+  assert(Mark != PageMap::Unused && Mark != PageMap::LargeCont &&
+         "not an object");
+  if (Mark == PageMap::LargeStart) {
+    auto Lock = Central->lock();
+    return Central->Map.largeRunPages(Index) * SuperblockBytes;
   }
   return Classes.classSize(headerFor(Ptr)->ClassIndex);
 }
 
 void *HoardModelAllocator::reallocate(void *Ptr, size_t OldSize,
                                       size_t NewSize) {
-  ++Stats.ReallocCalls;
-  (void)OldSize;
-  if (!Ptr)
-    return allocate(NewSize);
-  size_t OldUsable = usableSize(Ptr);
-  if (NewSize <= OldUsable &&
-      (!Classes.isSmall(NewSize) ||
-       Classes.roundedSize(NewSize) == OldUsable)) {
-    Sink.instructions(InstrMallocFast);
-    return Ptr;
-  }
-  void *Fresh = allocate(NewSize);
-  if (!Fresh)
-    return nullptr;
-  size_t CopyBytes = OldUsable < NewSize ? OldUsable : NewSize;
-  std::memcpy(Fresh, Ptr, CopyBytes);
-  Sink.copy(Ptr, Fresh, CopyBytes);
-  Sink.instructions(CopyBytes / 16 + 8);
-  deallocate(Ptr);
-  return Fresh;
+  return reallocateInClass(Ptr, OldSize, NewSize, Classes, InstrMallocFast);
 }
 
 void HoardModelAllocator::freeAll() {
@@ -331,7 +256,7 @@ void HoardModelAllocator::freeAll() {
 }
 
 uint64_t HoardModelAllocator::emptyPoolSize() const {
-  auto Lock = centralLock();
+  auto Lock = Central->lock();
   uint64_t Count = 0;
   for (SuperblockHeader *Sb = Central->EmptyPool; Sb; Sb = Sb->Next)
     ++Count;
@@ -339,11 +264,11 @@ uint64_t HoardModelAllocator::emptyPoolSize() const {
 }
 
 uint64_t HoardModelAllocator::superblocksInUse() const {
-  auto Lock = centralLock();
-  return Central->Frontier;
+  auto Lock = Central->lock();
+  return Central->Runs.frontier();
 }
 
 uint64_t HoardModelAllocator::memoryConsumption() const {
-  auto Lock = centralLock();
-  return Central->HighWaterSuperblocks * SuperblockBytes;
+  auto Lock = Central->lock();
+  return Central->Runs.frontier() * SuperblockBytes;
 }

@@ -15,25 +15,24 @@
 #ifndef DDM_CORE_HOARDMODEL_H
 #define DDM_CORE_HOARDMODEL_H
 
+#include "core/FreeRunList.h"
+#include "core/PageMap.h"
 #include "core/SizeClasses.h"
 #include "core/TxAllocator.h"
 #include "support/Arena.h"
 
-#include <map>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 namespace ddm {
 
 /// The shared half of the Hoard model: the superblock arena, the global
 /// empty-superblock pool, and the large-run bookkeeping. Private by
-/// default (Shared == false, no locking); in native execution one central
-/// is shared by all worker threads' per-class available lists — Hoard's
-/// actual design, where per-processor heaps exchange whole superblocks
-/// through the global pool. M guards every field and is the
-/// happens-before edge for superblocks migrating between threads.
-struct HoardCentral : SharedHeap {
+/// default; in native execution one central is shared by all worker
+/// threads' per-class available lists (SharedCentral) — Hoard's actual
+/// design, where per-processor heaps exchange whole superblocks through
+/// the global pool.
+struct HoardCentral : SharedCentral {
   static constexpr size_t SuperblockBytes = 64 * 1024;
 
   /// The header living at the start of every small-object superblock.
@@ -50,18 +49,13 @@ struct HoardCentral : SharedHeap {
   HoardCentral(size_t HeapReserveBytes, bool Shared);
 
   AlignedArena Heap;
-  size_t NumSuperblocks;
-  size_t Frontier = 0; ///< First never-used superblock.
-  uint64_t HighWaterSuperblocks = 0;
+  /// Superblocks below a never-shrinking frontier, and the free large
+  /// runs. A fresh small-object superblock always comes from the frontier.
+  FreeRunList Runs;
 
   SuperblockHeader *EmptyPool = nullptr;
-  std::vector<uint8_t> SbMap;
-  /// Free large runs keyed by first superblock index.
-  std::map<size_t, size_t> FreeRuns;
-
-  /// True when several allocators share this central; guards all fields.
-  const bool Shared;
-  std::mutex M;
+  /// Superblock map: SbSmall, or the large/unused markers.
+  PageMap Map;
 };
 
 /// Builds a central for sharing between the per-thread Hoard heaps of a
@@ -111,10 +105,7 @@ public:
 
 private:
   static constexpr size_t ObjectsOffset = 64; ///< Header pad inside a SB.
-  static constexpr uint8_t SbUnused = 0;
-  static constexpr uint8_t SbSmall = 1;
-  static constexpr uint8_t SbLargeStart = 2;
-  static constexpr uint8_t SbLargeCont = 3;
+  static constexpr uint8_t SbSmall = 0; ///< Map mark of a class superblock.
 
   using SuperblockHeader = HoardCentral::SuperblockHeader;
 
@@ -123,17 +114,6 @@ private:
   void listPush(SuperblockHeader *&Head, SuperblockHeader *Sb);
   void listRemove(SuperblockHeader *&Head, SuperblockHeader *Sb);
 
-  /// Locks the central when it is shared; a no-op handle otherwise.
-  std::unique_lock<std::mutex> centralLock() const {
-    return Central->Shared ? std::unique_lock<std::mutex>(Central->M)
-                           : std::unique_lock<std::mutex>();
-  }
-
-  size_t sbIndexFor(const void *Ptr) const {
-    return (reinterpret_cast<uintptr_t>(Ptr) -
-            reinterpret_cast<uintptr_t>(Central->Heap.base())) /
-           SuperblockBytes;
-  }
   SuperblockHeader *headerFor(const void *Ptr) const {
     auto Addr = reinterpret_cast<uintptr_t>(Ptr) &
                 ~static_cast<uintptr_t>(SuperblockBytes - 1);

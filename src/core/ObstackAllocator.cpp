@@ -6,7 +6,6 @@
 #include "support/FaultInjection.h"
 
 #include <cassert>
-#include <cstring>
 
 using namespace ddm;
 
@@ -98,21 +97,7 @@ void ObstackAllocator::deallocate(void *Ptr) {
 }
 
 void *ObstackAllocator::reallocate(void *Ptr, size_t OldSize, size_t NewSize) {
-  ++Stats.ReallocCalls;
-  if (!Ptr)
-    return allocate(NewSize);
-  size_t OldRounded = alignUp8(OldSize ? OldSize : 1);
-  if (NewSize <= OldRounded) {
-    Sink.instructions(InstrMallocBump);
-    return Ptr;
-  }
-  void *Fresh = allocate(NewSize);
-  if (!Fresh)
-    return nullptr;
-  std::memcpy(Fresh, Ptr, OldSize);
-  Sink.copy(Ptr, Fresh, OldSize);
-  Sink.instructions(OldSize / 16 + 8);
-  return Fresh;
+  return reallocateBumped(Ptr, OldSize, NewSize, InstrMallocBump);
 }
 
 void ObstackAllocator::freeAll() {

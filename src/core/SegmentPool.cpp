@@ -18,8 +18,8 @@ static AlignedArena reserveOrDie(const SharedSegmentPool::Config &C) {
 }
 
 SharedSegmentPool::SharedSegmentPool(const Config &C)
-    : Cfg(C), Arena(reserveOrDie(C)) {
-  NumSegments = Arena.size() / Cfg.SegmentSize;
+    : Cfg(C), Arena(reserveOrDie(C)),
+      NumSegments(Arena.size() / Cfg.SegmentSize), Runs(NumSegments) {
   unsigned Stripes = C.Stripes ? C.Stripes : 1;
   Lists.reserve(Stripes);
   for (unsigned I = 0; I < Stripes; ++I)
@@ -83,8 +83,9 @@ size_t SharedSegmentPool::acquireSegments(unsigned Shard, uint32_t *Out,
   // 2) The bump frontier: fresh segments while the arena still has room.
   {
     std::lock_guard<std::mutex> Lock(FrontierMutex);
-    while (Got < MaxCount && Frontier < NumSegments)
-      Out[Got++] = static_cast<uint32_t>(Frontier++);
+    FreeRunList::Take T = Runs.takeFresh(MaxCount - Got);
+    for (size_t I = 0; I < T.Length; ++I)
+      Out[Got++] = static_cast<uint32_t>(T.First + I);
   }
   if (Got == MaxCount) {
     // Note: Got == MaxCount, not Got > 0 — a partial frontier fill (the
@@ -109,18 +110,14 @@ size_t SharedSegmentPool::acquireSegments(unsigned Shard, uint32_t *Out,
   //    singles one run at a time.
   if (Got < MaxCount) {
     std::lock_guard<std::mutex> Lock(FrontierMutex);
-    while (Got < MaxCount && !FreeRuns.empty()) {
-      auto It = FreeRuns.begin();
-      uint32_t First = It->first;
-      size_t Length = It->second;
-      FreeRuns.erase(It);
-      size_t Take = Length < MaxCount - Got ? Length : MaxCount - Got;
-      for (size_t I = 0; I < Take; ++I)
-        Out[Got++] = First + static_cast<uint32_t>(I);
-      if (Take < Length) {
-        FreeRuns.emplace(First + static_cast<uint32_t>(Take), Length - Take);
+    while (Got < MaxCount) {
+      FreeRunList::Take T = Runs.takeLowest(MaxCount - Got);
+      if (T.Length == 0)
+        break;
+      for (size_t I = 0; I < T.Length; ++I)
+        Out[Got++] = static_cast<uint32_t>(T.First + I);
+      if (T.Split)
         RunsSplitCount.fetch_add(1, std::memory_order_relaxed);
-      }
     }
   }
   Outstanding.fetch_add(Got, std::memory_order_relaxed);
@@ -132,27 +129,13 @@ uint32_t SharedSegmentPool::acquireRun(size_t NumSegs) {
   if (faultShouldFail(FaultSite::SegmentAcquire))
     return UINT32_MAX;
   std::lock_guard<std::mutex> Lock(FrontierMutex);
-  // First fit over previously released runs.
-  for (auto It = FreeRuns.begin(), End = FreeRuns.end(); It != End; ++It) {
-    if (It->second < NumSegs)
-      continue;
-    uint32_t First = It->first;
-    size_t Length = It->second;
-    FreeRuns.erase(It);
-    if (Length > NumSegs) {
-      FreeRuns.emplace(First + static_cast<uint32_t>(NumSegs),
-                       Length - NumSegs);
-      RunsSplitCount.fetch_add(1, std::memory_order_relaxed);
-    }
-    Outstanding.fetch_add(NumSegs, std::memory_order_relaxed);
-    return First;
-  }
-  if (Frontier + NumSegs > NumSegments)
+  FreeRunList::Take T = Runs.take(NumSegs);
+  if (T.First == FreeRunList::NoRun)
     return UINT32_MAX;
-  uint32_t First = static_cast<uint32_t>(Frontier);
-  Frontier += NumSegs;
+  if (T.Split)
+    RunsSplitCount.fetch_add(1, std::memory_order_relaxed);
   Outstanding.fetch_add(NumSegs, std::memory_order_relaxed);
-  return First;
+  return static_cast<uint32_t>(T.First);
 }
 
 void SharedSegmentPool::releaseSegments(unsigned Shard,
@@ -171,34 +154,19 @@ void SharedSegmentPool::releaseSegments(unsigned Shard,
 void SharedSegmentPool::releaseRun(uint32_t First, size_t NumSegs) {
   if (NumSegs == 0)
     return;
-  size_t Released = NumSegs;
   {
+    // Coalescing with the adjacent runs keeps repeated large allocations
+    // of a growing size from stranding address space.
     std::lock_guard<std::mutex> Lock(FrontierMutex);
-    // Coalesce with the adjacent runs so repeated large allocations of a
-    // growing size do not strand address space.
-    auto After = FreeRuns.lower_bound(First);
-    if (After != FreeRuns.end() && After->first == First + NumSegs) {
-      NumSegs += After->second;
-      After = FreeRuns.erase(After);
-      RunsCoalescedCount.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (After != FreeRuns.begin()) {
-      auto Before = std::prev(After);
-      if (Before->first + Before->second == First) {
-        First = Before->first;
-        NumSegs += Before->second;
-        FreeRuns.erase(Before);
-        RunsCoalescedCount.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    FreeRuns.emplace(First, NumSegs);
+    RunsCoalescedCount.fetch_add(Runs.release(First, NumSegs),
+                                 std::memory_order_relaxed);
   }
-  Outstanding.fetch_sub(Released, std::memory_order_relaxed);
+  Outstanding.fetch_sub(NumSegs, std::memory_order_relaxed);
 }
 
 uint64_t SharedSegmentPool::frontierSegments() const {
   std::lock_guard<std::mutex> Lock(FrontierMutex);
-  return Frontier;
+  return Runs.frontier();
 }
 
 SegmentPoolStats SharedSegmentPool::stats() const {

@@ -12,19 +12,20 @@
 /// Acquisition order on refill: the shard's own stripe, then the shared
 /// bump frontier, then stealing from other stripes (only under memory
 /// pressure, when the frontier is exhausted). Multi-segment runs for large
-/// objects come from the frontier or a free-run list kept alongside it.
+/// objects come from the free-run list (FreeRunList) that also owns the
+/// frontier.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef DDM_CORE_SEGMENTPOOL_H
 #define DDM_CORE_SEGMENTPOOL_H
 
+#include "core/FreeRunList.h"
 #include "core/TxAllocator.h"
 #include "support/Arena.h"
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -123,12 +124,9 @@ private:
 
   std::vector<std::unique_ptr<Stripe>> Lists;
 
-  /// Guards the bump frontier and the free-run map.
+  /// Guards Runs: the bump frontier and the free multi-segment runs.
   mutable std::mutex FrontierMutex;
-  size_t Frontier = 0;
-  /// Free multi-segment runs (first index -> length), refilled by
-  /// releaseRun; first-fit with splitting, like the page-heap models.
-  std::map<uint32_t, size_t> FreeRuns;
+  FreeRunList Runs;
 
   std::atomic<uint64_t> Outstanding{0};
   std::atomic<uint64_t> Misses{0};

@@ -4,7 +4,6 @@
 #include "support/Error.h"
 
 #include <cassert>
-#include <cstring>
 
 using namespace ddm;
 
@@ -20,6 +19,9 @@ constexpr uint64_t InstrScavengeBase = 80;
 constexpr uint64_t InstrScavengePerObject = 6;
 constexpr uint64_t InstrLargeAlloc = 80;
 constexpr uint64_t InstrLargeFree = 70;
+/// Page-heap bookkeeping: per free run scanned, per neighbour merged.
+constexpr uint64_t InstrRunScan = 4;
+constexpr uint64_t InstrRunMerge = 8;
 
 /// Objects moved from a central list to the thread cache per refill.
 constexpr unsigned RefillBatch = 32;
@@ -28,12 +30,10 @@ constexpr unsigned RefillBatch = 32;
 
 TCMallocCentral::TCMallocCentral(size_t HeapReserveBytes, unsigned NumClasses,
                                  bool IsShared)
-    : Heap(HeapReserveBytes, PageSize), Shared(IsShared) {
-  NumPages = Heap.size() / PageSize;
-  CentralHead.assign(NumClasses, 0);
-  CentralCount.assign(NumClasses, 0);
-  PageMap.assign(NumPages, PageUnused);
-}
+    : SharedCentral(IsShared), Heap(HeapReserveBytes, PageSize),
+      Runs(Heap.size() / PageSize), CentralHead(NumClasses, 0),
+      CentralCount(NumClasses, 0),
+      Map(Heap.base(), PageSize, Heap.size() / PageSize) {}
 
 std::shared_ptr<TCMallocCentral>
 ddm::createTCMallocCentral(size_t HeapReserveBytes) {
@@ -64,7 +64,7 @@ TCMallocModelAllocator::~TCMallocModelAllocator() {
     // free-list stock to the central lists so sibling caches can reuse
     // it; objects still live at destruction stay lost, like the pages of
     // a really-restarted process.
-    std::lock_guard<std::mutex> Lock(Central->M);
+    auto Lock = Central->lock();
     for (unsigned Class = 0, End = Classes.numClasses(); Class != End;
          ++Class) {
       while (CacheHead[Class] != 0) {
@@ -76,74 +76,29 @@ TCMallocModelAllocator::~TCMallocModelAllocator() {
       }
     }
   }
-  Sink.unmapRegion(Central->PageMap.data());
+  Sink.unmapRegion(Central->Map.data());
   Sink.unmapRegion(CacheHead.data());
   Sink.unmapRegion(Central->Heap.base());
 }
 
 void TCMallocModelAllocator::attachSink(AccessSink *S) {
-  if (Central->Shared && S)
-    fatal("tcmalloc caches on a shared central cannot attach a simulation "
-          "sink");
+  Central->checkSink(S, "tcmalloc caches");
   TxAllocator::attachSink(S);
   Sink.mapRegion(Central->Heap.base(), Central->Heap.size());
   Sink.mapRegion(CacheHead.data(), CacheHead.size() * sizeof(uintptr_t));
-  Sink.mapRegion(Central->PageMap.data(), Central->PageMap.size());
+  Sink.mapRegion(Central->Map.data(), Central->Map.size());
 }
 
 size_t TCMallocModelAllocator::takePages(size_t Pages) {
-  // First fit over the free runs (the page-heap search).
-  auto &FreeRuns = Central->FreeRuns;
-  for (auto It = FreeRuns.begin(), End = FreeRuns.end(); It != End; ++It) {
-    Sink.instructions(4);
-    if (It->second < Pages)
-      continue;
-    size_t First = It->first;
-    size_t RunLength = It->second;
-    FreeRuns.erase(It);
-    if (RunLength > Pages)
-      FreeRuns.emplace(First + Pages, RunLength - Pages);
-    return First;
-  }
-  if (Central->PageFrontier + Pages > Central->NumPages)
-    return SIZE_MAX;
-  size_t First = Central->PageFrontier;
-  Central->PageFrontier += Pages;
-  if (Central->PageFrontier > Central->HighWaterPages)
-    Central->HighWaterPages = Central->PageFrontier;
-  return First;
-}
-
-void TCMallocModelAllocator::releasePages(size_t FirstPage, size_t Pages) {
-  auto &PageMap = Central->PageMap;
-  auto &FreeRuns = Central->FreeRuns;
-  for (size_t I = 0; I < Pages; ++I) {
-    PageMap[FirstPage + I] = PageUnused;
-    Sink.store(&PageMap[FirstPage + I], 1);
-  }
-  // Coalesce with the preceding and following runs (page-level
-  // defragmentation).
-  auto After = FreeRuns.lower_bound(FirstPage);
-  if (After != FreeRuns.end() && After->first == FirstPage + Pages) {
-    Pages += After->second;
-    After = FreeRuns.erase(After);
-    Sink.instructions(8);
-  }
-  if (After != FreeRuns.begin()) {
-    auto Before = std::prev(After);
-    if (Before->first + Before->second == FirstPage) {
-      FirstPage = Before->first;
-      Pages += Before->second;
-      FreeRuns.erase(Before);
-      Sink.instructions(8);
-    }
-  }
-  FreeRuns.emplace(FirstPage, Pages);
+  FreeRunList::Take T = Central->Runs.take(Pages);
+  if (T.Scanned)
+    Sink.instructions(InstrRunScan * T.Scanned);
+  return T.First;
 }
 
 void TCMallocModelAllocator::refillCache(unsigned Class) {
   size_t ObjectSize = Classes.classSize(Class);
-  auto Lock = centralLock();
+  auto Lock = Central->lock();
 
   // Move a batch from the central list if it has stock.
   unsigned Moved = 0;
@@ -166,13 +121,11 @@ void TCMallocModelAllocator::refillCache(unsigned Class) {
 
   // Carve a fresh span into objects for this class.
   size_t First = takePages(SpanPages);
-  if (First == SIZE_MAX)
+  if (First == FreeRunList::NoRun)
     return; // Heap exhausted; allocate() will observe the empty cache.
-  std::byte *Span = pageBase(First);
-  for (size_t I = 0; I < SpanPages; ++I) {
-    Central->PageMap[First + I] = static_cast<uint8_t>(Class);
-    Sink.store(&Central->PageMap[First + I], 1);
-  }
+  std::byte *Span = Central->Map.pageBase(First);
+  auto Mark = static_cast<uint8_t>(Class);
+  Central->Map.mark(First, SpanPages, Mark, Mark, Sink);
   size_t Objects = (SpanPages * PageSize) / ObjectSize;
   for (size_t I = 0; I < Objects; ++I) {
     std::byte *Object = Span + I * ObjectSize;
@@ -189,7 +142,7 @@ void TCMallocModelAllocator::scavenge() {
   // The delayed defragmentation: move half of every thread-cache list back
   // to the central lists.
   ++Scavenges;
-  auto Lock = centralLock();
+  auto Lock = Central->lock();
   uint64_t MovedTotal = 0;
   for (unsigned Class = 0, End = Classes.numClasses(); Class != End; ++Class) {
     uint32_t ToMove = CacheCount[Class] / 2;
@@ -232,20 +185,14 @@ void *TCMallocModelAllocator::allocateSmall(size_t Size) {
 
 void *TCMallocModelAllocator::allocateLarge(size_t Size) {
   size_t Pages = (Size + PageSize - 1) / PageSize;
-  auto Lock = centralLock();
+  auto Lock = Central->lock();
   size_t First = takePages(Pages);
-  if (First == SIZE_MAX)
+  if (First == FreeRunList::NoRun)
     return nullptr;
-  auto &PageMap = Central->PageMap;
-  PageMap[First] = PageLargeStart;
-  Sink.store(&PageMap[First], 1);
-  for (size_t I = 1; I < Pages; ++I) {
-    PageMap[First + I] = PageLargeCont;
-    Sink.store(&PageMap[First + I], 1);
-  }
+  Central->Map.markLarge(First, Pages, Sink);
   Sink.instructions(InstrLargeAlloc);
   noteMalloc(Size, Pages * PageSize);
-  return pageBase(First);
+  return Central->Map.pageBase(First);
 }
 
 void *TCMallocModelAllocator::allocate(size_t Size) {
@@ -261,27 +208,22 @@ void TCMallocModelAllocator::deallocate(void *Ptr) {
   // lists silently, so the checks hold in every build type.
   if (!owns(Ptr))
     fatal("tcmalloc model: freed pointer not from this heap");
-  size_t Page = pageIndexFor(Ptr);
+  size_t Page = Central->Map.pageOf(Ptr);
   // Reading the page map entry of a live object needs no lock even on a
   // shared central: the entry cannot change while the object is live, and
   // the object reached this thread through the central-lock
   // happens-before chain.
-  uint8_t Mark = Central->PageMap[Page];
-  Sink.load(&Central->PageMap[Page], 1);
-  if (Mark == PageUnused || Mark == PageLargeCont)
-    fatal("tcmalloc model: bad free (double free of a large object or "
-          "pointer into unallocated pages)");
+  uint8_t Mark = Central->Map.markForFree(Page, Sink, "tcmalloc model");
 
-  if (Mark == PageLargeStart) {
-    // The boundary scan reads one entry past the run, which a sibling
-    // cache may be writing concurrently, so the whole large path locks.
-    auto Lock = centralLock();
-    size_t Pages = 1;
-    while (Page + Pages < Central->NumPages &&
-           Central->PageMap[Page + Pages] == PageLargeCont)
-      ++Pages;
+  if (Mark == PageMap::LargeStart) {
+    // The boundary scan needs the lock (PageMap::largeRunPages), so the
+    // whole large path locks.
+    auto Lock = Central->lock();
+    size_t Pages = Central->Map.largeRunPages(Page);
     noteFree(Pages * PageSize);
-    releasePages(Page, Pages);
+    Central->Map.clear(Page, Pages, Sink);
+    if (unsigned Merges = Central->Runs.release(Page, Pages))
+      Sink.instructions(InstrRunMerge * Merges);
     Sink.instructions(InstrLargeFree);
     return;
   }
@@ -308,42 +250,20 @@ void TCMallocModelAllocator::deallocate(void *Ptr) {
 
 size_t TCMallocModelAllocator::usableSize(const void *Ptr) const {
   assert(Ptr && owns(Ptr) && "bad pointer");
-  size_t Page = pageIndexFor(Ptr);
-  uint8_t Mark = Central->PageMap[Page];
-  assert(Mark != PageUnused && Mark != PageLargeCont && "not an object");
-  if (Mark == PageLargeStart) {
-    auto Lock = centralLock(); // Boundary scan; see deallocate().
-    size_t Pages = 1;
-    while (Page + Pages < Central->NumPages &&
-           Central->PageMap[Page + Pages] == PageLargeCont)
-      ++Pages;
-    return Pages * PageSize;
+  size_t Page = Central->Map.pageOf(Ptr);
+  uint8_t Mark = Central->Map[Page];
+  assert(Mark != PageMap::Unused && Mark != PageMap::LargeCont &&
+         "not an object");
+  if (Mark == PageMap::LargeStart) {
+    auto Lock = Central->lock();
+    return Central->Map.largeRunPages(Page) * PageSize;
   }
   return Classes.classSize(Mark);
 }
 
 void *TCMallocModelAllocator::reallocate(void *Ptr, size_t OldSize,
                                          size_t NewSize) {
-  ++Stats.ReallocCalls;
-  (void)OldSize;
-  if (!Ptr)
-    return allocate(NewSize);
-  size_t OldUsable = usableSize(Ptr);
-  if (NewSize <= OldUsable &&
-      (!Classes.isSmall(NewSize) ||
-       Classes.roundedSize(NewSize) == OldUsable)) {
-    Sink.instructions(InstrMallocFast);
-    return Ptr;
-  }
-  void *Fresh = allocate(NewSize);
-  if (!Fresh)
-    return nullptr;
-  size_t CopyBytes = OldUsable < NewSize ? OldUsable : NewSize;
-  std::memcpy(Fresh, Ptr, CopyBytes);
-  Sink.copy(Ptr, Fresh, CopyBytes);
-  Sink.instructions(CopyBytes / 16 + 8);
-  deallocate(Ptr);
-  return Fresh;
+  return reallocateInClass(Ptr, OldSize, NewSize, Classes, InstrMallocFast);
 }
 
 void TCMallocModelAllocator::freeAll() {
@@ -351,11 +271,6 @@ void TCMallocModelAllocator::freeAll() {
 }
 
 uint64_t TCMallocModelAllocator::memoryConsumption() const {
-  auto Lock = centralLock();
-  return Central->HighWaterPages * PageSize;
-}
-
-size_t TCMallocModelAllocator::freeRunCount() const {
-  auto Lock = centralLock();
-  return Central->FreeRuns.size();
+  auto Lock = Central->lock();
+  return Central->Runs.frontier() * PageSize;
 }

@@ -16,8 +16,8 @@
 ///    defragmentation);
 ///  - empty caches refill in batches from the central lists, which in turn
 ///    carve 64 KB spans out of the page heap;
-///  - large objects take whole page runs from a first-fit free-run list
-///    with eager run coalescing (page-level defragmentation);
+///  - large objects take whole page runs from the page heap (FreeRunList:
+///    first fit with eager run coalescing, the page-level defragmentation);
 ///  - a page map (one byte per 8 KB page) records each page's size class,
 ///    which is how free() learns object sizes without per-object headers.
 ///
@@ -26,51 +26,36 @@
 #ifndef DDM_CORE_TCMALLOCMODEL_H
 #define DDM_CORE_TCMALLOCMODEL_H
 
+#include "core/FreeRunList.h"
+#include "core/PageMap.h"
 #include "core/SizeClasses.h"
 #include "core/TxAllocator.h"
 #include "support/Arena.h"
 
-#include <map>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 namespace ddm {
 
 /// The shared half of the TCmalloc model: the page heap and the central
-/// free lists. In the single-threaded studies every allocator owns a
-/// private central (Shared == false, no locking, behaviour unchanged). In
-/// native execution one central is shared by all worker threads' caches —
-/// the real TCmalloc topology — and every access to it goes through M,
-/// which is also the happens-before edge for objects migrating between
-/// thread caches via the central lists.
-struct TCMallocCentral : SharedHeap {
+/// free lists, private by default and shared by every worker's thread
+/// cache in native runs (SharedCentral).
+struct TCMallocCentral : SharedCentral {
   static constexpr size_t PageSize = 8 * 1024;
   static constexpr size_t SpanPages = 8; // 64 KB spans feed small classes.
-  static constexpr uint8_t PageUnused = 0xFF;
-  static constexpr uint8_t PageLargeStart = 0xFE;
-  static constexpr uint8_t PageLargeCont = 0xFD;
 
   TCMallocCentral(size_t HeapReserveBytes, unsigned NumClasses, bool Shared);
 
   AlignedArena Heap;
-  size_t NumPages;
-  size_t PageFrontier = 0; ///< First never-used page.
-  uint64_t HighWaterPages = 0;
+  /// The page heap: free page runs below a never-shrinking frontier.
+  FreeRunList Runs;
 
   /// Central free lists per class.
   std::vector<uintptr_t> CentralHead;
   std::vector<uint32_t> CentralCount;
 
   /// Page map: size class, or the large/unused markers.
-  std::vector<uint8_t> PageMap;
-
-  /// Free page runs keyed by first page, value = run length.
-  std::map<size_t, size_t> FreeRuns;
-
-  /// True when several caches share this central; guards all fields above.
-  const bool Shared;
-  std::mutex M;
+  PageMap Map;
 };
 
 /// Builds a central sized for the model's standard size-class map, for
@@ -117,7 +102,6 @@ public:
   /// @{
   uint64_t scavengeCount() const { return Scavenges; }
   uint64_t threadCacheBytes() const { return CacheBytes; }
-  size_t freeRunCount() const;
   bool owns(const void *Ptr) const override {
     return Central->Heap.contains(Ptr);
   }
@@ -127,37 +111,15 @@ public:
 private:
   static constexpr size_t PageSize = TCMallocCentral::PageSize;
   static constexpr size_t SpanPages = TCMallocCentral::SpanPages;
-  static constexpr uint8_t PageUnused = TCMallocCentral::PageUnused;
-  static constexpr uint8_t PageLargeStart = TCMallocCentral::PageLargeStart;
-  static constexpr uint8_t PageLargeCont = TCMallocCentral::PageLargeCont;
 
   void *allocateSmall(size_t Size);
   void *allocateLarge(size_t Size);
   void refillCache(unsigned Class);
   void scavenge();
-  /// Takes \p Pages contiguous pages: first fit over the free runs, else
-  /// from the bump frontier. Returns the first page index or SIZE_MAX.
-  /// Caller holds the central lock in shared mode.
+  /// Takes \p Pages contiguous pages from the page heap, charging 4
+  /// instructions per free run scanned. Returns the first page index or
+  /// FreeRunList::NoRun. Caller holds the central lock in shared mode.
   size_t takePages(size_t Pages);
-  /// Returns a page run to the free list, coalescing with neighbours.
-  /// Caller holds the central lock in shared mode.
-  void releasePages(size_t FirstPage, size_t Pages);
-
-  /// Locks the central when it is shared; a no-op handle otherwise, so
-  /// the single-threaded studies pay nothing.
-  std::unique_lock<std::mutex> centralLock() const {
-    return Central->Shared ? std::unique_lock<std::mutex>(Central->M)
-                           : std::unique_lock<std::mutex>();
-  }
-
-  size_t pageIndexFor(const void *Ptr) const {
-    return (reinterpret_cast<uintptr_t>(Ptr) -
-            reinterpret_cast<uintptr_t>(Central->Heap.base())) /
-           PageSize;
-  }
-  std::byte *pageBase(size_t Index) const {
-    return Central->Heap.base() + Index * PageSize;
-  }
 
   SizeClassMap Classes;
   /// Page heap + central lists: private by default, shared in native runs.

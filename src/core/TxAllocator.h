@@ -24,10 +24,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 
 namespace ddm {
 
 class BuddyPageBackend;
+class SizeClassMap;
 
 /// Counters every allocator maintains. BytesRequested sums the raw request
 /// sizes; the live counters track usable (rounded) bytes, so internal
@@ -49,6 +51,33 @@ struct AllocatorStats {
 class SharedHeap {
 public:
   virtual ~SharedHeap() = default;
+};
+
+/// The central of the TCmalloc model, the Hoard model and the slab
+/// allocator. On a private central (the single-threaded studies) lock()
+/// is free. A central shared by the thread caches, heaps or magazines of a
+/// native run's workers locks its mutex, which is also the happens-before
+/// edge for memory migrating between threads.
+class SharedCentral : public SharedHeap {
+public:
+  explicit SharedCentral(bool IsShared) : Shared(IsShared) {}
+
+  std::unique_lock<std::mutex> lock() const {
+    return Shared ? std::unique_lock<std::mutex>(M)
+                  : std::unique_lock<std::mutex>();
+  }
+
+  /// Fatal when a front end of a shared central attaches a non-null sink:
+  /// the canonical address maps of the sharing front ends would collide
+  /// (native execution runs unsimulated). \p FrontEnds names them.
+  void checkSink(const AccessSink *S, const char *FrontEnds) const;
+
+  /// True when several front ends share this central; the lock then
+  /// guards every field of the derived central.
+  const bool Shared;
+
+private:
+  mutable std::mutex M;
 };
 
 /// The one description of how to build an allocator of any kind. Each
@@ -170,6 +199,23 @@ protected:
     ++Stats.FreeAllCalls;
     Stats.UsableBytesLive = 0;
   }
+
+  /// reallocate() for the kinds that serve small sizes from \p Classes
+  /// (ddmalloc, tcmalloc, hoard, slab). The block stays where it is,
+  /// charged \p InPlaceInstructions, when \p NewSize fits its usable size
+  /// and, for a small size, rounds to that very size; otherwise it moves
+  /// (reallocCopy) and the old block is freed. \p OldSize must not exceed
+  /// the block's usable size.
+  void *reallocateInClass(void *Ptr, size_t OldSize, size_t NewSize,
+                          const SizeClassMap &Classes,
+                          uint64_t InPlaceInstructions);
+
+  /// reallocate() for the bump kinds (region, obstack), which know a
+  /// block's size only from \p OldSize: the block stays, charged \p
+  /// InPlaceInstructions, when \p NewSize fits OldSize rounded up to 8;
+  /// otherwise OldSize bytes move and the old block waits for freeAll().
+  void *reallocateBumped(void *Ptr, size_t OldSize, size_t NewSize,
+                         uint64_t InPlaceInstructions);
 
   SinkHandle Sink;
   AllocatorStats Stats;

@@ -31,35 +31,21 @@ SweepRunner::SweepRunner(unsigned Jobs)
 
 void SweepRunner::dispatch(size_t Count,
                            const std::function<void(size_t)> &RunOne) {
-  PointMs.assign(Count, 0.0);
   TotalMs = 0;
   if (Count == 0)
     return;
   Clock::time_point SweepStart = Clock::now();
-
-  std::mutex Mutex; ///< Guards PointMs bookkeeping and the callback.
-  size_t Completed = 0;
-
-  auto RunPoint = [&](size_t I) {
-    Clock::time_point Start = Clock::now();
-    RunOne(I);
-    double Ms = millisSince(Start);
-    std::lock_guard<std::mutex> Lock(Mutex);
-    PointMs[I] = Ms;
-    ++Completed;
-    if (Progress)
-      Progress({I, Completed, Count, Ms});
-  };
 
   unsigned Workers = JobCount < Count ? JobCount : static_cast<unsigned>(Count);
   if (Workers <= 1) {
     // Inline: the plain sequential loop, with no thread hop and natural
     // exception propagation.
     for (size_t I = 0; I < Count; ++I)
-      RunPoint(I);
+      RunOne(I);
   } else {
     std::atomic<size_t> NextIndex{0};
     std::atomic<bool> Abort{false};
+    std::mutex Mutex; ///< Guards FirstError.
     std::exception_ptr FirstError;
 
     auto Worker = [&] {
@@ -68,7 +54,7 @@ void SweepRunner::dispatch(size_t Count,
         if (I >= Count)
           return;
         try {
-          RunPoint(I);
+          RunOne(I);
         } catch (...) {
           std::lock_guard<std::mutex> Lock(Mutex);
           if (!FirstError)

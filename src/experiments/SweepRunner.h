@@ -15,8 +15,7 @@
 /// byte-identical reports to `--jobs 1`.
 ///
 /// Execution order across points is NOT deterministic (workers race for
-/// indices); only the result order is. Progress callbacks fire as points
-/// finish, serialized under a lock.
+/// indices); only the result order is.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,16 +28,8 @@
 
 namespace ddm {
 
-/// Delivered after each completed point (serialized; any worker thread).
-struct SweepProgress {
-  size_t Index;       ///< Submission index of the point that finished.
-  size_t Completed;   ///< Points finished so far, including this one.
-  size_t Total;       ///< Points in the sweep.
-  double PointMillis; ///< Wall-clock time of this point.
-};
-
 /// A worker pool running independent sweep points with submission-ordered
-/// results and per-point wall-clock timing.
+/// results and whole-sweep wall-clock timing.
 class SweepRunner {
 public:
   /// \p Jobs worker threads; 0 means hardware_concurrency. A single job
@@ -49,12 +40,6 @@ public:
   static unsigned defaultJobs();
 
   unsigned jobs() const { return JobCount; }
-
-  /// Installs a progress callback. Called once per finished point, from
-  /// whichever thread finished it, never concurrently with itself.
-  void onProgress(std::function<void(const SweepProgress &)> Fn) {
-    Progress = std::move(Fn);
-  }
 
   /// Runs all \p Tasks and returns their results in submission order.
   /// The result type must be default-constructible and movable. If a task
@@ -69,10 +54,6 @@ public:
     return Results;
   }
 
-  /// Wall-clock milliseconds of each point of the last run(), by
-  /// submission index.
-  const std::vector<double> &pointMillis() const { return PointMs; }
-
   /// Wall-clock milliseconds of the whole last run().
   double totalMillis() const { return TotalMs; }
 
@@ -80,8 +61,6 @@ private:
   void dispatch(size_t Count, const std::function<void(size_t)> &RunOne);
 
   unsigned JobCount;
-  std::function<void(const SweepProgress &)> Progress;
-  std::vector<double> PointMs;
   double TotalMs = 0;
 };
 

@@ -5,7 +5,6 @@
 #include "support/FaultInjection.h"
 
 #include <cassert>
-#include <cstring>
 
 using namespace ddm;
 
@@ -34,8 +33,8 @@ unsigned buddyOrderFor(size_t NumPages) {
 void notePagesTaken(SlabCentral &C, uint64_t Pages) {
   C.PagesLive += Pages;
   C.PagesAcquiredTotal += Pages;
-  if (C.PagesLive > C.HighWaterPages)
-    C.HighWaterPages = C.PagesLive;
+  if (C.PagesLive > C.PeakPagesLive)
+    C.PeakPagesLive = C.PagesLive;
 }
 
 void notePagesReturned(SlabCentral &C, uint64_t Pages) {
@@ -48,13 +47,14 @@ void notePagesReturned(SlabCentral &C, uint64_t Pages) {
 SlabCentral::SlabCentral(size_t HeapReserveBytes, unsigned NumClasses,
                          bool IsShared,
                          const std::shared_ptr<BuddyPageBackend> &Backend)
-    : Heap(BackedSpan::create(HeapReserveBytes, PageBytes, Backend)),
+    : SharedCentral(IsShared),
+      Heap(BackedSpan::create(HeapReserveBytes, PageBytes, Backend)),
       NumPages(Heap.size() / PageBytes),
-      Buddy(NumPages, buddyOrderFor(NumPages)), Shared(IsShared) {
+      Buddy(NumPages, buddyOrderFor(NumPages)),
+      Map(Heap.base(), PageBytes, NumPages) {
   SizeClassMap Classes(MaxSmallBytes);
   if (Classes.numClasses() != NumClasses)
     fatal("slab central was built for a different class map");
-  PageKind.assign(NumPages, PageUnused);
   PartialHead.assign(NumClasses, NoSlab);
   EmptySlab.assign(NumClasses, NoSlab);
   SlabOrder.assign(NumClasses, 0);
@@ -104,37 +104,35 @@ SlabAllocator::~SlabAllocator() {
     // its stock to the central slabs so sibling threads can reuse it;
     // objects still live at destruction stay lost, like the pages of a
     // really-restarted process.
-    std::lock_guard<std::mutex> Lock(Central->M);
+    auto Lock = Central->lock();
     for (unsigned Class = 0, End = Classes.numClasses(); Class != End;
          ++Class) {
       uintptr_t *Slots = &MagSlots[size_t(Class) * MagazineCapacity];
       while (MagCount[Class] > 0) {
         --MagCount[Class];
         auto *Object = reinterpret_cast<std::byte *>(Slots[MagCount[Class]]);
-        centralFree(Object, slabHeadFor(pageIndexFor(Object)), Class);
+        centralFree(Object, slabHeadFor(Central->Map.pageOf(Object)), Class);
       }
     }
   }
-  Sink.unmapRegion(Central->PageKind.data());
+  Sink.unmapRegion(Central->Map.data());
   Sink.unmapRegion(MagCount.data());
   Sink.unmapRegion(MagSlots.data());
   Sink.unmapRegion(Central->Heap.base());
 }
 
 void SlabAllocator::attachSink(AccessSink *S) {
-  if (Central->Shared && S)
-    fatal("slab magazines on a shared central cannot attach a simulation "
-          "sink");
+  Central->checkSink(S, "slab magazines");
   TxAllocator::attachSink(S);
   Sink.mapRegion(Central->Heap.base(), Central->Heap.size());
   Sink.mapRegion(MagSlots.data(), MagSlots.size() * sizeof(uintptr_t));
   Sink.mapRegion(MagCount.data(), MagCount.size() * sizeof(uint32_t));
-  Sink.mapRegion(Central->PageKind.data(), Central->PageKind.size());
+  Sink.mapRegion(Central->Map.data(), Central->Map.size());
 }
 
 uint32_t SlabAllocator::slabHeadFor(size_t Page) const {
   // Slabs span at most 2^MaxSlabOrder pages, so this back-scan is bounded.
-  while (Central->PageKind[Page] == PageSlabCont)
+  while (Central->Map[Page] == PageSlabCont)
     --Page;
   return static_cast<uint32_t>(Page);
 }
@@ -171,17 +169,12 @@ bool SlabAllocator::growClass(unsigned Class) {
     return false;
   notePagesTaken(*Central, uint64_t(1) << Order);
 
-  auto &Kind = Central->PageKind;
-  Kind[First] = static_cast<uint8_t>(Class);
-  Sink.store(&Kind[First], 1);
-  for (size_t I = 1, Pages = size_t(1) << Order; I < Pages; ++I) {
-    Kind[First + I] = PageSlabCont;
-    Sink.store(&Kind[First + I], 1);
-  }
+  Central->Map.mark(First, size_t(1) << Order, static_cast<uint8_t>(Class),
+                    PageSlabCont, Sink);
 
   size_t ObjectSize = Classes.classSize(Class);
   uint32_t Capacity = Central->SlabCapacity[Class];
-  std::byte *Slab = pageBase(First);
+  std::byte *Slab = Central->Map.pageBase(First);
   for (uint32_t I = 0; I < Capacity; ++I) {
     auto Off = static_cast<uint32_t>(SlabCentral::ObjectsOffset +
                                      size_t(I) * ObjectSize);
@@ -218,7 +211,7 @@ std::byte *SlabAllocator::takeObject(unsigned Class) {
   SlabHeader *H = headerAt(Head);
   Sink.load(H, sizeof(SlabHeader));
   uint32_t Off = H->FreeHead;
-  std::byte *Object = pageBase(Head) + Off;
+  std::byte *Object = Central->Map.pageBase(Head) + Off;
   H->FreeHead = *reinterpret_cast<uint32_t *>(Object);
   Sink.load(Object, sizeof(uint32_t));
   ++H->InUse;
@@ -230,10 +223,7 @@ std::byte *SlabAllocator::takeObject(unsigned Class) {
 
 void SlabAllocator::reapSlab(uint32_t HeadPage, unsigned Class) {
   unsigned Order = Central->SlabOrder[Class];
-  for (size_t I = 0, Pages = size_t(1) << Order; I < Pages; ++I) {
-    Central->PageKind[HeadPage + I] = PageUnused;
-    Sink.store(&Central->PageKind[HeadPage + I], 1);
-  }
+  Central->Map.clear(HeadPage, size_t(1) << Order, Sink);
   Central->Buddy.freePages(HeadPage, Order);
   notePagesReturned(*Central, uint64_t(1) << Order);
   ++Central->SlabsReaped;
@@ -246,7 +236,7 @@ void SlabAllocator::centralFree(std::byte *Object, uint32_t HeadPage,
   bool WasFull = H->FreeHead == 0;
   *reinterpret_cast<uint32_t *>(Object) = H->FreeHead;
   Sink.store(Object, sizeof(uint32_t));
-  H->FreeHead = static_cast<uint32_t>(Object - pageBase(HeadPage));
+  H->FreeHead = static_cast<uint32_t>(Object - Central->Map.pageBase(HeadPage));
   --H->InUse;
   Sink.store(H, sizeof(SlabHeader));
   if (H->InUse == 0) {
@@ -264,7 +254,7 @@ void SlabAllocator::centralFree(std::byte *Object, uint32_t HeadPage,
 }
 
 void SlabAllocator::refillMagazine(unsigned Class) {
-  auto Lock = centralLock();
+  auto Lock = Central->lock();
   uintptr_t *Slots = &MagSlots[size_t(Class) * MagazineCapacity];
   unsigned Got = 0;
   while (Got < RefillBatch) {
@@ -281,14 +271,14 @@ void SlabAllocator::refillMagazine(unsigned Class) {
 }
 
 void SlabAllocator::flushMagazine(unsigned Class, unsigned Keep) {
-  auto Lock = centralLock();
+  auto Lock = Central->lock();
   uintptr_t *Slots = &MagSlots[size_t(Class) * MagazineCapacity];
   uint64_t Moved = 0;
   while (MagCount[Class] > Keep) {
     --MagCount[Class];
     auto *Object = reinterpret_cast<std::byte *>(Slots[MagCount[Class]]);
     Sink.load(&Slots[MagCount[Class]], sizeof(uintptr_t));
-    centralFree(Object, slabHeadFor(pageIndexFor(Object)), Class);
+    centralFree(Object, slabHeadFor(Central->Map.pageOf(Object)), Class);
     ++Moved;
   }
   Sink.instructions(InstrFlushBase + InstrFlushPerObject * Moved);
@@ -316,7 +306,7 @@ void *SlabAllocator::allocateSmall(size_t Size) {
 void *SlabAllocator::allocateLarge(size_t Size) {
   size_t Pages = (Size + PageBytes - 1) / PageBytes;
   unsigned Order = BuddyAllocator::orderFor(Pages);
-  auto Lock = centralLock();
+  auto Lock = Central->lock();
   if (faultShouldFail(FaultSite::SlabGrow))
     return nullptr;
   if (Order > Central->Buddy.maxOrder())
@@ -325,16 +315,10 @@ void *SlabAllocator::allocateLarge(size_t Size) {
   if (First == BuddyAllocator::NoPage)
     return nullptr;
   notePagesTaken(*Central, uint64_t(1) << Order);
-  auto &Kind = Central->PageKind;
-  Kind[First] = PageLargeStart;
-  Sink.store(&Kind[First], 1);
-  for (size_t I = 1, Span = size_t(1) << Order; I < Span; ++I) {
-    Kind[First + I] = PageLargeCont;
-    Sink.store(&Kind[First + I], 1);
-  }
+  Central->Map.markLarge(First, size_t(1) << Order, Sink);
   Sink.instructions(InstrLargeAlloc);
   noteMalloc(Size, size_t(PageBytes) << Order);
-  return pageBase(First);
+  return Central->Map.pageBase(First);
 }
 
 void *SlabAllocator::allocate(size_t Size) {
@@ -350,30 +334,20 @@ void SlabAllocator::deallocate(void *Ptr) {
   // economy silently, so the checks hold in every build type.
   if (!owns(Ptr))
     fatal("slab allocator: freed pointer not from this heap");
-  size_t Page = pageIndexFor(Ptr);
+  size_t Page = Central->Map.pageOf(Ptr);
   // Reading the page map entry of a live object needs no lock even on a
   // shared central: the slab cannot be reaped while any of its objects is
   // live, and the object reached this thread through the central-lock
   // happens-before chain.
-  uint8_t Mark = Central->PageKind[Page];
-  Sink.load(&Central->PageKind[Page], 1);
-  if (Mark == PageUnused || Mark == PageLargeCont)
-    fatal("slab allocator: bad free (double free of a large object or "
-          "pointer into unallocated pages)");
+  uint8_t Mark = Central->Map.markForFree(Page, Sink, "slab allocator");
 
-  if (Mark == PageLargeStart) {
-    // The boundary scan reads one entry past the run, which a sibling
-    // thread may be writing concurrently, so the whole large path locks.
-    auto Lock = centralLock();
-    size_t Pages = 1;
-    while (Page + Pages < Central->NumPages &&
-           Central->PageKind[Page + Pages] == PageLargeCont)
-      ++Pages;
+  if (Mark == PageMap::LargeStart) {
+    // The boundary scan needs the lock (PageMap::largeRunPages), so the
+    // whole large path locks.
+    auto Lock = Central->lock();
+    size_t Pages = Central->Map.largeRunPages(Page);
     noteFree(Pages * PageBytes);
-    for (size_t I = 0; I < Pages; ++I) {
-      Central->PageKind[Page + I] = PageUnused;
-      Sink.store(&Central->PageKind[Page + I], 1);
-    }
+    Central->Map.clear(Page, Pages, Sink);
     Central->Buddy.freePages(static_cast<uint32_t>(Page),
                              BuddyAllocator::orderFor(Pages));
     notePagesReturned(*Central, Pages);
@@ -383,7 +357,7 @@ void SlabAllocator::deallocate(void *Ptr) {
 
   uint32_t Head =
       Mark == PageSlabCont ? slabHeadFor(Page) : static_cast<uint32_t>(Page);
-  unsigned Class = Central->PageKind[Head];
+  unsigned Class = Central->Map[Head];
   size_t ObjectSize = Classes.classSize(Class);
   if (MagCount[Class] == MagazineCapacity)
     flushMagazine(Class, MagazineCapacity / 2);
@@ -406,43 +380,21 @@ void SlabAllocator::deallocate(void *Ptr) {
 
 size_t SlabAllocator::usableSize(const void *Ptr) const {
   assert(Ptr && owns(Ptr) && "bad pointer");
-  size_t Page = pageIndexFor(Ptr);
-  uint8_t Mark = Central->PageKind[Page];
-  assert(Mark != PageUnused && Mark != PageLargeCont && "not an object");
-  if (Mark == PageLargeStart) {
-    auto Lock = centralLock(); // Boundary scan; see deallocate().
-    size_t Pages = 1;
-    while (Page + Pages < Central->NumPages &&
-           Central->PageKind[Page + Pages] == PageLargeCont)
-      ++Pages;
-    return Pages * PageBytes;
+  size_t Page = Central->Map.pageOf(Ptr);
+  uint8_t Mark = Central->Map[Page];
+  assert(Mark != PageMap::Unused && Mark != PageMap::LargeCont &&
+         "not an object");
+  if (Mark == PageMap::LargeStart) {
+    auto Lock = Central->lock();
+    return Central->Map.largeRunPages(Page) * PageBytes;
   }
   uint32_t Head =
       Mark == PageSlabCont ? slabHeadFor(Page) : static_cast<uint32_t>(Page);
-  return Classes.classSize(Central->PageKind[Head]);
+  return Classes.classSize(Central->Map[Head]);
 }
 
 void *SlabAllocator::reallocate(void *Ptr, size_t OldSize, size_t NewSize) {
-  ++Stats.ReallocCalls;
-  (void)OldSize;
-  if (!Ptr)
-    return allocate(NewSize);
-  size_t OldUsable = usableSize(Ptr);
-  if (NewSize <= OldUsable &&
-      (!Classes.isSmall(NewSize) ||
-       Classes.roundedSize(NewSize) == OldUsable)) {
-    Sink.instructions(InstrMagazineAlloc);
-    return Ptr;
-  }
-  void *Fresh = allocate(NewSize);
-  if (!Fresh)
-    return nullptr;
-  size_t CopyBytes = OldUsable < NewSize ? OldUsable : NewSize;
-  std::memcpy(Fresh, Ptr, CopyBytes);
-  Sink.copy(Ptr, Fresh, CopyBytes);
-  Sink.instructions(CopyBytes / 16 + 8);
-  deallocate(Ptr);
-  return Fresh;
+  return reallocateInClass(Ptr, OldSize, NewSize, Classes, InstrMagazineAlloc);
 }
 
 void SlabAllocator::freeAll() {
@@ -450,12 +402,12 @@ void SlabAllocator::freeAll() {
 }
 
 uint64_t SlabAllocator::memoryConsumption() const {
-  auto Lock = centralLock();
-  return Central->HighWaterPages * PageBytes;
+  auto Lock = Central->lock();
+  return Central->PeakPagesLive * PageBytes;
 }
 
 uint64_t SlabAllocator::shrink() {
-  auto Lock = centralLock();
+  auto Lock = Central->lock();
   uint64_t Before = Central->PagesReturnedTotal;
   for (unsigned Class = 0, End = Classes.numClasses(); Class != End;
        ++Class) {
@@ -469,7 +421,7 @@ uint64_t SlabAllocator::shrink() {
 }
 
 size_t SlabAllocator::partialSlabCount(unsigned Class) const {
-  auto Lock = centralLock();
+  auto Lock = Central->lock();
   size_t Count = 0;
   for (uint32_t At = Central->PartialHead[Class]; At != NoSlab;
        At = headerAt(At)->NextSlab)
@@ -478,17 +430,17 @@ size_t SlabAllocator::partialSlabCount(unsigned Class) const {
 }
 
 bool SlabAllocator::hasEmptyReserve(unsigned Class) const {
-  auto Lock = centralLock();
+  auto Lock = Central->lock();
   return Central->EmptySlab[Class] != NoSlab;
 }
 
 PageBackendStats SlabAllocator::pageStats() const {
-  auto Lock = centralLock();
+  auto Lock = Central->lock();
   PageBackendStats S;
   S.PagesAcquired = Central->PagesAcquiredTotal;
   S.PagesReclaimed = Central->PagesReturnedTotal;
   S.PagesLive = Central->PagesLive;
-  S.PeakPagesLive = Central->HighWaterPages;
+  S.PeakPagesLive = Central->PeakPagesLive;
   S.FreePages = Central->Buddy.freePageCount();
   S.LargestFreeRunPages = Central->Buddy.largestFreeBlockPages();
   S.Splits = Central->Buddy.totalSplits();

@@ -32,29 +32,23 @@
 #ifndef DDM_PAGE_SLABALLOCATOR_H
 #define DDM_PAGE_SLABALLOCATOR_H
 
+#include "core/PageMap.h"
 #include "core/SizeClasses.h"
 #include "core/TxAllocator.h"
 #include "page/BuddyAllocator.h"
 #include "page/PageBackend.h"
 
 #include <memory>
-#include <mutex>
 #include <vector>
 
 namespace ddm {
 
 /// The shared half of the slab allocator: the heap span, the buddy page
-/// allocator carving it, the page map, and the per-class slab lists. In
-/// the single-threaded studies every allocator owns a private central
-/// (Shared == false, no locking); in native execution one central is
-/// shared by all worker threads' magazines and every access goes through
-/// M, which is also the happens-before edge for objects migrating between
-/// threads.
-struct SlabCentral : SharedHeap {
+/// allocator carving it, the page map, and the per-class slab lists.
+/// Private by default, shared by every worker's magazines in native runs
+/// (SharedCentral).
+struct SlabCentral : SharedCentral {
   static constexpr size_t PageBytes = 4096;
-  static constexpr uint8_t PageUnused = 0xFF;
-  static constexpr uint8_t PageLargeStart = 0xFE;
-  static constexpr uint8_t PageLargeCont = 0xFD;
   static constexpr uint8_t PageSlabCont = 0xFC; ///< Non-head slab page.
   static constexpr uint32_t NoSlab = UINT32_MAX;
   /// First object's byte offset inside a slab; the header lives below it.
@@ -71,8 +65,9 @@ struct SlabCentral : SharedHeap {
   size_t NumPages;
   BuddyAllocator Buddy;
 
-  /// Page map: size class of the slab starting here, or a marker.
-  std::vector<uint8_t> PageKind;
+  /// Page map: size class of the slab starting here, PageSlabCont, or a
+  /// large/unused marker.
+  PageMap Map;
 
   /// Per class: head of the partial-slab list (head-page indices), the
   /// single cached empty slab, the slab order, and objects per slab.
@@ -83,15 +78,11 @@ struct SlabCentral : SharedHeap {
 
   /// Page economy, counted in buddy pages.
   uint64_t PagesLive = 0;
-  uint64_t HighWaterPages = 0;
+  uint64_t PeakPagesLive = 0;
   uint64_t PagesAcquiredTotal = 0;
   uint64_t PagesReturnedTotal = 0;
   uint64_t SlabsCreated = 0;
   uint64_t SlabsReaped = 0;
-
-  /// True when several magazines share this central; guards all fields.
-  const bool Shared;
-  std::mutex M;
 };
 
 /// Builds a central sized for the model's standard size-class map, for
@@ -154,9 +145,6 @@ public:
 
 private:
   static constexpr size_t PageBytes = SlabCentral::PageBytes;
-  static constexpr uint8_t PageUnused = SlabCentral::PageUnused;
-  static constexpr uint8_t PageLargeStart = SlabCentral::PageLargeStart;
-  static constexpr uint8_t PageLargeCont = SlabCentral::PageLargeCont;
   static constexpr uint8_t PageSlabCont = SlabCentral::PageSlabCont;
   static constexpr uint32_t NoSlab = SlabCentral::NoSlab;
 
@@ -193,21 +181,8 @@ private:
   /// over PageSlabCont marks).
   uint32_t slabHeadFor(size_t Page) const;
 
-  std::unique_lock<std::mutex> centralLock() const {
-    return Central->Shared ? std::unique_lock<std::mutex>(Central->M)
-                           : std::unique_lock<std::mutex>();
-  }
-
-  size_t pageIndexFor(const void *Ptr) const {
-    return (reinterpret_cast<uintptr_t>(Ptr) -
-            reinterpret_cast<uintptr_t>(Central->Heap.base())) /
-           PageBytes;
-  }
-  std::byte *pageBase(size_t Index) const {
-    return Central->Heap.base() + Index * PageBytes;
-  }
   SlabHeader *headerAt(uint32_t HeadPage) const {
-    return reinterpret_cast<SlabHeader *>(pageBase(HeadPage));
+    return reinterpret_cast<SlabHeader *>(Central->Map.pageBase(HeadPage));
   }
 
   SizeClassMap Classes;

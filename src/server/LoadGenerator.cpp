@@ -64,12 +64,6 @@ void LoadGenerator::enterPhase(bool On) {
   PhaseEndSec = NowSec + sampleExp(1.0 / std::max(Mean, 1e-9));
 }
 
-double LoadGenerator::currentRatePerSec() const {
-  if (Config.Process != ArrivalProcess::Bursty)
-    return Config.RatePerSec;
-  return OnPhase ? OnRate : OffRate;
-}
-
 double LoadGenerator::nextArrivalSec() {
   assert(Config.Process != ArrivalProcess::ClosedLoop &&
          "closed-loop arrivals are driven by completions, not the clock");

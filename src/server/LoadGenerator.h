@@ -84,9 +84,6 @@ public:
 
   const LoadConfig &config() const { return Config; }
 
-  /// The rate currently in effect (on/off phase aware; open-loop only).
-  double currentRatePerSec() const;
-
 private:
   double sampleExp(double Rate);
   void enterPhase(bool On);

@@ -11,13 +11,11 @@
 #ifndef DDM_SERVER_SERVINGMETRICS_H
 #define DDM_SERVER_SERVINGMETRICS_H
 
-#include "sampling/AccessSampler.h"
 #include "server/LatencyHistogram.h"
 #include "support/Json.h"
 #include "support/Stats.h"
 
 #include <cstdint>
-#include <vector>
 
 namespace ddm {
 
@@ -69,19 +67,8 @@ struct ServingMetrics {
   /// MeanBusyWorkers / pool size, in [0, 1].
   double Utilization = 0.0;
 
-  /// Access-sampler snapshots of the profiling runs behind the service
-  /// model, one per workload phase (empty unless the model was built with
-  /// SimulationOptions::Sampling).
-  std::vector<SamplerSnapshot> SamplerPhases;
-
   double dropRate() const {
     return Offered ? static_cast<double>(Dropped) /
-                         static_cast<double>(Offered)
-                   : 0.0;
-  }
-
-  double failRate() const {
-    return Offered ? static_cast<double>(Failed) /
                          static_cast<double>(Offered)
                    : 0.0;
   }

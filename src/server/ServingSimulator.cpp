@@ -62,9 +62,6 @@ ServiceTimeModel ddm::buildServiceTimeModel(const std::vector<WorkloadSpec> &Mix
     ServiceTimeModel::PerWorkload PW;
     PW.Name = W.Name;
     PW.RelativeWeights = Profile.RelativeWeights;
-    Model.SamplerPhases.insert(Model.SamplerPhases.end(),
-                               Profile.SamplerPhases.begin(),
-                               Profile.SamplerPhases.end());
 
     // Re-evaluate the performance model at every concurrency level; the
     // bus-utilization fixed point inside evaluatePerformance() is what
@@ -278,7 +275,6 @@ ServingMetrics ddm::runServing(const ServiceTimeModel &Model,
   // loop stops at its completion target without draining).
   M.Unfinished = M.Offered - M.Completed - M.Retried - M.Failed - M.Dropped;
 
-  M.SamplerPhases = Model.SamplerPhases;
   M.Restarts = Pool.restarts();
   M.RestartDowntimeSec = Pool.restartDowntimeSec();
   M.PeakWorkerHeapBytes = Pool.peakWorkerHeapBytes();

@@ -55,11 +55,6 @@ struct ServiceTimeModel {
   };
 
   std::vector<PerWorkload> Workloads;
-  /// Sampler snapshots of the profiling runs, one per workload (empty
-  /// unless Options.Sampling was on). runServing copies them into
-  /// ServingMetrics so serving results carry the heat view of the phases
-  /// they were modelled from.
-  std::vector<SamplerSnapshot> SamplerPhases;
   /// Pool size: ActiveCores x ThreadsPerCore of the platform.
   unsigned Workers = 1;
   std::string PlatformName;

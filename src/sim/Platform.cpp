@@ -65,8 +65,6 @@ std::optional<Platform> ddm::platformByName(const std::string &Name) {
   return std::nullopt;
 }
 
-std::vector<std::string> ddm::platformNames() { return {"xeon", "niagara"}; }
-
 bool ddm::validateActiveCores(const Platform &P, uint64_t Cores,
                               std::string &Error) {
   if (Cores >= 1 && Cores <= P.Cores) {

@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
 
 namespace ddm {
 
@@ -80,9 +79,6 @@ Platform niagaraLike();
 
 /// Looks a preset up by name ("xeon" or "niagara"); nullopt on mismatch.
 std::optional<Platform> platformByName(const std::string &Name);
-
-/// All preset names, for --help texts.
-std::vector<std::string> platformNames();
 
 /// Validates a user-supplied --cores value against \p P. On failure fills
 /// \p Error with a printable message and returns false. Shared by every

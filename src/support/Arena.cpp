@@ -112,12 +112,6 @@ AlignedArena &AlignedArena::operator=(AlignedArena &&Other) noexcept {
   return *this;
 }
 
-void AlignedArena::decommit() {
-  if (Base && madvise(Base, Size, MADV_DONTNEED) != 0)
-    fatal(std::string("madvise(MADV_DONTNEED) failed: ") +
-          std::strerror(errno));
-}
-
 size_t AlignedArena::residentBytes() const {
   if (!Base)
     return 0;

@@ -51,10 +51,6 @@ public:
     return P >= B && P < B + Size;
   }
 
-  /// Returns the committed pages to the OS (contents become zero) without
-  /// releasing the address range.
-  void decommit();
-
   /// Bytes of the arena currently backed by physical pages, measured by the
   /// kernel (via mincore); used by the memory-consumption experiments.
   size_t residentBytes() const;

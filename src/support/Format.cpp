@@ -22,22 +22,3 @@ std::string ddm::formatBytes(uint64_t Bytes) {
     std::snprintf(Buffer, sizeof(Buffer), "%.1f %s", Value, Units[Unit]);
   return Buffer;
 }
-
-std::string ddm::formatCount(uint64_t Value) {
-  std::string Digits = std::to_string(Value);
-  std::string Out;
-  size_t Length = Digits.size();
-  for (size_t I = 0; I != Length; ++I) {
-    if (I != 0 && (Length - I) % 3 == 0)
-      Out += ',';
-    Out += Digits[I];
-  }
-  return Out;
-}
-
-std::string ddm::formatRelative(double Ratio, unsigned Precision) {
-  char Buffer[48];
-  std::snprintf(Buffer, sizeof(Buffer), "%+.*f%%", Precision,
-                (Ratio - 1.0) * 100.0);
-  return Buffer;
-}

@@ -1,8 +1,7 @@
 //===- support/Format.h - Human-readable value formatting ------*- C++ -*-===//
 ///
 /// \file
-/// Small formatting helpers shared by reports: byte counts with binary
-/// units, large counts with thousands separators, and signed percentages.
+/// Byte counts with binary units, for reports.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,13 +15,6 @@ namespace ddm {
 
 /// Formats \p Bytes as "123 B", "1.5 KiB", "3.2 MiB", ...
 std::string formatBytes(uint64_t Bytes);
-
-/// Formats \p Value with ',' thousands separators.
-std::string formatCount(uint64_t Value);
-
-/// Formats a ratio as a signed percentage relative to 1.0, e.g. 1.04 ->
-/// "+4.0%".
-std::string formatRelative(double Ratio, unsigned Precision = 1);
 
 } // namespace ddm
 

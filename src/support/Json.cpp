@@ -135,3 +135,9 @@ JsonWriter &JsonWriter::value(bool V) {
   Out += V ? "true" : "false";
   return *this;
 }
+
+JsonWriter &JsonWriter::rawValue(const std::string &Json) {
+  beforeValue();
+  Out += Json;
+  return *this;
+}

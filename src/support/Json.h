@@ -47,6 +47,9 @@ public:
   JsonWriter &value(unsigned V) { return value(static_cast<uint64_t>(V)); }
   JsonWriter &value(int V) { return value(static_cast<int64_t>(V)); }
   JsonWriter &value(bool V);
+  /// Emits \p Json, an already rendered JSON value (a component's own
+  /// report), verbatim.
+  JsonWriter &rawValue(const std::string &Json);
 
   /// key() + value() in one call.
   template <typename T> JsonWriter &field(const std::string &Name, T &&V) {

@@ -12,11 +12,13 @@ if(NOT Status EQUAL 0)
   message(FATAL_ERROR "${PROGRAM} --help exited ${Status}")
 endif()
 
-# The flag's help line ends in "(default: ...)"; the names are either the
-# whole description or follow "names: " in it.
+# The flag's help line ends in "(default: ...)"; the names are the whole
+# description, follow "names: " in it, or read "one of a, b, or 'all'".
 string(REGEX MATCH "\n  --${FLAG} [^\n]*" Line "${Help}")
 string(REGEX REPLACE " \\(default: [^)]*\\)$" "" Line "${Line}")
 if(Line MATCHES "names: (.*)$")
+  set(Names "${CMAKE_MATCH_1}")
+elseif(Line MATCHES "one of (.*), or '[^']*'$")
   set(Names "${CMAKE_MATCH_1}")
 else()
   string(REGEX REPLACE "^\n  --${FLAG} +" "" Names "${Line}")

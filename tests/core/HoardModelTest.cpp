@@ -93,6 +93,22 @@ TEST(HoardModelTest, LargeObjectsBypassSuperblocks) {
   EXPECT_EQ(A.allocate(200 * 1024), P);
 }
 
+// A fresh small-object superblock comes from the frontier only: a freed
+// large run stays free for large objects, as the Ruby figures assume.
+TEST(HoardModelTest, FreshSuperblocksNeverReuseLargeRuns) {
+  HoardModelAllocator A(smallConfig());
+  auto *Large = static_cast<std::byte *>(A.allocate(200 * 1024));
+  ASSERT_NE(Large, nullptr);
+  A.deallocate(Large);
+  EXPECT_EQ(A.superblocksInUse(), 4u);
+  auto *Small = static_cast<std::byte *>(A.allocate(64));
+  ASSERT_NE(Small, nullptr);
+  EXPECT_EQ(A.superblocksInUse(), 5u);
+  EXPECT_GE(Small, Large + 4 * HoardModelAllocator::SuperblockBytes);
+  EXPECT_EQ(A.central()->Runs.runCount(), 1u);
+  EXPECT_TRUE(A.central()->Runs.verify());
+}
+
 TEST(HoardModelTest, UsableSizeFromSuperblockHeader) {
   HoardModelAllocator A(smallConfig());
   void *P = A.allocate(200);
@@ -144,4 +160,5 @@ TEST(HoardModelTest, RandomizedIntegrity) {
       Live.pop_back();
     }
   }
+  EXPECT_TRUE(A.central()->Runs.verify());
 }

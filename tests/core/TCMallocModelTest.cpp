@@ -78,7 +78,7 @@ TEST(TCMallocModelTest, LargeObjectsUsePageRuns) {
   EXPECT_EQ(reinterpret_cast<uintptr_t>(P) % (8 * 1024), 0u);
   EXPECT_EQ(A.usableSize(P), 104u * 1024); // 13 pages
   A.deallocate(P);
-  EXPECT_EQ(A.freeRunCount(), 1u);
+  EXPECT_EQ(A.central()->Runs.runCount(), 1u);
   // The freed run is reused.
   EXPECT_EQ(A.allocate(100 * 1024), P);
 }
@@ -90,7 +90,8 @@ TEST(TCMallocModelTest, AdjacentLargeRunsCoalesce) {
   void *Guard = A.allocate(64 * 1024);
   A.deallocate(P1);
   A.deallocate(P2);
-  EXPECT_EQ(A.freeRunCount(), 1u); // merged into one run
+  EXPECT_EQ(A.central()->Runs.runCount(), 1u); // merged into one run
+  EXPECT_TRUE(A.central()->Runs.verify());
   // The merged run serves a double-size object.
   EXPECT_EQ(A.allocate(128 * 1024), P1);
   (void)Guard;
@@ -147,4 +148,5 @@ TEST(TCMallocModelTest, RandomizedIntegrity) {
       Live.pop_back();
     }
   }
+  EXPECT_TRUE(A.central()->Runs.verify());
 }

@@ -2,10 +2,9 @@
 ///
 /// \file
 /// SweepRunner's contract: results land in submission order regardless of
-/// worker count, progress is reported once per point, exceptions
-/// propagate, and — the property the benches rely on — a simulation grid
-/// run with many workers produces counters identical to the sequential
-/// run.
+/// worker count, exceptions propagate, and — the property the benches
+/// rely on — a simulation grid run with many workers produces counters
+/// identical to the sequential run.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include <functional>
-#include <mutex>
 #include <stdexcept>
 #include <vector>
 
@@ -32,7 +30,6 @@ TEST(SweepRunner, ResultsInSubmissionOrder) {
   ASSERT_EQ(Results.size(), Tasks.size());
   for (size_t I = 0; I < Results.size(); ++I)
     EXPECT_EQ(Results[I], I * I);
-  EXPECT_EQ(Runner.pointMillis().size(), Tasks.size());
 }
 
 TEST(SweepRunner, MoreWorkersThanTasks) {
@@ -47,7 +44,6 @@ TEST(SweepRunner, EmptyTaskList) {
   SweepRunner Runner(4);
   std::vector<std::function<int()>> Tasks;
   EXPECT_TRUE(Runner.run(Tasks).empty());
-  EXPECT_TRUE(Runner.pointMillis().empty());
 }
 
 TEST(SweepRunner, ZeroJobsMeansHardwareConcurrency) {
@@ -66,32 +62,6 @@ TEST(SweepRunner, HardwareConcurrencyZeroStillExecutesTheGrid) {
   std::vector<std::function<int()>> Tasks = {[] { return 11; },
                                              [] { return 22; }};
   EXPECT_EQ(Runner.run(Tasks), (std::vector<int>{11, 22}));
-  EXPECT_EQ(Runner.pointMillis().size(), 2u);
-}
-
-TEST(SweepRunner, ProgressFiresOncePerPoint) {
-  constexpr size_t N = 32;
-  std::vector<std::function<size_t()>> Tasks;
-  for (size_t I = 0; I < N; ++I)
-    Tasks.push_back([I] { return I; });
-
-  std::mutex Mutex;
-  std::vector<unsigned> SeenIndex(N, 0);
-  size_t MaxCompleted = 0;
-  SweepRunner Runner(4);
-  Runner.onProgress([&](const SweepProgress &P) {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    ASSERT_LT(P.Index, N);
-    ++SeenIndex[P.Index];
-    EXPECT_EQ(P.Total, N);
-    EXPECT_GE(P.PointMillis, 0.0);
-    if (P.Completed > MaxCompleted)
-      MaxCompleted = P.Completed;
-  });
-  Runner.run(Tasks);
-  for (unsigned Count : SeenIndex)
-    EXPECT_EQ(Count, 1u);
-  EXPECT_EQ(MaxCompleted, N);
 }
 
 TEST(SweepRunner, FirstExceptionPropagates) {

@@ -37,14 +37,6 @@ TEST(ArenaTest, Contains) {
   EXPECT_FALSE(Arena.contains(&Local));
 }
 
-TEST(ArenaTest, DecommitZeroesContents) {
-  AlignedArena Arena(64 * 1024, 4096);
-  std::memset(Arena.base(), 0xCD, Arena.size());
-  Arena.decommit();
-  for (size_t I = 0; I < Arena.size(); I += 511)
-    EXPECT_EQ(Arena.base()[I], std::byte{0});
-}
-
 TEST(ArenaTest, ResidentBytesGrowsWithTouch) {
   AlignedArena Arena(1 << 20, 4096);
   size_t Before = Arena.residentBytes();

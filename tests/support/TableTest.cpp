@@ -176,14 +176,3 @@ TEST(FormatTest, Bytes) {
   EXPECT_EQ(formatBytes(2048), "2.0 KiB");
   EXPECT_EQ(formatBytes(3 * 1024 * 1024 + 512 * 1024), "3.5 MiB");
 }
-
-TEST(FormatTest, Count) {
-  EXPECT_EQ(formatCount(7), "7");
-  EXPECT_EQ(formatCount(1234), "1,234");
-  EXPECT_EQ(formatCount(1234567), "1,234,567");
-}
-
-TEST(FormatTest, Relative) {
-  EXPECT_EQ(formatRelative(1.04), "+4.0%");
-  EXPECT_EQ(formatRelative(0.728), "-27.2%");
-}

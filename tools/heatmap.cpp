@@ -16,6 +16,7 @@
 #include "runtime/TransactionRuntime.h"
 #include "sampling/AccessSampler.h"
 #include "support/ArgParse.h"
+#include "support/Json.h"
 #include "trace/TraceReplayer.h"
 #include "workload/WorkloadSpec.h"
 
@@ -23,29 +24,6 @@
 #include <string>
 
 using namespace ddm;
-
-namespace {
-
-AllocatorKind kindByName(const std::string &Name) {
-  for (AllocatorKind Kind : allAllocatorKinds())
-    if (Name == allocatorKindName(Kind))
-      return Kind;
-  std::fprintf(stderr, "unknown allocator '%s'\n", Name.c_str());
-  std::exit(1);
-}
-
-/// Minimal JSON string escape for file paths and workload names.
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  for (char C : S) {
-    if (C == '"' || C == '\\')
-      Out += '\\';
-    Out += C;
-  }
-  return Out;
-}
-
-} // namespace
 
 int main(int Argc, char **Argv) {
   std::string Allocator = "ddmalloc";
@@ -80,13 +58,21 @@ int main(int Argc, char **Argv) {
   Opts.MaxRegions = MaxRegions;
   // Pure monitoring: no downstream machine model, so no overhead charge.
   Opts.InstrPerSample = 0;
-  AllocatorKind Kind = kindByName(Allocator);
+  std::optional<AllocatorKind> Found = allocatorKindFromName(Allocator);
+  if (!Found) {
+    std::fprintf(stderr, "unknown allocator '%s' (names: %s)\n",
+                 Allocator.c_str(), allocatorNamesJoined().c_str());
+    return 1;
+  }
+  AllocatorKind Kind = *Found;
 
-  if (Json)
-    std::printf("{\"tool\":\"heatmap\",\"allocator\":\"%s\",\"traces\":[",
-                allocatorKindName(Kind));
+  JsonWriter J;
+  J.beginObject()
+      .field("tool", "heatmap")
+      .field("allocator", allocatorKindName(Kind))
+      .key("traces")
+      .beginArray();
 
-  bool First = true;
   for (const std::string &Path : Parser.positional()) {
     TraceReplayer Replayer;
     TraceStatus Status = Replayer.open(Path);
@@ -135,13 +121,13 @@ int main(int Argc, char **Argv) {
     Sampler.flush();
 
     if (Json) {
-      std::printf("%s{\"file\":\"%s\",\"workload\":\"%s\","
-                  "\"transactions\":%llu,\"report\":%s}",
-                  First ? "" : ",", jsonEscape(Path).c_str(),
-                  jsonEscape(Spec.Name).c_str(),
-                  static_cast<unsigned long long>(Replayed),
-                  Sampler.renderJson().c_str());
-      First = false;
+      J.beginObject()
+          .field("file", Path)
+          .field("workload", Spec.Name)
+          .field("transactions", Replayed)
+          .key("report")
+          .rawValue(Sampler.renderJson())
+          .endObject();
     } else {
       std::printf("%s (%s, %llu tx, allocator %s)\n", Path.c_str(),
                   Spec.Name.c_str(),
@@ -153,6 +139,6 @@ int main(int Argc, char **Argv) {
   }
 
   if (Json)
-    std::printf("]}\n");
+    std::printf("%s\n", J.endArray().endObject().str().c_str());
   return 0;
 }
