@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 
 using namespace ddm;
 
@@ -19,12 +18,11 @@ TransactionRuntime::TransactionRuntime(const WorkloadSpec &W,
   Allocator = createAllocator(Config.Kind, Config.AllocOptions);
   Allocator->attachSink(Sink);
   installCorruptionHandler();
-  // The interpreter state is mirrored into the sink; register it with the
-  // canonical address map (after the allocator's regions, a fixed order).
+  // The interpreter state is modeled, not stored: state touches hand only
+  // its addresses to the sink, so the area stays a reserved, never
+  // faulted-in mapping. Register it with the canonical address map (after
+  // the allocator's regions, a fixed order).
   SinkHandleView.mapRegion(StateArea.base(), StateArea.size());
-  // Fault the state area in once so it behaves like a resident interpreter
-  // working set.
-  std::memset(StateArea.base(), 0x11, StateArea.size());
 }
 
 TransactionRuntime::~TransactionRuntime() {

@@ -20,11 +20,17 @@
 /// the CostDomain set so memory-management and application cycles are
 /// attributed separately (Figures 6 and 11).
 ///
+/// The interpreter's background state (WorkloadSpec::AppStateBytes) is a
+/// reserved address range, registered with the sink and never faulted
+/// in: a state touch hands the sink an address in it and nothing ever
+/// reads or writes its bytes, so it costs no resident memory.
+///
 /// The class is final, and the three handlers that run most often per
 /// event — onTouch, onWork and onStateTouch, with recordFor — are defined
-/// in this header: the trace replayer's loop, instantiated on
-/// TransactionRuntime (TraceReplayer::replayTransaction), binds its calls
-/// statically and inlines them. A touch checks the object's canary
+/// in this header and always_inline: the trace replayer's decode loop,
+/// instantiated on TransactionRuntime (TraceReplayer::replayTransaction),
+/// binds its calls statically, and that loop is too large for GCC to
+/// inline them on its own. A touch checks the object's canary
 /// whether or not a sink is attached, but draws its line offset from
 /// TouchRng only for a sink (out of line, in touchLine, so the inlined
 /// handler stays small): the offset feeds nothing but the sink's address,
@@ -191,11 +197,16 @@ public:
   void onAllocAligned(uint32_t Id, size_t Size, uint32_t Alignment) override;
   void onFree(uint32_t Id) override;
   void onRealloc(uint32_t Id, size_t OldSize, size_t NewSize) override;
-  void onTouch(uint32_t Id, bool IsWrite) override;
-  void onWork(uint64_t Instructions) override;
-  void onStateTouch(uint64_t Offset, bool IsWrite) override;
+  [[gnu::always_inline]] void onTouch(uint32_t Id, bool IsWrite) override;
+  [[gnu::always_inline]] void onWork(uint64_t Instructions) override;
+  [[gnu::always_inline]] void onStateTouch(uint64_t Offset,
+                                           bool IsWrite) override;
   bool txAborted() const override { return OomPending || CorruptionPending; }
   /// @}
+
+  /// Test hook: the interpreter state area, to check that it stays
+  /// reserved and never faulted in.
+  const AlignedArena &stateArea() const { return StateArea; }
 
   /// Test hook: the heap address backing object \p Id, or nullptr if it is
   /// not live. Lets corruption tests damage a canary in place.
@@ -226,7 +237,7 @@ private:
   /// routes its reports into noteCorruption.
   void installCorruptionHandler();
   void restartProcess();
-  ObjectRecord &recordFor(uint32_t Id) {
+  [[gnu::always_inline]] ObjectRecord &recordFor(uint32_t Id) {
     if (Id >= ObjectsInTx) {
       ObjectsInTx = size_t(Id) + 1;
       if (ObjectsInTx > Objects.size())
@@ -254,6 +265,8 @@ private:
   std::unique_ptr<TxAllocator> Allocator;
   AccessSink *Sink;
   SinkHandle SinkHandleView;
+  /// The interpreter state area: reserved, never written (see the file
+  /// comment); only its addresses reach the sink.
   AlignedArena StateArea;
   Rng R;
   Rng TouchRng;
@@ -309,7 +322,9 @@ inline void TransactionRuntime::onWork(uint64_t Instructions) {
     E.Size = Instructions;
     Trace->event(E);
   }
-  if (txAborted())
+  // Compute is charged to the sink alone; the explicit test keeps the
+  // no-sink path one branch wherever this handler is inlined.
+  if (txAborted() || !SinkHandleView)
     return;
   SinkHandleView.instructions(Instructions);
 }
@@ -325,6 +340,9 @@ inline void TransactionRuntime::onStateTouch(uint64_t Offset, bool IsWrite) {
   if (txAborted())
     return;
   assert(Offset + 64 <= StateArea.size() && "state touch out of range");
+  // The sink is the state area's only reader (see the file comment).
+  if (!SinkHandleView)
+    return;
   std::byte *Addr = StateArea.base() + Offset;
   if (IsWrite)
     SinkHandleView.store(Addr, 8);

@@ -17,10 +17,10 @@
 
 using namespace ddm;
 
-// The hot loop composes each event as four 64-bit words and stores all
-// 32 bytes at once; that packing is only valid against this exact field
-// layout (little-endian builds only — big-endian falls back to
-// field-wise stores).
+// nextBatch()'s consumer composes each event as four 64-bit words and
+// stores all 32 bytes at once; that packing is only valid against this
+// exact field layout (little-endian builds only — big-endian falls back
+// to field-wise stores).
 #if __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
 static_assert(sizeof(TraceEvent) == 32, "TraceEvent layout changed");
 static_assert(offsetof(TraceEvent, Id) == 4 &&
@@ -30,6 +30,10 @@ static_assert(offsetof(TraceEvent, Id) == 4 &&
                   offsetof(TraceEvent, IsWrite) == 28,
               "TraceEvent layout changed");
 #endif
+
+// Defines decodeBlock() and decodeInto(): the one block decoder, for both
+// byte sources and every consumer.
+#include "trace/TraceDecodeLoop.inc"
 
 namespace {
 
@@ -43,72 +47,70 @@ inline uint32_t loadU32(const char *P) {
   return V;
 }
 
-constexpr uint8_t OpMask = 0x07;
+/// nextBatch()'s consumer: stores each event into the span.
+struct SpanFill {
+  TraceEvent *Out;
 
-/// Unchecked-bounds varint for the hot loop: callers guarantee at least
-/// MaxEventBytes of readable payload past P (the SafeEnd margin), so only
-/// the *content* rules remain — over-long >10-byte encodings and 64-bit
-/// overflow are rejected exactly as readVarint() rejects them.
-inline bool rawVarint(const uint8_t *&P, uint64_t &V) {
-  // The first four lengths are unrolled straight-line: the byte loads are
-  // independent of each other (only the final P bump is serial), where a
-  // byte-at-a-time loop chains every iteration through V and the shift
-  // counter. Work deltas and sizes live in the 2..4-byte range.
-  uint64_t B0 = P[0];
-  if (!(B0 & 0x80)) {
-    V = B0;
-    P += 1;
+  /// One 32-byte writeback. The four words mirror the exact TraceEvent
+  /// field layout (static_asserts above): W0 packs Op and Id, W1 is Size,
+  /// W2 is OldSize, W3 packs Alignment and IsWrite.
+  void put(TraceOp Op, uint32_t Id, uint64_t Size, uint64_t OldSize,
+           uint32_t Alignment, bool IsWrite) {
+#if __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+    uint64_t W0 = static_cast<uint64_t>(Op) | uint64_t(Id) << 32;
+    uint64_t W3 = Alignment | uint64_t(IsWrite) << 32;
+    char *B = reinterpret_cast<char *>(Out);
+    __builtin_memcpy(B, &W0, 8);
+    __builtin_memcpy(B + 8, &Size, 8);
+    __builtin_memcpy(B + 16, &OldSize, 8);
+    __builtin_memcpy(B + 24, &W3, 8);
+#else
+    Out->Op = Op;
+    Out->Id = Id;
+    Out->Size = Size;
+    Out->OldSize = OldSize;
+    Out->Alignment = Alignment;
+    Out->IsWrite = IsWrite;
+#endif
+    ++Out;
+  }
+  bool alloc(uint32_t Id, uint64_t Size, uint32_t Alignment, bool W) {
+    put(TraceOp::Alloc, Id, Size, 0, Alignment, W);
     return true;
   }
-  uint64_t B1 = P[1];
-  if (!(B1 & 0x80)) {
-    V = (B0 & 0x7F) | B1 << 7;
-    P += 2;
+  bool calloc(uint32_t Id, uint64_t Size) {
+    put(TraceOp::Calloc, Id, Size, 0, 0, false);
     return true;
   }
-  uint64_t B2 = P[2];
-  if (!(B2 & 0x80)) {
-    V = (B0 & 0x7F) | (B1 & 0x7F) << 7 | B2 << 14;
-    P += 3;
+  bool allocAligned(uint32_t Id, uint64_t Size, uint32_t Alignment) {
+    put(TraceOp::AllocAligned, Id, Size, 0, Alignment, false);
     return true;
   }
-  uint64_t B3 = P[3];
-  if (!(B3 & 0x80)) {
-    V = (B0 & 0x7F) | (B1 & 0x7F) << 7 | (B2 & 0x7F) << 14 | B3 << 21;
-    P += 4;
+  bool free(uint32_t Id, bool W) {
+    put(TraceOp::Free, Id, 0, 0, 0, W);
     return true;
   }
-  V = (B0 & 0x7F) | (B1 & 0x7F) << 7 | (B2 & 0x7F) << 14 | (B3 & 0x7F) << 21;
-  P += 4;
-  uint64_t Byte;
-  unsigned Shift = 28;
-  do {
-    Byte = *P++;
-    if (Shift == 63 && (Byte & 0x7E))
-      return false; // overflows 64 bits
-    if (Shift >= 63 && (Byte & 0x80))
-      return false; // over-long encoding
-    V |= (Byte & 0x7F) << Shift;
-    Shift += 7;
-  } while (Byte & 0x80);
-  return true;
-}
-
-inline bool rawZigzag(const uint8_t *&P, int64_t &V) {
-  uint64_t Raw;
-  if (!rawVarint(P, Raw))
-    return false;
-  V = static_cast<int64_t>((Raw >> 1) ^ (~(Raw & 1) + 1));
-  return true;
-}
-
-/// Largest possible encoded event: 1 tag byte + three 10-byte varints
-/// (realloc: id delta, old size, new size). The hot loop runs while at
-/// least this many bytes remain, so it needs no per-byte bounds checks.
-constexpr size_t MaxEventBytes = 32;
-
-// Defines decodeBlock(): the one block decoder, for both byte sources.
-#include "trace/TraceDecodeLoop.inc"
+  bool realloc(uint32_t Id, uint64_t OldSize, uint64_t Size, bool W) {
+    put(TraceOp::Realloc, Id, Size, OldSize, 0, W);
+    return true;
+  }
+  bool touch(uint32_t Id, bool W) {
+    put(TraceOp::Touch, Id, 0, 0, 0, W);
+    return true;
+  }
+  bool work(uint64_t Instructions, bool W) {
+    put(TraceOp::Work, 0, Instructions, 0, 0, W);
+    return true;
+  }
+  bool stateTouch(uint64_t Offset, bool W) {
+    put(TraceOp::StateTouch, 0, Offset, 0, 0, W);
+    return true;
+  }
+  bool endTx(bool W) {
+    put(TraceOp::EndTx, 0, 0, 0, 0, W);
+    return true;
+  }
+};
 
 } // namespace
 
@@ -344,14 +346,16 @@ TraceReader::Next TraceReader::nextBatch(TraceEventSpan &Span) {
     }
   }
 
-  size_t Want = std::min<size_t>(FrameEventsLeft, BatchCap);
+  uint32_t Want = std::min<uint32_t>(FrameEventsLeft, BatchCap);
   if (Batch.size() < Want)
     Batch.resize(Want);
-  size_t Decoded = decodeBlock(FrameP, static_cast<size_t>(FrameEnd - FrameP),
-                               static_cast<uint32_t>(Want), Decoder,
-                               Batch.data(), FrameP);
-  FrameEventsLeft -= static_cast<uint32_t>(Decoded);
-  if (Decoded < Want) {
+  SpanFill Fill{Batch.data()};
+  uint32_t Decoded;
+  tracedecode::BlockEnd How = tracedecode::decodeBlock(
+      FrameP, static_cast<size_t>(FrameEnd - FrameP), Want, Decoder, Fill,
+      FrameP, Decoded);
+  FrameEventsLeft -= Decoded;
+  if (How == tracedecode::BlockEnd::Malformed) {
     TraceStatus Bad = TraceStatus::error(Decoder.errorMessage(), FrameOffset,
                                          EventIdx + Decoded);
     if (Decoded == 0) {

@@ -19,12 +19,16 @@
 /// therefore accepted or rejected identically, with the same diagnostic
 /// text, byte offset and event index, whichever source reads it.
 ///
-/// nextBatch() hands out spans of at most BatchCap events: a full 64 KiB
-/// block would be ~20k events = 736 KiB of output, which turns every
-/// store into DRAM traffic, while a capped span keeps producer stores and
-/// consumer loads in L1. next() is a per-event cursor over the same
-/// spans (the interface TraceTransform uses); a reader is consumed
-/// through one of the two, not both.
+/// A reader is consumed through exactly one of three interfaces:
+///
+///  - decodeInto() runs a consumer's per-op handlers inside the decode
+///    loop, with no decoded event stored; the replayer uses it;
+///  - nextBatch() hands out spans of at most BatchCap events: a full
+///    64 KiB block would be ~20k events = 736 KiB of output, which turns
+///    every store into DRAM traffic, while a capped span keeps producer
+///    stores and consumer loads in L1;
+///  - next() is a per-event cursor over the same spans (the interface
+///    TraceTransform uses).
 ///
 /// All corruption (bad magic, unsupported version, truncated frame, CRC
 /// mismatch, malformed varint, event-count lies) surfaces as a
@@ -107,6 +111,13 @@ public:
   /// surfaces on the following call — exactly the order a per-event
   /// consumer observes.
   Next nextBatch(TraceEventSpan &Span);
+
+  /// Decodes events straight into \p Consumer's handlers (the consumer
+  /// interface is in TraceDecodeLoop.inc, which defines this template and
+  /// must be included to instantiate it) until a handler returns false
+  /// (Event), the trace ends cleanly (End) or it is malformed (Error; see
+  /// status()). Every event before a failure reaches the consumer first.
+  template <typename ConsumerT> Next decodeInto(ConsumerT &Consumer);
 
   /// The diagnostic of the first failure (success-valued otherwise).
   const TraceStatus &status() const { return Status; }

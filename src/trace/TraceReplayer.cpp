@@ -3,6 +3,7 @@
 #include "trace/TraceReplayer.h"
 
 #include "runtime/TransactionRuntime.h"
+#include "trace/TraceDecodeLoop.inc"
 
 #include <algorithm>
 
@@ -10,8 +11,6 @@ using namespace ddm;
 
 TraceStatus TraceReplayer::open(const std::string &Path, TraceReaderKind Kind) {
   Input = openTraceInput(Path, Kind, Status);
-  Span = TraceEventSpan();
-  SpanPos = 0;
   EventsDone = 0;
   Objects.clear();
   ObjectsInTx = 0;
@@ -27,28 +26,270 @@ const TraceStatus &TraceReplayer::status() const {
   return Input->status();
 }
 
-TraceReplayer::LoopState TraceReplayer::loadState(const TraceStats &Stats) {
-  return {Span.Data + SpanPos, Span.Data + Span.Size, Objects.data(),
-          EventsDone, EventsInTx, ObjectsInTx, Stats};
-}
+/// Every way a replayed event can be rejected; reject() holds the wording.
+enum class TraceReplayer::Failure : uint8_t {
+  IdJump,
+  LiveIdReuse,
+  BadAlignment,
+  AllocFailed,
+  FreeUnknown,
+  ReallocUnknown,
+  ReallocSizeMismatch,
+  ReallocFailed,
+  TouchUnknown,
+  StateOutOfRange,
+  EndsMidTransaction,
+};
 
-void TraceReplayer::saveState(const LoopState &S, TraceStats &Stats) {
-  SpanPos = static_cast<size_t>(S.Next - Span.Data);
-  EventsDone = S.EventsDone;
-  EventsInTx = S.EventsInTx;
-  ObjectsInTx = S.ObjectsInTx;
-  Stats = S.Stats;
-}
-
-TraceReplayer::Step TraceReplayer::failAt(LoopState S, TraceStats &Stats,
-                                          std::string Message) {
-  saveState(S, Stats);
-  // The offending event is the one just consumed: index eventsReplayed()-1.
+void TraceReplayer::reject(Failure Why, uint64_t EventsSoFar, uint64_t A,
+                           uint64_t B, uint64_t C) {
+  std::string Message;
+  switch (Why) {
+  case Failure::IdJump:
+    Message = "allocation of object id " + std::to_string(A) +
+              " jumps ahead of the transaction's ids (only " +
+              std::to_string(B) + " events precede it)";
+    break;
+  case Failure::LiveIdReuse:
+    Message = "allocation reuses live object id " + std::to_string(A);
+    break;
+  case Failure::BadAlignment:
+    Message = "aligned allocation of object id " + std::to_string(A) +
+              " requests non-power-of-two alignment " + std::to_string(B);
+    break;
+  case Failure::AllocFailed:
+    Message = "allocation of " + std::to_string(B) + " bytes for object " +
+              std::to_string(A) +
+              " failed: the executor's allocator exhausted its heap";
+    break;
+  case Failure::FreeUnknown:
+    Message = "free of unknown or already-freed object id " +
+              std::to_string(A);
+    break;
+  case Failure::ReallocUnknown:
+    Message = "realloc of unknown or already-freed object id " +
+              std::to_string(A);
+    break;
+  case Failure::ReallocSizeMismatch:
+    Message = "realloc old-size mismatch on object id " + std::to_string(A) +
+              ": trace says " + std::to_string(B) + ", object is " +
+              std::to_string(C) + " bytes";
+    break;
+  case Failure::ReallocFailed:
+    Message = "realloc of object " + std::to_string(A) + " to " +
+              std::to_string(B) +
+              " bytes failed: the executor's allocator exhausted its heap";
+    break;
+  case Failure::TouchUnknown:
+    Message = "touch of unknown or already-freed object id " +
+              std::to_string(A);
+    break;
+  case Failure::StateOutOfRange:
+    Message = "state touch at offset " + std::to_string(A) +
+              " is outside the workload's " + std::to_string(B) +
+              "-byte state area";
+    break;
+  case Failure::EndsMidTransaction:
+    Message = "trace ends in the middle of a transaction (" +
+              std::to_string(A) + " events after the last boundary)";
+    break;
+  }
+  // The offending event is the last one consumed.
   Status = TraceStatus::error(std::move(Message),
                               Input ? Input->byteOffset() : 0,
-                              EventsDone ? EventsDone - 1 : 0);
-  return Step::Error;
+                              EventsSoFar ? EventsSoFar - 1 : 0);
 }
+
+TraceReplayer::LiveObject *TraceReplayer::growObjects(size_t MinSize) {
+  // Geometric, so the first transaction of a replay resizes the table
+  // O(log n) times rather than once per new id.
+  Objects.resize(std::max(MinSize, 2 * Objects.size()));
+  return Objects.data();
+}
+
+/// The replayer's consumer of decoded events (TraceDecodeLoop.inc): each
+/// handler validates its event against the live-object table, counts it
+/// in TraceStats and hands it to the executor, inside the decode loop.
+/// EndTx and a rejected event stop the loop; Stop says which. The decode
+/// loop works on a copy, so the counters below stay out of reach of the
+/// executor's calls; replayEvents writes them back once per call.
+template <typename ExecutorT> class TraceReplayer::EventConsumer {
+public:
+  EventConsumer(TraceReplayer &R, ExecutorT &X, const TraceStats &Stats,
+                uint64_t StateBytesLimit)
+      : R(&R), X(&X), Table(R.Objects.data()), TableSize(R.Objects.size()),
+        StateBytesLimit(StateBytesLimit), EventsDone(R.EventsDone),
+        EventsInTx(R.EventsInTx), ObjectsInTx(R.ObjectsInTx), Stats(Stats) {}
+
+  [[gnu::always_inline]] bool alloc(uint32_t Id, uint64_t Size, uint32_t,
+                                    bool) {
+    if (!admit(Id))
+      return false;
+    add(Id, Size);
+    X->onAlloc(Id, Size);
+    return allocated(Id, Size);
+  }
+  [[gnu::always_inline]] bool calloc(uint32_t Id, uint64_t Size) {
+    if (!admit(Id))
+      return false;
+    add(Id, Size);
+    ++Stats.Callocs;
+    X->onCalloc(Id, Size);
+    return allocated(Id, Size);
+  }
+  [[gnu::always_inline]] bool allocAligned(uint32_t Id, uint64_t Size,
+                                           uint32_t Alignment) {
+    if (!admit(Id))
+      return false;
+    if (Alignment == 0 || (Alignment & (Alignment - 1)) != 0)
+      return fail(Failure::BadAlignment, Id, Alignment);
+    add(Id, Size);
+    ++Stats.AlignedAllocs;
+    X->onAllocAligned(Id, Size, Alignment);
+    return allocated(Id, Size);
+  }
+  [[gnu::always_inline]] bool free(uint32_t Id, bool) {
+    ++EventsDone;
+    LiveObject *Object = live(Id);
+    if (!Object)
+      return fail(Failure::FreeUnknown, Id);
+    Object->Live = false;
+    ++EventsInTx;
+    ++Stats.Frees;
+    X->onFree(Id);
+    return true;
+  }
+  [[gnu::always_inline]] bool realloc(uint32_t Id, uint64_t OldSize,
+                                      uint64_t Size, bool) {
+    ++EventsDone;
+    LiveObject *Object = live(Id);
+    if (!Object)
+      return fail(Failure::ReallocUnknown, Id);
+    if (Object->Size != OldSize)
+      return fail(Failure::ReallocSizeMismatch, Id, OldSize, Object->Size);
+    Object->Size = Size;
+    ++EventsInTx;
+    // AllocatedBytes counts malloc'd bytes only (Table 3's mean
+    // allocation size definition), as in the generator's TraceStats.
+    ++Stats.Reallocs;
+    X->onRealloc(Id, OldSize, Size);
+    if (X->txAborted())
+      return fail(Failure::ReallocFailed, Id, Size);
+    return true;
+  }
+  [[gnu::always_inline]] bool touch(uint32_t Id, bool IsWrite) {
+    ++EventsDone;
+    if (!live(Id))
+      return fail(Failure::TouchUnknown, Id);
+    ++EventsInTx;
+    ++Stats.ObjectTouches;
+    X->onTouch(Id, IsWrite);
+    return true;
+  }
+  [[gnu::always_inline]] bool work(uint64_t Instructions, bool) {
+    ++EventsDone;
+    ++EventsInTx;
+    Stats.WorkInstructions += Instructions;
+    X->onWork(Instructions);
+    return true;
+  }
+  [[gnu::always_inline]] bool stateTouch(uint64_t Offset, bool IsWrite) {
+    ++EventsDone;
+    // The touch spans [offset, offset+64); compare without computing
+    // offset+64, which a corrupt offset near 2^64 would wrap past the
+    // limit and into the runtime's unchecked state access.
+    if (StateBytesLimit != StateLimitUnknown &&
+        (Offset > StateBytesLimit || StateBytesLimit - Offset < 64))
+      return fail(Failure::StateOutOfRange, Offset, StateBytesLimit);
+    ++EventsInTx;
+    ++Stats.StateTouches;
+    X->onStateTouch(Offset, IsWrite);
+    return true;
+  }
+  [[gnu::always_inline]] bool endTx(bool) {
+    ++EventsDone;
+    // Object ids restart at zero next transaction; whatever is still
+    // live belongs to the runtime's end-of-transaction cleanup.
+    std::fill_n(Table, ObjectsInTx, LiveObject());
+    ObjectsInTx = 0;
+    EventsInTx = 0;
+    ++R->Transactions;
+    Stop = Step::Tx;
+    return false;
+  }
+
+  /// Called when the input ran out: clean only on a boundary.
+  void endOfTrace() {
+    if (EventsInTx != 0)
+      fail(Failure::EndsMidTransaction, EventsInTx);
+    else
+      Stop = Step::End;
+  }
+
+  /// Writes the counters back to the replayer and \p Out.
+  void save(TraceStats &Out) const {
+    R->EventsDone = EventsDone;
+    R->EventsInTx = EventsInTx;
+    R->ObjectsInTx = ObjectsInTx;
+    Out = Stats;
+  }
+
+  /// How the handler that stopped the loop ended it.
+  Step Stop = Step::Error;
+
+private:
+  /// The table slot of \p Id if that object is live, else nullptr.
+  [[gnu::always_inline]] LiveObject *live(uint32_t Id) const {
+    return Id < ObjectsInTx && Table[Id].Live ? &Table[Id] : nullptr;
+  }
+  /// Counts an allocation event and checks the id rules.
+  [[gnu::always_inline]] bool admit(uint32_t Id) {
+    ++EventsDone;
+    // Every producer numbers a transaction's objects densely from zero,
+    // so an id can never exceed the events before it; the bound keeps
+    // the table (and the runtime's) proportional to the transaction.
+    if (Id > EventsInTx)
+      return fail(Failure::IdJump, Id, EventsInTx);
+    if (live(Id))
+      return fail(Failure::LiveIdReuse, Id);
+    return true;
+  }
+  /// Enters a validated allocation in the table and the stats.
+  [[gnu::always_inline]] void add(uint32_t Id, uint64_t Size) {
+    if (Id >= ObjectsInTx) {
+      ObjectsInTx = uint64_t(Id) + 1;
+      if (ObjectsInTx > TableSize) {
+        Table = R->growObjects(ObjectsInTx);
+        TableSize = R->Objects.size();
+      }
+    }
+    Table[Id] = {Size, true};
+    ++EventsInTx;
+    ++Stats.Mallocs;
+    Stats.AllocatedBytes += Size;
+  }
+  [[gnu::always_inline]] bool allocated(uint32_t Id, uint64_t Size) {
+    if (X->txAborted())
+      return fail(Failure::AllocFailed, Id, Size);
+    return true;
+  }
+  [[gnu::always_inline]] bool fail(Failure Why, uint64_t A, uint64_t B = 0,
+                                   uint64_t C = 0) {
+    R->reject(Why, EventsDone, A, B, C);
+    Stop = Step::Error;
+    return false;
+  }
+
+  TraceReplayer *R;
+  ExecutorT *X;
+  LiveObject *Table; ///< R->Objects.data().
+  size_t TableSize;  ///< R->Objects.size().
+  uint64_t StateBytesLimit;
+  uint64_t EventsDone;
+  uint64_t EventsInTx;
+  uint64_t ObjectsInTx;
+  TraceStats Stats; ///< The caller's stats plus this call's events.
+};
 
 template <typename ExecutorT>
 TraceReplayer::Step TraceReplayer::replayEvents(ExecutorT &Executor,
@@ -56,160 +297,19 @@ TraceReplayer::Step TraceReplayer::replayEvents(ExecutorT &Executor,
                                                 uint64_t StateBytesLimit) {
   if (!status().ok())
     return Step::Error;
-
-  LoopState S = loadState(Stats);
-  while (true) {
-    while (S.Next == S.SpanEnd) {
-      TraceInput::Next R = Input->nextBatch(Span);
-      S.Next = Span.Data;
-      S.SpanEnd = Span.Data + Span.Size;
-      if (R == TraceInput::Next::End) {
-        if (S.EventsInTx != 0)
-          return failAt(S, Stats,
-                        "trace ends in the middle of a transaction (" +
-                            std::to_string(S.EventsInTx) +
-                            " events after the last boundary)");
-        saveState(S, Stats);
-        return Step::End;
-      }
-      if (R == TraceInput::Next::Error) {
-        saveState(S, Stats);
-        return Step::Error;
-      }
-    }
-
-    const TraceEvent &E = *S.Next++;
-    ++S.EventsDone;
-    switch (E.Op) {
-    case TraceOp::Alloc:
-    case TraceOp::Calloc:
-    case TraceOp::AllocAligned: {
-      // Every producer numbers a transaction's objects densely from zero,
-      // so an id can never exceed the events before it; the bound keeps
-      // the table (and the runtime's) proportional to the transaction.
-      if (E.Id > S.EventsInTx)
-        return failAt(S, Stats,
-                      "allocation of object id " + std::to_string(E.Id) +
-                          " jumps ahead of the transaction's ids (only " +
-                          std::to_string(S.EventsInTx) +
-                          " events precede it)");
-      if (liveObject(S, E.Id))
-        return failAt(S, Stats,
-                      "allocation reuses live object id " +
-                          std::to_string(E.Id));
-      if (E.Op == TraceOp::AllocAligned &&
-          (E.Alignment == 0 || (E.Alignment & (E.Alignment - 1)) != 0))
-        return failAt(S, Stats,
-                      "aligned allocation of object id " +
-                          std::to_string(E.Id) +
-                          " requests non-power-of-two alignment " +
-                          std::to_string(E.Alignment));
-      if (E.Id >= S.ObjectsInTx) {
-        S.ObjectsInTx = uint64_t(E.Id) + 1;
-        if (S.ObjectsInTx > Objects.size()) {
-          Objects.resize(S.ObjectsInTx);
-          S.Table = Objects.data();
-        }
-      }
-      S.Table[E.Id] = {E.Size, true};
-      ++S.EventsInTx;
-      ++S.Stats.Mallocs;
-      S.Stats.AllocatedBytes += E.Size;
-      if (E.Op == TraceOp::Calloc) {
-        ++S.Stats.Callocs;
-        Executor.onCalloc(E.Id, E.Size);
-      } else if (E.Op == TraceOp::AllocAligned) {
-        ++S.Stats.AlignedAllocs;
-        Executor.onAllocAligned(E.Id, E.Size, E.Alignment);
-      } else {
-        Executor.onAlloc(E.Id, E.Size);
-      }
-      if (Executor.txAborted())
-        return failAt(S, Stats,
-                      "allocation of " + std::to_string(E.Size) +
-                          " bytes for object " + std::to_string(E.Id) +
-                          " failed: the executor's allocator exhausted its "
-                          "heap");
-      break;
-    }
-    case TraceOp::Free: {
-      LiveObject *Object = liveObject(S, E.Id);
-      if (!Object)
-        return failAt(S, Stats,
-                      "free of unknown or already-freed object id " +
-                          std::to_string(E.Id));
-      Object->Live = false;
-      ++S.EventsInTx;
-      ++S.Stats.Frees;
-      Executor.onFree(E.Id);
-      break;
-    }
-    case TraceOp::Realloc: {
-      LiveObject *Object = liveObject(S, E.Id);
-      if (!Object)
-        return failAt(S, Stats,
-                      "realloc of unknown or already-freed object id " +
-                          std::to_string(E.Id));
-      if (Object->Size != E.OldSize)
-        return failAt(S, Stats,
-                      "realloc old-size mismatch on object id " +
-                          std::to_string(E.Id) + ": trace says " +
-                          std::to_string(E.OldSize) + ", object is " +
-                          std::to_string(Object->Size) + " bytes");
-      Object->Size = E.Size;
-      ++S.EventsInTx;
-      // AllocatedBytes counts malloc'd bytes only (Table 3's mean
-      // allocation size definition), as in the generator's TraceStats.
-      ++S.Stats.Reallocs;
-      Executor.onRealloc(E.Id, E.OldSize, E.Size);
-      if (Executor.txAborted())
-        return failAt(S, Stats,
-                      "realloc of object " + std::to_string(E.Id) + " to " +
-                          std::to_string(E.Size) +
-                          " bytes failed: the executor's allocator exhausted "
-                          "its heap");
-      break;
-    }
-    case TraceOp::Touch:
-      if (!liveObject(S, E.Id))
-        return failAt(S, Stats,
-                      "touch of unknown or already-freed object id " +
-                          std::to_string(E.Id));
-      ++S.EventsInTx;
-      ++S.Stats.ObjectTouches;
-      Executor.onTouch(E.Id, E.IsWrite);
-      break;
-    case TraceOp::Work:
-      ++S.EventsInTx;
-      S.Stats.WorkInstructions += E.Size;
-      Executor.onWork(E.Size);
-      break;
-    case TraceOp::StateTouch:
-      // The touch spans [offset, offset+64); compare without computing
-      // offset+64, which a corrupt offset near 2^64 would wrap past the
-      // limit and into the runtime's unchecked state access.
-      if (StateBytesLimit != StateLimitUnknown &&
-          (E.Size > StateBytesLimit || StateBytesLimit - E.Size < 64))
-        return failAt(S, Stats,
-                      "state touch at offset " + std::to_string(E.Size) +
-                          " is outside the workload's " +
-                          std::to_string(StateBytesLimit) +
-                          "-byte state area");
-      ++S.EventsInTx;
-      ++S.Stats.StateTouches;
-      Executor.onStateTouch(E.Size, E.IsWrite);
-      break;
-    case TraceOp::EndTx:
-      // Object ids restart at zero next transaction; whatever is still
-      // live belongs to the runtime's end-of-transaction cleanup.
-      std::fill_n(S.Table, S.ObjectsInTx, LiveObject());
-      S.ObjectsInTx = 0;
-      S.EventsInTx = 0;
-      ++Transactions;
-      saveState(S, Stats);
-      return Step::Tx;
-    }
+  EventConsumer<ExecutorT> Consumer(*this, Executor, Stats, StateBytesLimit);
+  switch (Input->decodeInto(Consumer)) {
+  case TraceInput::Next::Event: // a handler stopped the loop
+    break;
+  case TraceInput::Next::End:
+    Consumer.endOfTrace();
+    break;
+  case TraceInput::Next::Error: // the reader's diagnostic
+    Consumer.Stop = Step::Error;
+    break;
   }
+  Consumer.save(Stats);
+  return Consumer.Stop;
 }
 
 TraceReplayer::Step

@@ -8,27 +8,28 @@
 /// trace drives every allocator at identical inputs, and replaying with
 /// the trace's own seed reproduces the live run bit-for-bit.
 ///
-/// The replayer pulls decoded events in spans of up to 1024 from the
-/// trace reader (TraceInput, TraceReader.h) — mmap'd for regular files,
-/// read() for pipes/FIFOs (see openTraceInput) — so the hot loop costs
-/// one reader call per span, not one per event.
+/// The replayer runs inside the trace reader's decode loop
+/// (TraceReader::decodeInto, TraceDecodeLoop.inc): its EventConsumer's
+/// handler for each op validates the event, counts it and calls the
+/// executor as soon as the event is decoded, so no decoded event is
+/// stored and read back. The reader is mmap'd for regular files and
+/// read() for pipes/FIFOs (see openTraceInput).
 ///
-/// There is one per-event loop, a template over the executor type
-/// (replayEvents), instantiated three times in TraceReplayer.cpp:
+/// The consumer is a template over the executor type, instantiated three
+/// times in TraceReplayer.cpp:
 ///  - on TxExecutor, behind replayTransactionInto: the generic path, one
 ///    virtual call per event, for any executor;
 ///  - on the final TransactionRuntime, behind replayTransaction: the fast
 ///    path that replay sweeps, Measure and heatmap use. The calls bind
 ///    statically, and the runtime's touch, work and state-touch handlers
-///    (defined in TransactionRuntime.h) inline into the loop;
+///    (defined in TransactionRuntime.h) inline into the decode loop;
 ///  - on summarizeTrace's final null executor, so the validating scan
 ///    pays for no executor call at all.
-/// The loop keeps its span cursor, event and object counts and the
-/// transaction's TraceStats in a local LoopState, where the executor's
-/// calls cannot force them back to memory, and saves them to the members
-/// only at a transaction boundary, at the end of the trace, or just before
-/// it records a failure (failAt) — so every diagnostic keeps its text, byte
-/// offset and event index.
+/// The decode loop works on a copy of the consumer, where the executor's
+/// calls cannot force its event and object counts and the transaction's
+/// TraceStats back to memory; they reach the members once per call. A
+/// rejected event records its diagnostic (text, byte offset, event index)
+/// on the spot.
 ///
 /// The replayer validates events against its own live-object table before
 /// forwarding them, so a malformed or hand-edited trace produces a
@@ -44,9 +45,10 @@
 /// transaction (the generator, the preload shim, tracesynth and the
 /// transforms all count from zero), so an allocation whose id exceeds the
 /// number of events already replayed in its transaction is rejected. The
-/// table, and the runtime's object records, therefore never outgrow the
-/// transaction that fills them. Diagnostic text is formatted only on the
-/// failing branch; a valid event costs no string work.
+/// table grows geometrically, to at most twice the largest transaction,
+/// and the runtime's object records never outgrow that transaction.
+/// Diagnostic text is formatted only on the failing branch; a valid event
+/// costs no string work.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -135,39 +137,27 @@ private:
     bool Live = false;
   };
 
-  /// The per-event loop's working state. replayEvents keeps it in a local,
-  /// out of reach of the executor's calls, and saves it to the members on
-  /// every way out.
-  struct LoopState {
-    const TraceEvent *Next;    ///< Next unconsumed event of Span.
-    const TraceEvent *SpanEnd; ///< One past Span's last event.
-    LiveObject *Table;         ///< Objects.data().
-    uint64_t EventsDone;
-    uint64_t EventsInTx;
-    uint64_t ObjectsInTx;
-    TraceStats Stats; ///< The caller's stats plus this call's events.
-  };
+  /// Why an event was rejected (defined, with reject(), in the .cpp).
+  enum class Failure : uint8_t;
+  /// The decode-loop consumer (see the file comment).
+  template <typename ExecutorT> class EventConsumer;
 
-  /// The one replay loop (see the file comment for its instantiations).
+  /// The one replay entry (see the file comment for its instantiations).
   template <typename ExecutorT>
   Step replayEvents(ExecutorT &Executor, TraceStats &Stats,
                     uint64_t StateBytesLimit);
-  /// The table slot of \p Id if that object is live, else nullptr.
-  static LiveObject *liveObject(const LoopState &S, uint32_t Id) {
-    return Id < S.ObjectsInTx && S.Table[Id].Live ? &S.Table[Id] : nullptr;
-  }
-  LoopState loadState(const TraceStats &Stats);
-  void saveState(const LoopState &S, TraceStats &Stats);
-  /// Saves \p S, records the diagnostic of the event just consumed and
-  /// returns Step::Error.
-  Step failAt(LoopState S, TraceStats &Stats, std::string Message);
+  /// Records the diagnostic of the last of \p EventsSoFar consumed
+  /// events, rejected for \p Why; \p A .. \p C are the numbers it names.
+  /// Out of line: a valid event costs no string work.
+  void reject(Failure Why, uint64_t EventsSoFar, uint64_t A, uint64_t B,
+              uint64_t C);
+  /// Grows the live-object table to at least \p MinSize slots.
+  LiveObject *growObjects(size_t MinSize);
 
   friend TraceStatus summarizeTrace(const std::string &, TraceSummary &,
                                     TraceReaderKind);
 
   std::unique_ptr<TraceInput> Input;
-  TraceEventSpan Span;     ///< Current batch of decoded events.
-  size_t SpanPos = 0;      ///< Consumption cursor within Span.
   uint64_t EventsDone = 0; ///< Events consumed from the input.
   /// The live-object table, indexed by object id. Slots at and above
   /// ObjectsInTx are never live; EndTx clears the used prefix and keeps

@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <vector>
+
 using namespace ddm;
 
 namespace {
@@ -21,6 +26,40 @@ RuntimeConfig phpConfig(AllocatorKind Kind) {
   Config.UseBulkFree = true;
   Config.Scale = 0.05;
   return Config;
+}
+
+/// Records every announced region and counts the accesses that land in
+/// the last one announced.
+class RegionRecorder final : public AccessSink {
+public:
+  void load(uintptr_t Addr, uint32_t) override { note(Addr); }
+  void store(uintptr_t Addr, uint32_t) override { note(Addr); }
+  void instructions(uint64_t) override {}
+  void mapRegion(const void *Base, size_t Size) override {
+    LastBase = reinterpret_cast<uintptr_t>(Base);
+    LastSize = Size;
+  }
+
+  uintptr_t LastBase = 0;
+  size_t LastSize = 0;
+  uint64_t AccessesInLast = 0;
+
+private:
+  void note(uintptr_t Addr) {
+    if (Addr >= LastBase && Addr - LastBase < LastSize)
+      ++AccessesInLast;
+  }
+};
+
+/// Pages of [Base, Base + Size) the kernel reports resident (mincore).
+size_t residentPages(const void *Base, size_t Size) {
+  size_t Page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  std::vector<unsigned char> Map((Size + Page - 1) / Page);
+  EXPECT_EQ(mincore(const_cast<void *>(Base), Size, Map.data()), 0);
+  size_t Resident = 0;
+  for (unsigned char M : Map)
+    Resident += M & 1;
+  return Resident;
 }
 
 } // namespace
@@ -183,4 +222,30 @@ TEST(TransactionRuntimeTest, AllocatorCodeFootprintsOrdered) {
             Footprint(AllocatorKind::DDmalloc));
   EXPECT_LT(Footprint(AllocatorKind::DDmalloc),
             Footprint(AllocatorKind::Default));
+}
+
+TEST(TransactionRuntimeTest, StateAreaIsReservedNotFaultedIn) {
+  // The state area is announced to the sink last, after the allocator's
+  // regions. State touches hand the sink addresses inside it, but no byte
+  // of it is ever written, so none of its pages becomes resident.
+  RegionRecorder Sink;
+  TransactionRuntime WithSink(tinyWorkload(),
+                              phpConfig(AllocatorKind::DDmalloc), &Sink);
+  const void *Base = reinterpret_cast<const void *>(Sink.LastBase);
+  ASSERT_EQ(Base, WithSink.stateArea().base());
+  ASSERT_EQ(Sink.LastSize, WithSink.stateArea().size());
+  ASSERT_GE(Sink.LastSize, tinyWorkload().AppStateBytes);
+  EXPECT_EQ(residentPages(Base, Sink.LastSize), 0u);
+  WithSink.executeTransaction();
+  ASSERT_GT(WithSink.metrics().TotalTrace.StateTouches, 0u);
+  EXPECT_GT(Sink.AccessesInLast, 0u);
+  EXPECT_EQ(residentPages(Base, Sink.LastSize), 0u);
+
+  TransactionRuntime NoSink(tinyWorkload(),
+                            phpConfig(AllocatorKind::DDmalloc));
+  const AlignedArena &Area = NoSink.stateArea();
+  EXPECT_EQ(residentPages(Area.base(), Area.size()), 0u);
+  NoSink.executeTransaction();
+  ASSERT_GT(NoSink.metrics().TotalTrace.StateTouches, 0u);
+  EXPECT_EQ(residentPages(Area.base(), Area.size()), 0u);
 }

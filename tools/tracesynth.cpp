@@ -2,11 +2,12 @@
 ///
 /// \file
 /// Composes recorded per-workload traces into a sharded multi-tenant
-/// replay corpus (see trace/TraceSynthesizer.h):
+/// replay corpus (see trace/TraceSynthesizer.h). The command line (one
+/// line, wrapped here)
 ///
-///   tracesynth --out fleet --shards 4 --transactions 20000 \
-///              --workers 1000000 --schedule diurnal --seed 42 \
-///              traces/cgi.ddmtrc traces/dynamic-local.ddmtrc
+///   tracesynth --out fleet --shards 4 --transactions 20000
+///       --workers 1000000 --schedule diurnal --seed 42
+///       traces/cgi.ddmtrc traces/dynamic-local.ddmtrc
 ///
 /// writes fleet.0.ddmtrc .. fleet.3.ddmtrc and prints a per-shard /
 /// per-tenant accounting table (or JSON with --json). Tenant arrival
