@@ -7,16 +7,23 @@
 
 using namespace ddm;
 
-BuddyAllocator::BuddyAllocator(size_t Pages, unsigned MaxOrderIn)
-    : NumPages(Pages), MaxOrder(MaxOrderIn) {
-  if (NumPages == 0)
+namespace {
+
+size_t checkedPageCount(size_t Pages) {
+  if (Pages == 0)
     fatal("buddy allocator needs at least one page");
-  if (NumPages > NoPage)
+  if (Pages > BuddyAllocator::NoPage)
     fatal("buddy allocator span exceeds the 32-bit page-index space");
+  return Pages;
+}
+
+} // namespace
+
+BuddyAllocator::BuddyAllocator(size_t Pages, unsigned MaxOrderIn)
+    : NumPages(checkedPageCount(Pages)), MaxOrder(MaxOrderIn),
+      NextPlusOne(NumPages), PrevPlusOne(NumPages),
+      AllocOrderPlusOne(NumPages) {
   FreeHead.assign(MaxOrder + 1, NoPage);
-  Next.assign(NumPages, NoPage);
-  Prev.assign(NumPages, NoPage);
-  AllocOrder.assign(NumPages, NoOrder);
   Stats.assign(MaxOrder + 1, BuddyOrderStats());
   PairBits.resize(MaxOrder);
   for (unsigned Order = 0; Order < MaxOrder; ++Order) {
@@ -50,22 +57,24 @@ unsigned BuddyAllocator::orderFor(size_t Pages) {
 }
 
 void BuddyAllocator::pushFree(uint32_t First, unsigned Order) {
-  Next[First] = FreeHead[Order];
-  Prev[First] = NoPage;
+  setNext(First, FreeHead[Order]);
+  setPrev(First, NoPage);
   if (FreeHead[Order] != NoPage)
-    Prev[FreeHead[Order]] = First;
+    setPrev(FreeHead[Order], First);
   FreeHead[Order] = First;
 }
 
 void BuddyAllocator::unlinkFree(uint32_t First, unsigned Order) {
-  if (Prev[First] != NoPage)
-    Next[Prev[First]] = Next[First];
+  uint32_t Before = prev(First);
+  uint32_t After = next(First);
+  if (Before != NoPage)
+    setNext(Before, After);
   else
-    FreeHead[Order] = Next[First];
-  if (Next[First] != NoPage)
-    Prev[Next[First]] = Prev[First];
-  Next[First] = NoPage;
-  Prev[First] = NoPage;
+    FreeHead[Order] = After;
+  if (After != NoPage)
+    setPrev(After, Before);
+  setNext(First, NoPage);
+  setPrev(First, NoPage);
 }
 
 unsigned BuddyAllocator::togglePair(uint32_t First, unsigned Order) {
@@ -99,7 +108,7 @@ uint32_t BuddyAllocator::allocPages(unsigned Order) {
     ++Stats[From].Splits;
   }
 
-  AllocOrder[Block] = static_cast<uint8_t>(Order);
+  setAllocatedOrder(Block, static_cast<uint8_t>(Order));
   ++Stats[Order].Allocs;
   FreePages -= size_t(1) << Order;
   return Block;
@@ -108,9 +117,9 @@ uint32_t BuddyAllocator::allocPages(unsigned Order) {
 void BuddyAllocator::freePages(uint32_t First, unsigned Order) {
   assert(Order <= MaxOrder && "order out of range");
   assert(First < NumPages && "page index out of range");
-  if (AllocOrder[First] != Order)
+  if (allocatedOrderAt(First) != Order)
     fatal("buddy free of a block that was not allocated at this order");
-  AllocOrder[First] = NoOrder;
+  setAllocatedOrder(First, NoOrder);
   ++Stats[Order].Frees;
   FreePages += size_t(1) << Order;
 
@@ -150,16 +159,21 @@ uint64_t BuddyAllocator::totalCoalesces() const {
 
 size_t BuddyAllocator::freeBlocksAt(unsigned Order) const {
   size_t Count = 0;
-  for (uint32_t At = FreeHead[Order]; At != NoPage; At = Next[At])
+  for (uint32_t At = FreeHead[Order]; At != NoPage; At = next(At))
     ++Count;
   return Count;
+}
+
+size_t BuddyAllocator::residentBookkeepingBytes() const {
+  return NextPlusOne.residentBytes() + PrevPlusOne.residentBytes() +
+         AllocOrderPlusOne.residentBytes();
 }
 
 bool BuddyAllocator::verify() const {
   std::vector<uint8_t> Seen(NumPages, 0); // 1 = free block, 2 = allocated.
   size_t FreeTotal = 0;
   for (unsigned Order = 0; Order <= MaxOrder; ++Order) {
-    for (uint32_t At = FreeHead[Order]; At != NoPage; At = Next[At]) {
+    for (uint32_t At = FreeHead[Order]; At != NoPage; At = next(At)) {
       size_t Span = size_t(1) << Order;
       if ((At & (Span - 1)) != 0 || At + Span > NumPages)
         return false; // Misaligned or out-of-range free block.
@@ -168,17 +182,18 @@ bool BuddyAllocator::verify() const {
           return false; // Overlapping free blocks.
         Seen[At + I] = 1;
       }
-      if (Next[At] != NoPage && Prev[Next[At]] != At)
+      if (next(At) != NoPage && prev(next(At)) != At)
         return false; // Broken list linkage.
       FreeTotal += Span;
     }
   }
   if (FreeTotal != FreePages)
     return false;
-  for (size_t Page = 0; Page < NumPages; ++Page) {
-    if (AllocOrder[Page] == NoOrder)
+  for (uint32_t Page = 0; Page < NumPages; ++Page) {
+    uint8_t Order = allocatedOrderAt(Page);
+    if (Order == NoOrder)
       continue;
-    size_t Span = size_t(1) << AllocOrder[Page];
+    size_t Span = size_t(1) << Order;
     if ((Page & (Span - 1)) != 0 || Page + Span > NumPages)
       return false; // Misaligned or out-of-range allocated block.
     for (size_t I = 0; I < Span; ++I) {

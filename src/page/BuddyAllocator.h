@@ -14,6 +14,12 @@
 /// simply joins its order's free list. Splits walk the other way on
 /// allocation. Both paths are O(MaxOrder).
 ///
+/// The per-page arrays (free-list links, allocated orders) live on
+/// reserved, never-prefilled pages (ReservedArray) and hold each value
+/// plus one, so an untouched zero entry reads as NoPage or NoOrder. Only
+/// the pages indexing blocks that were actually split, freed or handed out
+/// become resident, not the whole span's worth.
+///
 /// The engine is deterministic (LIFO free lists, no randomization) and
 /// unsynchronized; owners that share it take their own lock.
 ///
@@ -21,6 +27,8 @@
 
 #ifndef DDM_PAGE_BUDDYALLOCATOR_H
 #define DDM_PAGE_BUDDYALLOCATOR_H
+
+#include "support/Arena.h"
 
 #include <cstddef>
 #include <cstdint>
@@ -68,7 +76,9 @@ public:
   /// Order recorded for the allocated block starting at \p First;
   /// NoOrder (0xFF) if no allocated block starts there.
   static constexpr uint8_t NoOrder = 0xFF;
-  uint8_t allocatedOrderAt(uint32_t First) const { return AllocOrder[First]; }
+  uint8_t allocatedOrderAt(uint32_t First) const {
+    return static_cast<uint8_t>(AllocOrderPlusOne[First] - 1);
+  }
 
   const BuddyOrderStats &orderStats(unsigned Order) const {
     return Stats[Order];
@@ -84,7 +94,17 @@ public:
   /// accounting). Intended for tests; O(NumPages).
   bool verify() const;
 
+  /// Test hook: bytes of the per-page arrays backed by physical pages.
+  size_t residentBookkeepingBytes() const;
+
 private:
+  uint32_t next(uint32_t Page) const { return NextPlusOne[Page] - 1; }
+  uint32_t prev(uint32_t Page) const { return PrevPlusOne[Page] - 1; }
+  void setNext(uint32_t Page, uint32_t To) { NextPlusOne[Page] = To + 1; }
+  void setPrev(uint32_t Page, uint32_t To) { PrevPlusOne[Page] = To + 1; }
+  void setAllocatedOrder(uint32_t First, uint8_t Order) {
+    AllocOrderPlusOne[First] = static_cast<uint8_t>(Order + 1);
+  }
   void pushFree(uint32_t First, unsigned Order);
   void unlinkFree(uint32_t First, unsigned Order);
   /// Toggles the pair bit of the order-\p Order block at \p First and
@@ -95,20 +115,21 @@ private:
   unsigned MaxOrder;
   size_t FreePages = 0;
 
-  /// Intrusive doubly-linked free lists, one head per order; Next/Prev are
-  /// meaningful only at the first page of a free block.
+  /// Intrusive doubly-linked free lists, one head per order; the links
+  /// (next/prev, stored plus one) are meaningful only at the first page of
+  /// a free block.
   std::vector<uint32_t> FreeHead;
-  std::vector<uint32_t> Next;
-  std::vector<uint32_t> Prev;
+  ReservedArray<uint32_t> NextPlusOne;
+  ReservedArray<uint32_t> PrevPlusOne;
 
   /// One bit per buddy pair per order < MaxOrder: XOR of the pair's
   /// free-at-this-order states.
   std::vector<std::vector<uint64_t>> PairBits;
 
   /// Order of the allocated block whose first page this is; NoOrder
-  /// elsewhere. Validates frees and lets owners recover a block's order
-  /// from its address alone.
-  std::vector<uint8_t> AllocOrder;
+  /// elsewhere (stored plus one). Validates frees and lets owners recover
+  /// a block's order from its address alone.
+  ReservedArray<uint8_t> AllocOrderPlusOne;
 
   std::vector<BuddyOrderStats> Stats;
 };

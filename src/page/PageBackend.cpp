@@ -43,8 +43,8 @@ BuddyPageBackend::BuddyPageBackend(size_t ReserveBytes, size_t PageSize)
       Arena(ReserveBytes,
             ReserveBytes >= MaxAlignment ? MaxAlignment : PageSize),
       Buddy(Arena.size() / PageBytes, maxOrderFor(Arena.size() / PageBytes)),
-      LivePage(Arena.size() / PageBytes, 0),
-      ResidentPage(Arena.size() / PageBytes, 0) {}
+      LivePage(Arena.size() / PageBytes),
+      ResidentPage(Arena.size() / PageBytes) {}
 
 std::byte *BuddyPageBackend::acquire(size_t Bytes, size_t Alignment) {
   if (Alignment == 0)
@@ -65,6 +65,8 @@ std::byte *BuddyPageBackend::acquire(size_t Bytes, size_t Alignment) {
   PagesLive += Pages;
   if (PagesLive > PeakPagesLive)
     PeakPagesLive = PagesLive;
+  if (First + Pages > PagesTouched)
+    PagesTouched = First + Pages;
   for (uint64_t P = First; P < First + Pages; ++P) {
     LivePage[P] = 1;
     if (!ResidentPage[P]) {
@@ -102,7 +104,7 @@ void BuddyPageBackend::release(std::byte *Ptr, size_t Bytes) {
 uint64_t BuddyPageBackend::adviseOut() {
   std::lock_guard<std::mutex> Lock(M);
   uint64_t Dropped = 0;
-  for (size_t P = 0; P < ResidentPage.size(); ++P) {
+  for (size_t P = 0; P < PagesTouched; ++P) {
     if (ResidentPage[P] && !LivePage[P]) {
       ResidentPage[P] = 0;
       ++Dropped;
@@ -111,6 +113,12 @@ uint64_t BuddyPageBackend::adviseOut() {
   ResidentPages -= Dropped;
   AdvisedOutPages += Dropped;
   return Dropped * PageBytes;
+}
+
+size_t BuddyPageBackend::residentBookkeepingBytes() const {
+  std::lock_guard<std::mutex> Lock(M);
+  return LivePage.residentBytes() + ResidentPage.residentBytes() +
+         Buddy.residentBookkeepingBytes();
 }
 
 PageBackendStats BuddyPageBackend::stats() const {

@@ -30,7 +30,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <vector>
 
 namespace ddm {
 
@@ -99,6 +98,10 @@ public:
   bool contains(const void *Ptr) const { return Arena.contains(Ptr); }
   size_t pageBytes() const { return PageBytes; }
 
+  /// Test hook: bytes of the per-page bookkeeping (this backend's and its
+  /// buddy engine's) backed by physical pages.
+  size_t residentBookkeepingBytes() const;
+
 private:
   size_t PageBytes;
   AlignedArena Arena;
@@ -110,9 +113,13 @@ private:
   uint64_t ResidentPages = 0;
   uint64_t PeakResidentPages = 0;
   uint64_t AdvisedOutPages = 0;
-  /// One byte per arena page: is the page handed out / RSS-resident.
-  std::vector<uint8_t> LivePage;
-  std::vector<uint8_t> ResidentPage;
+  /// One byte per arena page: is the page handed out / RSS-resident. On
+  /// reserved pages, so they cost memory only where blocks were handed out.
+  ReservedArray<uint8_t> LivePage;
+  ReservedArray<uint8_t> ResidentPage;
+  /// One past the highest page ever handed out: adviseOut() scans no
+  /// further, so it reads no bookkeeping page that was never written.
+  size_t PagesTouched = 0;
   mutable std::mutex M;
 };
 

@@ -18,6 +18,7 @@ TransactionRuntime::TransactionRuntime(const WorkloadSpec &W,
   Allocator = createAllocator(Config.Kind, Config.AllocOptions);
   Allocator->attachSink(Sink);
   installCorruptionHandler();
+  Objects.reserve(transactionSteps(W, C.Scale));
   // The interpreter state is modeled, not stored: state touches hand only
   // its addresses to the sink, so the area stays a reserved, never
   // faulted-in mapping. Register it with the canonical address map (after
@@ -40,6 +41,7 @@ void TransactionRuntime::setWorkload(const WorkloadSpec &W) {
           " bytes of interpreter state but the process reserved only " +
           std::to_string(StateArea.size()));
   Workload = W;
+  Objects.reserve(transactionSteps(W, Config.Scale));
 }
 
 void TransactionRuntime::touchCanaryMismatch() {
@@ -146,7 +148,6 @@ void TransactionRuntime::performAlloc(uint32_t Id, size_t Size) {
   ObjectRecord &Record = recordFor(Id);
   Record.Ptr = Ptr;
   Record.Size = static_cast<uint32_t>(Size);
-  Record.Live = true;
 
   // The application initializes every new object (constructor/copy): a
   // real canary write plus the full-size store mirrored to the sink.
@@ -166,7 +167,7 @@ void TransactionRuntime::onFree(uint32_t Id) {
   if (txAborted())
     return;
   ObjectRecord &Record = recordFor(Id);
-  assert(Record.Live && "freeing a dead object");
+  assert(Record.Ptr && "freeing a dead object");
   // Canary: the object's identity must have survived.
   if (Record.Size >= sizeof(uint32_t) &&
       *static_cast<uint32_t *>(Record.Ptr) != Id)
@@ -174,7 +175,6 @@ void TransactionRuntime::onFree(uint32_t Id) {
   SinkHandleView.setDomain(CostDomain::MemoryManagement);
   Allocator->deallocate(Record.Ptr);
   SinkHandleView.setDomain(CostDomain::Application);
-  Record.Live = false;
   Record.Ptr = nullptr;
 }
 
@@ -191,7 +191,7 @@ void TransactionRuntime::onRealloc(uint32_t Id, size_t OldSize,
   if (txAborted())
     return;
   ObjectRecord &Record = recordFor(Id);
-  assert(Record.Live && "realloc of a dead object");
+  assert(Record.Ptr && "realloc of a dead object");
   assert(Record.Size == OldSize && "size bookkeeping out of sync");
   SinkHandleView.setDomain(CostDomain::MemoryManagement);
   void *Ptr = faultShouldFail(FaultSite::WorkerHeap)
@@ -230,7 +230,7 @@ void TransactionRuntime::cleanupTransaction() {
     // it leaves behind, depend on it.
     for (size_t Id = 0; Id < ObjectsInTx; ++Id) {
       const ObjectRecord &Record = Objects[Id];
-      if (!Record.Live)
+      if (!Record.Ptr)
         continue;
       if (CleanupRng.nextBool(Config.LeakFraction))
         ++LeakedObjects;
@@ -248,7 +248,7 @@ void TransactionRuntime::rollbackTransaction() {
     Allocator->freeAll();
   } else {
     for (size_t Id = 0; Id < ObjectsInTx; ++Id)
-      if (Objects[Id].Live)
+      if (Objects[Id].Ptr)
         Allocator->deallocate(Objects[Id].Ptr);
   }
   SinkHandleView.setDomain(CostDomain::Application);

@@ -211,15 +211,22 @@ public:
   /// Test hook: the heap address backing object \p Id, or nullptr if it is
   /// not live. Lets corruption tests damage a canary in place.
   void *objectAddress(uint32_t Id) const {
-    return Id < Objects.size() && Objects[Id].Live ? Objects[Id].Ptr : nullptr;
+    return Id < Objects.size() ? Objects[Id].Ptr : nullptr;
   }
 
+  /// Test hook: records the object table holds without growing.
+  size_t objectTableCapacity() const { return Objects.capacity(); }
+
 private:
-  struct ObjectRecord {
+  /// One object of the transaction, live exactly when Ptr is non-null: an
+  /// allocator never returns null on success, and a failed allocation
+  /// writes no record. Packed to 12 bytes, so no reference or pointer may
+  /// be bound to a member.
+  struct [[gnu::packed]] ObjectRecord {
     void *Ptr = nullptr;
     uint32_t Size = 0;
-    bool Live = false;
   };
+  static_assert(sizeof(ObjectRecord) == 12, "object records are 12 bytes");
 
   void cleanupTransaction();
   /// Frees everything the aborted transaction allocated (bulk-free where
@@ -276,7 +283,9 @@ private:
   Rng CleanupRng;
   TraceSink *Trace = nullptr;
   /// Indexed by per-transaction id. Records at and above ObjectsInTx are
-  /// all default (not live); the vector only grows.
+  /// all default (not live). Reserved for the workload's step count, which
+  /// bounds a generated transaction's ids; only a replayed trace with
+  /// larger ids grows it, geometrically.
   std::vector<ObjectRecord> Objects;
   size_t ObjectsInTx = 0; ///< One past the highest id used this transaction.
   uint64_t LeakedObjects = 0;
@@ -306,7 +315,7 @@ inline void TransactionRuntime::onTouch(uint32_t Id, bool IsWrite) {
   if (txAborted())
     return;
   ObjectRecord &Record = recordFor(Id);
-  assert(Record.Live && "touching a dead object");
+  assert(Record.Ptr && "touching a dead object");
   if (Record.Size >= sizeof(uint32_t) &&
       *static_cast<uint32_t *>(Record.Ptr) != Id)
     touchCanaryMismatch();

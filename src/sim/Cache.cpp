@@ -22,6 +22,15 @@ unsigned log2Exact(uint64_t Value) {
 // clock value and a prefetch fill stamps one less, so live stamps are
 // always >= 1. Stamps are the reference model's (clock from 0, fill at
 // clock - 1) plus one, which keeps their order, and their ties, intact.
+//
+// Stamps and the clock are 32-bit. Only their order matters, and every
+// live stamp is at most the clock, so before the clock would pass MaxClock
+// renumberStamps() replaces each live stamp and the clock by its rank
+// among them (from 1). That keeps every comparison a victim choice makes,
+// ties included, and the clock - 1 of the next fill still equals the
+// stamp of the access just before it. A cache holds at most Sets * Assoc
+// stamps, so the renumbered clock is small and the pass runs once per
+// ~2^32 accesses.
 
 Cache::Cache(const CacheGeometry &Geometry) {
   assert(Geometry.LineBytes >= 16 && "line too small");
@@ -43,14 +52,32 @@ Cache::Cache(const CacheGeometry &Geometry) {
   Flags.assign(Sets * Assoc, 0);
 }
 
+void Cache::renumberStamps() {
+  std::vector<uint32_t> Ranked;
+  Ranked.reserve(LastUse.size() + 1);
+  for (uint32_t Stamp : LastUse)
+    if (Stamp != 0)
+      Ranked.push_back(Stamp);
+  Ranked.push_back(Clock);
+  std::sort(Ranked.begin(), Ranked.end());
+  Ranked.erase(std::unique(Ranked.begin(), Ranked.end()), Ranked.end());
+  assert(Ranked.back() == Clock && "a stamp is ahead of the clock");
+  for (uint32_t &Stamp : LastUse)
+    if (Stamp != 0)
+      Stamp = static_cast<uint32_t>(
+          std::lower_bound(Ranked.begin(), Ranked.end(), Stamp) -
+          Ranked.begin() + 1);
+  Clock = static_cast<uint32_t>(Ranked.size());
+}
+
 unsigned Cache::victimWay(size_t Base) const {
   // The first way with the strictly smallest stamp: the first empty way if
   // there is one (stamp 0), otherwise the first least recently used way.
   // A fill shares its stamp with the access just before it, so ties are
   // real and the first-wins order matters.
-  const uint64_t *L = LastUse.data() + Base;
+  const uint32_t *L = LastUse.data() + Base;
   unsigned Victim = 0;
-  uint64_t Oldest = L[0];
+  uint32_t Oldest = L[0];
   for (unsigned I = 1; I < Assoc; ++I) {
     bool Older = L[I] < Oldest;
     Victim = Older ? I : Victim;
@@ -59,7 +86,7 @@ unsigned Cache::victimWay(size_t Base) const {
   return Victim;
 }
 
-void Cache::refill(size_t Slot, uint64_t Set, uint64_t Tag, uint64_t Stamp,
+void Cache::refill(size_t Slot, uint64_t Set, uint64_t Tag, uint32_t Stamp,
                    uint8_t NewFlags, Outcome &Result) {
   if (LastUse[Slot] != 0) {
     Result.Evicted = true;
@@ -87,7 +114,7 @@ Cache::Outcome Cache::installLine(uint64_t Line, bool MarkPrefetched) {
   size_t Base = static_cast<size_t>(Set) * Assoc;
   uint64_t Tag = tagOf(Line);
   assert(Tag != InvalidTag && "line number out of range");
-  ++Clock;
+  tick();
   Outcome Result;
   if (findWay(Base, Tag) != Assoc) {
     Result.Hit = true;

@@ -12,16 +12,18 @@
 /// the MRU position, so it outlives the lines of the set that were last
 /// used before it.
 ///
-/// Way state is stored as parallel arrays (tags, last-use stamps, a flag
-/// byte), and lookups scan a set's ways without early exit; see Cache.cpp
-/// for the stamp scheme that makes the victim choice match plain LRU with
-/// a first-way tie-break.
+/// Way state is stored as parallel arrays (tags, 32-bit last-use stamps, a
+/// flag byte: 13 bytes per way), and lookups scan a set's ways without
+/// early exit; see Cache.cpp for the stamp scheme that makes the victim
+/// choice match plain LRU with a first-way tie-break, and for the pass
+/// that renumbers the stamps before the 32-bit clock would overflow.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef DDM_SIM_CACHE_H
 #define DDM_SIM_CACHE_H
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -55,7 +57,7 @@ public:
   /// @{
   Outcome accessLine(uint64_t Line, bool IsWrite) {
     size_t Base = setBase(Line);
-    ++Clock;
+    tick();
     unsigned W = findWay(Base, tagOf(Line));
     if (W == Assoc)
       return missLine(Line, Base, IsWrite);
@@ -79,7 +81,7 @@ public:
   /// resident and not marked prefetched, so this is exactly the hit that
   /// accessLine() would record, without the lookup.
   void repeatLastAccess(bool IsWrite) {
-    ++Clock;
+    tick();
     ++Hits;
     LastUse[LastSlot] = Clock;
     Flags[LastSlot] |= IsWrite ? DirtyBit : 0;
@@ -110,6 +112,9 @@ public:
 
   unsigned lineBytes() const { return 1u << LineShift; }
   uint64_t numSets() const { return Sets; }
+  /// Bytes the model holds: Sets * Assoc lines. The set count is rounded
+  /// down to a power of two, so this can be less than the geometry's size.
+  uint64_t capacityBytes() const { return Sets * Assoc * lineBytes(); }
 
   uint64_t hits() const { return Hits; }
   uint64_t misses() const { return Misses; }
@@ -117,11 +122,33 @@ public:
   /// Empties the cache and its counters.
   void reset();
 
+  /// The clock's ceiling: an access or install that finds the clock here
+  /// renumbers the stamps instead of passing it, so stamps and the clock
+  /// always fit in 32 bits.
+  static constexpr uint32_t MaxClock = UINT32_MAX - 1;
+
+  /// Test hook: starts the clock at \p Start, so a test reaches the stamp
+  /// renumbering without 2^32 accesses. Call it on an empty cache (new or
+  /// just reset), where no stamp exists to order against the new clock.
+  void setClockForTesting(uint32_t Start) {
+    assert(Start >= 1 && Start <= MaxClock && "clock out of range");
+    Clock = Start;
+  }
+
 private:
   /// Tag of an empty way; never a real tag (line numbers are below 2^60).
   static constexpr uint64_t InvalidTag = ~0ull;
   static constexpr uint8_t DirtyBit = 1;
   static constexpr uint8_t PrefetchedBit = 2;
+
+  /// Advances the clock by one access or install.
+  void tick() {
+    if (Clock == MaxClock) [[unlikely]]
+      renumberStamps();
+    ++Clock;
+  }
+  /// Maps every live stamp and the clock to their ranks (see Cache.cpp).
+  void renumberStamps();
 
   /// First way of \p Line's set in the way arrays.
   size_t setBase(uint64_t Line) const {
@@ -144,7 +171,7 @@ private:
   unsigned victimWay(size_t Base) const;
   /// Reports way \p Slot's occupant (of set \p Set) as evicted in
   /// \p Result and installs \p Tag there.
-  void refill(size_t Slot, uint64_t Set, uint64_t Tag, uint64_t Stamp,
+  void refill(size_t Slot, uint64_t Set, uint64_t Tag, uint32_t Stamp,
               uint8_t NewFlags, Outcome &Result);
 
   unsigned LineShift;
@@ -154,10 +181,10 @@ private:
   /// Way state as parallel arrays of Sets * Assoc entries, set-major.
   /// LastUse is 0 exactly for empty ways; see Cache.cpp for the stamps.
   std::vector<uint64_t> Tags;
-  std::vector<uint64_t> LastUse;
+  std::vector<uint32_t> LastUse;
   std::vector<uint8_t> Flags;
   size_t LastSlot = 0; ///< Way that served the latest accessLine.
-  uint64_t Clock = 1;
+  uint32_t Clock = 1;
   uint64_t Hits = 0;
   uint64_t Misses = 0;
 };

@@ -93,6 +93,9 @@ public:
   uint64_t effectiveL1DBytes() const { return EffL1DBytes; }
   uint64_t effectiveL2Bytes() const { return EffL2Bytes; }
   unsigned effectiveTlbEntries() const { return EffTlbEntries; }
+  /// The L2 capacity the model simulates: effectiveL2Bytes() with the set
+  /// count rounded down to a power of two (Cache::capacityBytes()).
+  uint64_t modeledL2Bytes() const { return L2.capacityBytes(); }
 
   /// Number of live canonical regions (introspection for tests).
   size_t mappedRegionCount() const { return Canon.mappedRegionCount(); }

@@ -13,10 +13,12 @@
 #ifndef DDM_SUPPORT_ARENA_H
 #define DDM_SUPPORT_ARENA_H
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <type_traits>
 
 namespace ddm {
 
@@ -63,6 +65,30 @@ private:
   size_t Size = 0;
   std::byte *MapBase = nullptr;
   size_t MapSize = 0;
+};
+
+/// A fixed-length array of \p T on its own AlignedArena, for bookkeeping
+/// sized by a large span of which little is used at once. Every element
+/// reads as zero until written, and only the pages holding written
+/// elements become resident: the OS backs the rest on first touch.
+template <typename T> class ReservedArray {
+  static_assert(std::is_trivially_copyable_v<T>,
+                "elements live in raw zero-filled pages");
+
+public:
+  explicit ReservedArray(size_t Count)
+      : Arena(std::max<size_t>(Count, 1) * sizeof(T), alignof(T)) {}
+
+  T &operator[](size_t I) { return reinterpret_cast<T *>(Arena.base())[I]; }
+  const T &operator[](size_t I) const {
+    return reinterpret_cast<const T *>(Arena.base())[I];
+  }
+
+  /// Bytes of the array currently backed by physical pages.
+  size_t residentBytes() const { return Arena.residentBytes(); }
+
+private:
+  AlignedArena Arena;
 };
 
 } // namespace ddm

@@ -117,11 +117,15 @@ private:
 
 } // namespace
 
+uint64_t ddm::transactionSteps(const WorkloadSpec &Spec, double Scale) {
+  assert(Scale > 0.0 && "scale must be positive");
+  return std::max<uint64_t>(
+      1, static_cast<uint64_t>(std::llround(Spec.MallocCalls * Scale)));
+}
+
 TraceStats ddm::runTransaction(const WorkloadSpec &Spec, double Scale, Rng &R,
                                TxExecutor &Executor) {
-  assert(Scale > 0.0 && "scale must be positive");
-  uint64_t Steps = std::max<uint64_t>(
-      1, static_cast<uint64_t>(std::llround(Spec.MallocCalls * Scale)));
+  uint64_t Steps = transactionSteps(Spec, Scale);
 
   double FreeFraction = Spec.perObjectFreeFraction();
   double ReallocRate =
@@ -154,7 +158,6 @@ TraceStats ddm::runTransaction(const WorkloadSpec &Spec, double Scale, Rng &R,
       std::log(TailMeanTarget) - Spec.SizeSigma * Spec.SizeSigma / 2.0;
 
   TraceStats Stats;
-  // One allocation per step, so ids stay below Steps.
   FreeCalendar Calendar(4096, Steps);
   LiveTable Live(Steps);
   uint32_t NextId = 0;

@@ -108,6 +108,10 @@ struct TraceStats {
   }
 };
 
+/// Steps of one generated transaction of \p Spec at \p Scale: one
+/// allocation each, so the transaction's object ids stay below it.
+uint64_t transactionSteps(const WorkloadSpec &Spec, double Scale);
+
 /// Generates one transaction of \p Spec at \p Scale (1.0 = the paper's
 /// full per-transaction call counts) into \p Executor, drawing randomness
 /// from \p R.

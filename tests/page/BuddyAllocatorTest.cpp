@@ -5,6 +5,7 @@
 #include "gtest/gtest.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -132,6 +133,56 @@ TEST(BuddyAllocatorTest, NonPowerOfTwoSpanSeedsMaximalAlignedBlocks) {
   // The seed tiling is restored exactly: blocks never merged past it.
   EXPECT_EQ(B.largestFreeBlockPages(), 512u);
   EXPECT_TRUE(B.verify());
+}
+
+TEST(BuddyAllocatorTest, FixedScriptOnAnUnevenSpanReturnsPinnedPages) {
+  // 200 pages seed as 128 + 64 + 8. Each step allocates ('a') a block of
+  // the given order, expecting the pinned first page (NoPage: nothing free
+  // that large), or frees ('f') the block the given earlier step got. The
+  // pages pin the free-list order, splits and coalescing exactly.
+  constexpr uint32_t NoPage = BuddyAllocator::NoPage;
+  struct Step {
+    char Op;
+    unsigned Arg;
+    uint32_t Page;
+  };
+  const Step Script[] = {
+      {'a', 3, 192}, {'a', 0, 128}, {'f', 1, 0}, {'a', 0, 128},
+      {'a', 1, 130}, {'f', 4, 0}, {'a', 0, 129}, {'a', 1, 130},
+      {'a', 2, 132}, {'a', 0, 136}, {'a', 5, 160}, {'a', 0, 137},
+      {'a', 0, 138}, {'a', 2, 140}, {'a', 1, 144}, {'a', 4, 0},
+      {'f', 10, 0}, {'a', 5, 160}, {'a', 0, 139}, {'a', 0, 146},
+      {'a', 1, 148}, {'a', 5, 32}, {'a', 4, 16}, {'a', 4, 64},
+      {'a', 4, 80}, {'f', 3, 0}, {'a', 3, 152}, {'a', 4, 96},
+      {'f', 13, 0}, {'a', 2, 140}, {'a', 0, 128}, {'f', 14, 0},
+      {'a', 0, 147}, {'f', 9, 0}, {'a', 2, 112}, {'f', 34, 0},
+      {'a', 5, NoPage}, {'a', 2, 112}, {'f', 26, 0}, {'a', 4, NoPage},
+      {'a', 4, NoPage}, {'f', 29, 0}, {'a', 0, 136}, {'a', 1, 144},
+      {'a', 0, 150}, {'a', 1, 140}, {'a', 0, 151}, {'a', 1, 142},
+      {'a', 1, 116}, {'a', 0, 118}, {'f', 45, 0}, {'f', 48, 0},
+      {'f', 12, 0}, {'a', 0, 138}, {'f', 42, 0}, {'a', 0, 136},
+      {'a', 0, 119}, {'f', 7, 0}, {'a', 0, 130}, {'a', 1, 116},
+      {'a', 0, 131}, {'a', 2, 152}, {'a', 5, NoPage},
+  };
+  BuddyAllocator B(200, 7);
+  std::vector<uint32_t> Got;
+  for (size_t I = 0; I < std::size(Script); ++I) {
+    const Step &S = Script[I];
+    if (S.Op == 'a') {
+      Got.push_back(B.allocPages(S.Arg));
+      EXPECT_EQ(Got.back(), S.Page) << "step " << I;
+    } else {
+      const Step &Alloc = Script[S.Arg];
+      ASSERT_EQ(Alloc.Op, 'a');
+      B.freePages(Got[S.Arg], Alloc.Arg);
+      Got.push_back(NoPage);
+    }
+    ASSERT_TRUE(B.verify()) << "step " << I;
+  }
+  EXPECT_EQ(B.freePageCount(), 14u);
+  EXPECT_EQ(B.largestFreeBlockPages(), 8u);
+  EXPECT_EQ(B.totalSplits(), 37u);
+  EXPECT_EQ(B.totalCoalesces(), 8u);
 }
 
 TEST(BuddyAllocatorTest, ExhaustionReturnsNoPage) {

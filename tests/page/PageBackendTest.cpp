@@ -199,6 +199,34 @@ TEST(PageBackendTest, ResidencyModelSurvivesReleaseUntilAdviseOut) {
   Backend->release(C, 4 * 4096);
 }
 
+TEST(PageBackendTest, BookkeepingIsResidentOnlyWhereBlocksWereUsed) {
+  // A 1 GiB backend has 262144 pages and 2.75 MiB of per-page
+  // bookkeeping (free-list links, block orders, live and resident bytes),
+  // all on reserved pages. Seeding the span writes two links; a split
+  // chain writes one link per order, each order's buddy on its own page of
+  // the link arrays; the spans below index pages near the bottom of the
+  // span. All of it stays under a tenth of the arrays' 704 pages.
+  const size_t Page = 4096;
+  BuddyPageBackend Backend(size_t(1) << 30);
+  EXPECT_LE(Backend.residentBookkeepingBytes(), 4 * Page);
+
+  std::vector<std::pair<std::byte *, size_t>> Spans;
+  for (size_t Bytes : {size_t(64) << 10, size_t(2) << 20, size_t(300) << 10,
+                       size_t(4096), size_t(1) << 20})
+    for (int I = 0; I < 8; ++I) {
+      std::byte *Span = Backend.acquire(Bytes, BuddyPageBackend::MaxAlignment);
+      ASSERT_NE(Span, nullptr);
+      Spans.emplace_back(Span, Bytes);
+    }
+  size_t Held = Backend.residentBookkeepingBytes();
+  for (auto [Span, Bytes] : Spans)
+    Backend.release(Span, Bytes);
+  Backend.adviseOut();
+  size_t Released = Backend.residentBookkeepingBytes();
+  EXPECT_LE(Held, 64 * Page) << Held;
+  EXPECT_LE(Released, 64 * Page) << Released;
+}
+
 TEST(PageBackendDeathTest, ReleaseOfASpanItDidNotHandOutDies) {
   auto Backend = smallBackend();
   std::byte *Span = Backend->acquire(2 * 4096, 4096);

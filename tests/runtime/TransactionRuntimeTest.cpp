@@ -249,3 +249,53 @@ TEST(TransactionRuntimeTest, StateAreaIsReservedNotFaultedIn) {
   ASSERT_GT(NoSink.metrics().TotalTrace.StateTouches, 0u);
   EXPECT_EQ(residentPages(Area.base(), Area.size()), 0u);
 }
+
+TEST(TransactionRuntimeTest, ObjectTableIsReservedForTheStepCount) {
+  // A generated transaction allocates once per step, so its ids stay below
+  // the step count: the table reserved for it never grows, in either mode.
+  for (bool BulkFree : {true, false}) {
+    SCOPED_TRACE(BulkFree ? "PHP mode" : "Ruby mode");
+    RuntimeConfig Config =
+        phpConfig(BulkFree ? AllocatorKind::DDmalloc : AllocatorKind::Glibc);
+    Config.UseBulkFree = BulkFree;
+    TransactionRuntime Runtime(tinyWorkload(), Config);
+    uint64_t Steps = transactionSteps(tinyWorkload(), Config.Scale);
+    EXPECT_EQ(Runtime.objectTableCapacity(), Steps);
+    for (int I = 0; I < 4; ++I)
+      ASSERT_EQ(Runtime.executeTransaction(), TxStatus::Ok);
+    EXPECT_EQ(Runtime.objectTableCapacity(), Steps);
+    // A replayed trace may use larger ids; the table grows to hold them.
+    uint32_t Beyond = static_cast<uint32_t>(Steps) + 10;
+    Runtime.onAlloc(Beyond, 16);
+    EXPECT_GT(Runtime.objectTableCapacity(), Beyond);
+    EXPECT_NE(Runtime.objectAddress(Beyond), nullptr);
+    ASSERT_EQ(Runtime.completeTransaction(TraceStats()), TxStatus::Ok);
+  }
+}
+
+TEST(TransactionRuntimeTest, FreedObjectsHaveNoAddress) {
+  // A record is live exactly when it holds an address; every allocator
+  // returns one for every size, zero included.
+  for (AllocatorKind Kind : allAllocatorKinds()) {
+    SCOPED_TRACE(allocatorTraits(Kind).Name);
+    RuntimeConfig Config = phpConfig(Kind);
+    Config.UseBulkFree = createAllocator(Kind)->supportsBulkFree();
+    Config.LeakFraction = 0.0;
+    TransactionRuntime Runtime(tinyWorkload(), Config);
+    Runtime.onAlloc(0, 16);
+    Runtime.onAlloc(1, 0);
+    Runtime.onAlloc(2, 48);
+    for (uint32_t Id = 0; Id < 3; ++Id)
+      EXPECT_NE(Runtime.objectAddress(Id), nullptr) << "id " << Id;
+    Runtime.onFree(1);
+    EXPECT_EQ(Runtime.objectAddress(1), nullptr);
+    Runtime.onRealloc(2, 48, 200);
+    EXPECT_NE(Runtime.objectAddress(2), nullptr);
+    Runtime.onFree(0);
+    EXPECT_EQ(Runtime.objectAddress(0), nullptr);
+    EXPECT_EQ(Runtime.objectAddress(3), nullptr); // never allocated
+    ASSERT_EQ(Runtime.completeTransaction(TraceStats()), TxStatus::Ok);
+    EXPECT_EQ(Runtime.objectAddress(2), nullptr); // swept at the end
+    EXPECT_EQ(Runtime.allocator().stats().UsableBytesLive, 0u);
+  }
+}

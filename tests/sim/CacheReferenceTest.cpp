@@ -14,6 +14,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <utility>
 #include <vector>
 
 using namespace ddm;
@@ -45,6 +47,7 @@ public:
   /// Returns hit; reports a dirty eviction through \p EvictedDirty.
   bool access(uintptr_t Addr, bool IsWrite, bool &EvictedDirty) {
     EvictedDirty = false;
+    LastEvicted.reset();
     uint64_t LineAddr = Addr >> LineShift;
     auto &Set = Data[LineAddr & (Sets - 1)];
     for (size_t I = 0; I < Set.size(); ++I) {
@@ -58,11 +61,15 @@ public:
     }
     if (Set.size() == Assoc) {
       EvictedDirty = Set.front().Dirty;
+      LastEvicted = Set.front().Addr;
       Set.erase(Set.begin());
     }
     Set.push_back({LineAddr, IsWrite});
     return false;
   }
+
+  /// Line address the latest access evicted, if it evicted one.
+  std::optional<uint64_t> LastEvicted;
 
 private:
   unsigned Assoc;
@@ -116,6 +123,61 @@ TEST_P(CacheReferenceTest, SetConflictStreamAgreesWithReference) {
               Reference.access(Addr, IsWrite, RefDirty))
         << "divergence at access " << I;
   }
+}
+
+namespace {
+
+/// Accesses before the 32-bit stamp clock would pass its ceiling: the
+/// streams below start this close to it, so the renumbering runs a few
+/// thousand accesses in, on a warm cache.
+constexpr uint32_t AccessesBeforeRenumbering = 3000;
+
+/// Runs \p Next's (address, is-write) stream on a Cache whose clock starts
+/// AccessesBeforeRenumbering ticks below its ceiling and on the reference,
+/// requiring the same hit, victim and dirty bit on every access.
+template <typename StreamFn>
+void expectAgreementAcrossRenumbering(uint64_t SizeBytes, unsigned Assoc,
+                                      int Accesses, StreamFn Next) {
+  Cache Real(CacheGeometry{SizeBytes, Assoc, 64});
+  Real.setClockForTesting(Cache::MaxClock - AccessesBeforeRenumbering);
+  ReferenceCache Reference(SizeBytes, Assoc, 64);
+  for (int I = 0; I < Accesses; ++I) {
+    auto [Addr, IsWrite] = Next(Real);
+    Cache::Outcome Out = Real.access(Addr, IsWrite);
+    bool RefDirty = false;
+    bool RefHit = Reference.access(Addr, IsWrite, RefDirty);
+    ASSERT_EQ(Out.Hit, RefHit) << "divergence at access " << I;
+    ASSERT_EQ(Out.Evicted, Reference.LastEvicted.has_value())
+        << "divergence at access " << I;
+    if (Out.Evicted) {
+      ASSERT_EQ(Out.EvictedLine, *Reference.LastEvicted)
+          << "divergence at access " << I;
+      ASSERT_EQ(Out.EvictedDirty, RefDirty) << "divergence at access " << I;
+    }
+  }
+}
+
+} // namespace
+
+TEST_P(CacheReferenceTest, RandomStreamAgreesAcrossStampRenumbering) {
+  Rng R(42);
+  uint64_t Size = sizeBytes();
+  expectAgreementAcrossRenumbering(
+      Size, assoc(), 60000, [&](const Cache &) {
+        uintptr_t Addr = R.nextBool(0.7) ? R.nextBelow(4 * Size)
+                                         : R.nextBelow(64 * Size);
+        return std::pair<uintptr_t, bool>(Addr, R.nextBool(0.4));
+      });
+}
+
+TEST_P(CacheReferenceTest, SetConflictStreamAgreesAcrossStampRenumbering) {
+  Rng R(7);
+  unsigned Lines = assoc() + 2;
+  expectAgreementAcrossRenumbering(
+      sizeBytes(), assoc(), 20000, [&](const Cache &Real) {
+        uintptr_t Addr = Real.numSets() * 64 * R.nextBelow(Lines);
+        return std::pair<uintptr_t, bool>(Addr, R.nextBool(0.5));
+      });
 }
 
 INSTANTIATE_TEST_SUITE_P(

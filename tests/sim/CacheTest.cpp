@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 using namespace ddm;
 
 namespace {
@@ -93,13 +95,17 @@ TEST(CacheTest, InstallOnResidentLineIsNoOp) {
   EXPECT_FALSE(C.access(0x3000, false).HitWasPrefetched);
 }
 
-TEST(CacheTest, PrefetchedLineOutlivesOlderLinesOfItsSet) {
-  // A fill enters just below MRU, not at the LRU end: it is stamped one
-  // tick before its own clock tick, so it is younger than every line of
-  // its set used before the latest access, and ties with that access. One
-  // set of four ways; lines fill ways 0..3 in order while empty.
+namespace {
+
+/// A fill enters just below MRU, not at the LRU end: it is stamped one
+/// tick before its own clock tick, so it is younger than every line of its
+/// set used before the latest access, and ties with that access. One set
+/// of four ways; lines fill ways 0..3 in order while empty. The clock
+/// starts at \p ClockStart.
+void expectFillOutlivesOlderLinesOfItsSet(uint32_t ClockStart) {
   Cache C(CacheGeometry{4 * 64, 4, 64});
   ASSERT_EQ(C.numSets(), 1u);
+  C.setClockForTesting(ClockStart);
   auto Line = [](uint64_t N) { return static_cast<uintptr_t>(N * 64); };
   auto EvictedBy = [&](uint64_t N) {
     Cache::Outcome Out = C.access(Line(N), false);
@@ -120,6 +126,23 @@ TEST(CacheTest, PrefetchedLineOutlivesOlderLinesOfItsSet) {
   // before it; the tie goes to the earlier way, so the fill leaves first.
   EXPECT_EQ(EvictedBy(7), 9u);
   EXPECT_EQ(EvictedBy(8), 2u);
+}
+
+} // namespace
+
+TEST(CacheTest, PrefetchedLineOutlivesOlderLinesOfItsSet) {
+  expectFillOutlivesOlderLinesOfItsSet(1);
+}
+
+TEST(CacheTest, FillAfterStampRenumberingStillTiesWithThePriorAccess) {
+  // The six accesses before the fill tick the clock from ClockStart to
+  // ClockStart + 6; at MaxClock - 6 the renumbering runs on the fill's own
+  // tick, between the access and the fill that must tie with it. The other
+  // starts put it at each of the other steps of the sequence.
+  for (uint32_t Back = 1; Back <= 12; ++Back) {
+    SCOPED_TRACE("clock starts at MaxClock - " + std::to_string(Back));
+    expectFillOutlivesOlderLinesOfItsSet(Cache::MaxClock - Back);
+  }
 }
 
 TEST(CacheTest, MarkDirtyIfPresent) {
